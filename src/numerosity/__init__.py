@@ -43,7 +43,6 @@ from .chains import (
     cf_eval,
     cf_compare,
     chain_label_card,
-    enumerate_count,
     lambda_limit,
 )
 from .sets import (

@@ -43,10 +43,6 @@ class XFreeRequired(ValueError):
     pass
 
 
-class UnrecognizedBasis(ValueError):
-    pass
-
-
 @lru_cache(maxsize=None)
 def chain_card(m: int) -> int:
     """n(m) = m!^(m!), the grid size at index m."""
@@ -294,28 +290,15 @@ def format_counting_fn(f: CountingFn) -> str:
         if ei:
             factors.append("2^n" if ei == 1 else f"(2^n)^{ei}")
         if q:
-            if q == 1:
-                factors.append("n")
-            elif q.denominator == 1:
-                factors.append(f"n^{q.numerator}")
-            else:
-                factors.append(f"n^({q.numerator}/{q.denominator})")
+            exp = str(q) if q.denominator == 1 else f"({q})"
+            factors.append("n" if q == 1 else f"n^{exp}")
         if xj:
             factors.append("x" if xj == 1 else f"x^{xj}")
         mag = abs(c)
-        coeff = "" if (mag == 1 and factors) else (
-            str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-        )
+        coeff = "" if (mag == 1 and factors) else str(mag)
         body = "*".join(([coeff] if coeff else []) + factors)
         if i == 0:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
-
-
-def enumerate_count(expr, m: int) -> int:
-    """Brute-force |A ∩ label_m| for ground set expressions (tiny m only)."""
-    from .sets import enumerate_on_chain
-
-    return enumerate_on_chain(expr, m)

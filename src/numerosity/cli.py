@@ -14,10 +14,12 @@ Commands (one per line)::
     :mode_bb on|off         rewrite beth1 = beta + X on input
     :help  :quit
 
-Script mode emits one JSON object per input line:
+Every argument is read by `numerosity.parser`, and every command consumes its
+whole line.  Script mode emits one JSON object per input line:
 {"input":..., "kind":..., "value":..., "status":...}; exit 0 on success, 1 on
-a parse error, 2 on an evaluation error, 3 if a strict-mode :cmp was unknown
-(precedence 1 > 2 > 3 when several occur).
+a parse error, 2 on an evaluation error, 3 if a :cmp was unknown under
+--strict-cmp, which only script mode reads (precedence 1 > 2 > 3 when several
+occur).
 """
 
 from __future__ import annotations
@@ -26,26 +28,29 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from . import field, labtree, ordinals, sets, surreal
-from .field import AxiomTable, Comparison, StandardPart
+from .field import AxiomTable, Comparison, NumExpr, StandardPart
+from .ordinals import Ord
 from .parser import (
-    OrderAssertion,
     ParseError,
-    TokenStream,
-    parse_numexpr,
+    parse_comparands,
+    parse_dyadic_sets,
+    parse_labelcheck,
+    parse_measure,
+    parse_num,
     parse_order_assertion,
-    parse_ordinal_expr,
-    parse_setexpr,
+    parse_ordinal,
+    parse_set,
+    parse_surreal,
+    parse_switch,
 )
 
 
 @dataclass
 class Session:
     table: AxiomTable = AxiomTable()
-    strict_cmp: bool = False
     done: bool = False
 
 
@@ -54,63 +59,19 @@ HELP_TEXT = (
     ":assert_order :mode_bb :help :quit"
 )
 
-
-def _is_surreal_literal(tok: str) -> bool:
-    if tok == "()" or tok.startswith("plus("):
-        return True
-    return bool(tok) and all(c in "+-" for c in tok)
+_ORDER = {-1: field.LESS, 0: field.EQUAL, 1: field.GREATER}
 
 
-def _parse_surreal_operand(tok: str) -> surreal.SignExpansion:
-    if tok.startswith("plus(") and tok.endswith(")"):
-        from .parser import parse_ordinal
-
-        return surreal.ordinal_plus(parse_ordinal(tok[5:-1]))
-    if tok == "()" or (tok and all(c in "+-" for c in tok)):
-        return surreal.parse_signs(tok)
-    if "/" in tok:
-        num_s, den_s = tok.split("/", 1)
-        den = int(den_s.split("^")[0]) ** int(den_s.split("^")[1]) if "^" in den_s else int(den_s)
-        value = Fraction(int(num_s), den)
-    else:
-        value = Fraction(int(tok))
-    return surreal.se_from_dyadic(value)
+def _answer(result: Union[Comparison, StandardPart]) -> dict:
+    status = "unknown" if result.kind == field.UNKNOWN else "exact"
+    return {"value": str(result), "status": status}
 
 
-def _fmt_cmp(c: Comparison) -> tuple[str, str]:
-    if c.kind == field.UNKNOWN:
-        return (f"unknown ({c.reason})" if c.reason else "unknown"), "unknown"
-    return c.kind, "exact"
-
-
-def _fmt_st(st: StandardPart) -> tuple[str, str]:
-    if st.kind == field.UNKNOWN:
-        return (f"unknown ({st.reason})" if st.reason else "unknown"), "unknown"
-    if st.kind == field.FINITE:
-        q = st.value
-        return (str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"), "exact"
-    return st.kind, "exact"
-
-
-def _dyadic_set(text: str) -> list[Fraction]:
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ParseError(0, "a brace-enclosed set of dyadics", text)
-    body = text[1:-1].strip()
-    if not body:
-        return []
-    out = []
-    for part in body.split(","):
-        ts = TokenStream(part.strip())
-        from .parser import parse_rational
-
-        q = parse_rational(ts)
-        if not ts.done():
-            ts.fail("end of rational")
-        if not surreal.is_dyadic(q):
-            raise ParseError(0, f"a dyadic rational (got {q})", part)
-        out.append(q)
-    return out
+def _compare(a, b, table: AxiomTable) -> Comparison:
+    if isinstance(a, NumExpr):
+        return field.nf_cmp(field.apply_bb(a, table), field.apply_bb(b, table), table)
+    sign = ordinals.ord_cmp(a, b) if isinstance(a, Ord) else surreal.se_cmp(a, b)
+    return Comparison(_ORDER[sign])
 
 
 def eval_line(line: str, session: Session) -> dict:
@@ -121,148 +82,51 @@ def eval_line(line: str, session: Session) -> dict:
         raise ParseError(0, "a command starting with ':'", line)
     verb, _, rest = stripped.partition(" ")
     rest = rest.strip()
+    table = session.table
 
     if verb == ":quit":
         session.done = True
         record["value"] = "bye"
-        return record
-    if verb == ":help":
+    elif verb == ":help":
         record["value"] = HELP_TEXT
-        return record
-    if verb == ":mode_bb":
-        if rest not in ("on", "off"):
-            raise ParseError(0, "'on' or 'off'", rest)
-        session.table = session.table.with_bb(rest == "on")
+    elif verb == ":mode_bb":
+        session.table = table.with_bb(parse_switch(rest))
         record["value"] = f"bb_mode={rest}"
-        return record
-    if verb == ":assert_order":
-        a: OrderAssertion = parse_order_assertion(rest)
+    elif verb == ":assert_order":
+        a = parse_order_assertion(rest)
         if a.universal_alpha:
-            session.table = session.table.with_alpha_dominated_by(a.rhs)
+            session.table = table.with_alpha_dominated_by(a.rhs)
         else:
-            session.table = session.table.with_order(a.lhs, a.rhs)
+            session.table = table.with_order(a.lhs, a.rhs)
         record["value"] = "ok"
-        return record
-
-    if verb == ":num":
-        e = _parse_whole_set(rest)
-        value = field.apply_bb(sets.num(e), session.table)
+    elif verb == ":num":
+        value = field.apply_bb(sets.num(parse_set(rest)), table)
         record.update(kind="numexpr", value=field.format_numexpr(value))
-        return record
-
-    if verb == ":cmp":
-        kind, value, status = _eval_cmp(rest, session)
-        record.update(kind=kind, value=value, status=status)
-        return record
-
-    if verb == ":st":
-        ts = TokenStream(rest)
-        x = parse_numexpr(ts)
-        if not ts.done():
-            ts.fail("end of expression")
-        st = field.standard_part(field.apply_bb(x, session.table), session.table)
-        value, status = _fmt_st(st)
-        record.update(value=value, status=status)
-        return record
-
-    if verb == ":measure":
-        ts = TokenStream(rest)
-        e = parse_setexpr(ts)
-        gamma = parse_numexpr(ts)
-        if not ts.done():
-            ts.fail("end of expression")
-        st = sets.measure(e, field.apply_bb(gamma, session.table), session.table)
-        value, status = _fmt_st(st)
-        record.update(value=value, status=status)
-        return record
-
-    if verb == ":ord":
-        ts = TokenStream(rest)
-        o = parse_ordinal_expr(ts)
-        if not ts.done():
-            ts.fail("end of ordinal expression")
-        record.update(kind="ordinal", value=ordinals.format_ordinal(o))
-        return record
-
-    if verb == ":sur":
-        toks = rest.split()
-        if not toks:
-            raise ParseError(0, "a surreal expression", rest)
-        acc = _parse_surreal_operand(toks[0])
-        i = 1
-        while i < len(toks):
-            op = toks[i]
-            if op not in "+-*" or i + 1 >= len(toks):
-                raise ParseError(0, "an operator (+, -, *) and an operand", rest)
-            rhs = _parse_surreal_operand(toks[i + 1])
-            if op == "+":
-                acc = surreal.s_add(acc, rhs)
-            elif op == "-":
-                acc = surreal.s_sub(acc, rhs)
-            else:
-                acc = surreal.s_mul(acc, rhs)
-            i += 2
-        record.update(kind="surreal", value=str(acc))
-        return record
-
-    if verb == ":simplest":
-        parts = rest.split("}")
-        if len(parts) < 2:
-            raise ParseError(0, "two brace-enclosed dyadic sets", rest)
-        left = _dyadic_set(parts[0] + "}")
-        right = _dyadic_set(parts[1].strip() + "}")
-        out = surreal.simplest(left, right)
-        record.update(kind="surreal", value=str(out))
-        return record
-
-    if verb == ":labelcheck":
-        toks = rest.split()
-        if not toks:
-            raise ParseError(0, "an instance file path", rest)
-        mode = toks[1] if len(toks) > 1 else "literal"
-        with open(toks[0], "r", encoding="utf-8") as fh:
+    elif verb == ":cmp":
+        record.update(_answer(_compare(*parse_comparands(rest), table)))
+    elif verb == ":st":
+        record.update(_answer(field.standard_part(field.apply_bb(parse_num(rest), table), table)))
+    elif verb == ":measure":
+        e, gamma = parse_measure(rest)
+        record.update(_answer(sets.measure(e, field.apply_bb(gamma, table), table)))
+    elif verb == ":ord":
+        record.update(kind="ordinal", value=ordinals.format_ordinal(parse_ordinal(rest)))
+    elif verb == ":sur":
+        record.update(kind="surreal", value=str(parse_surreal(rest)))
+    elif verb == ":simplest":
+        record.update(kind="surreal", value=str(surreal.simplest(*parse_dyadic_sets(rest))))
+    elif verb == ":labelcheck":
+        path, mode = parse_labelcheck(rest)
+        with open(path, "r", encoding="utf-8") as fh:
             tree = labtree.parse_instance(fh.read())
         pivotal = labtree.validate_pivotal(tree, mode)
         reports = [pivotal]
         if pivotal.ok:
             reports.append(labtree.validate_labeltree(tree, mode))
         record.update(value="[" + ", ".join(r.to_json() for r in reports) + "]")
-        return record
-
-    raise ParseError(0, f"a known command (got {verb!r})", line)
-
-
-def _parse_whole_set(text: str) -> sets.SetExpr:
-    ts = TokenStream(text)
-    e = parse_setexpr(ts)
-    if not ts.done():
-        ts.fail("end of set expression")
-    return e
-
-
-def _eval_cmp(rest: str, session: Session) -> tuple[str, str, str]:
-    toks = rest.split()
-    if len(toks) == 2 and all(_is_surreal_literal(t) for t in toks):
-        a, b = (_parse_surreal_operand(t) for t in toks)
-        c = surreal.se_cmp(a, b)
-        return "report", {-1: "less", 0: "equal", 1: "greater"}[c], "exact"
-    if any(op in rest for op in ("+.", "*.", "^<>")):
-        ts = TokenStream(rest)
-        a = parse_ordinal_expr(ts)
-        b = parse_ordinal_expr(ts)
-        if not ts.done():
-            ts.fail("end of ordinal comparison")
-        c = ordinals.ord_cmp(a, b)
-        return "report", {-1: "less", 0: "equal", 1: "greater"}[c], "exact"
-    ts = TokenStream(rest)
-    a = parse_numexpr(ts)
-    b = parse_numexpr(ts)
-    if not ts.done():
-        ts.fail("end of comparison")
-    a = field.apply_bb(a, session.table)
-    b = field.apply_bb(b, session.table)
-    value, status = _fmt_cmp(field.nf_cmp(a, b, session.table))
-    return "report", value, status
+    else:
+        raise ParseError(0, f"a known command (got {verb!r})", line)
+    return record
 
 
 _CORE_ERRORS = (
@@ -295,7 +159,7 @@ def run_script(path: str, strict_cmp: bool = False, bb: bool = False,
                out=None) -> int:
     """Run a command file; one JSON line per input line; returns the exit code."""
     out = out if out is not None else sys.stdout
-    session = Session(AxiomTable(bb_mode=bb), strict_cmp=strict_cmp)
+    session = Session(AxiomTable(bb_mode=bb))
     saw_parse = saw_eval = saw_unknown = False
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -348,13 +212,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap = argparse.ArgumentParser(prog="numerosity", description=__doc__)
     ap.add_argument("--script", help="run commands from a file and emit JSON lines")
     ap.add_argument("--strict-cmp", action="store_true",
-                    help="exit 3 when a :cmp stays unknown")
+                    help="with --script: exit 3 when a :cmp stays unknown")
     ap.add_argument("--bb", action="store_true", help="start with bb_mode on")
     ap.add_argument("--json", action="store_true", help="JSON output in the REPL")
     args = ap.parse_args(argv)
     if args.script:
         return run_script(args.script, args.strict_cmp, args.bb)
-    repl(Session(AxiomTable(bb_mode=args.bb), strict_cmp=args.strict_cmp), args.json)
+    repl(Session(AxiomTable(bb_mode=args.bb)), args.json)
     return 0
 
 

@@ -716,10 +716,6 @@ def nf_cmp(a: NumExpr, b: NumExpr, table: AxiomTable = DEFAULT_TABLE) -> Compari
     return Comparison(GREATER if s > 0 else LESS)
 
 
-def is_positive(a: NumExpr, table: AxiomTable = DEFAULT_TABLE) -> bool:
-    return nf_cmp(a, ZERO, table).kind == GREATER
-
-
 # ---------------------------------------------------------------------------
 # Standard part and gamma-measure
 # ---------------------------------------------------------------------------
@@ -787,9 +783,7 @@ def gamma_measure(num_a: NumExpr, gamma: NumExpr,
 
 
 def _fmt_exp(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"({q.numerator}/{q.denominator})"
+    return str(q) if q.denominator == 1 else f"({q})"
 
 
 def format_monomial(m: Monomial) -> str:
@@ -826,12 +820,6 @@ def _format_ratio_side(r: _Ratio, positive: bool) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _fmt_coeff(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def format_poly(terms: Terms) -> str:
     if not terms:
         return "0"
@@ -839,11 +827,11 @@ def format_poly(terms: Terms) -> str:
     for i, (c, m) in enumerate(terms):
         mag = abs(c)
         if m.is_unit():
-            body = _fmt_coeff(mag)
+            body = str(mag)
         elif mag == 1:
             body = format_monomial(m)
         else:
-            body = f"{_fmt_coeff(mag)}*{format_monomial(m)}"
+            body = f"{mag}*{format_monomial(m)}"
         if i == 0:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -861,12 +849,8 @@ def format_numexpr(x: NumExpr) -> str:
     return f"{lhs}/{rhs}"
 
 
-def _mono_factor_string(m: Monomial) -> str:
-    return format_monomial(m)
-
-
 def numexpr_to_json(x: NumExpr) -> dict:
     return {
-        "num": [[_fmt_coeff(c), _mono_factor_string(m)] for c, m in x.num],
-        "den": [[_fmt_coeff(c), _mono_factor_string(m)] for c, m in x.den],
+        "num": [[str(c), format_monomial(m)] for c, m in x.num],
+        "den": [[str(c), format_monomial(m)] for c, m in x.den],
     }

@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Iterable, Optional, Union
 
+from .parser import parse_elem
+
 Elem = Union[int, frozenset]
 EMPTY: frozenset = frozenset()
 
@@ -43,27 +45,6 @@ def format_elem(e: Elem) -> str:
 
 def format_elems(es: Iterable[Elem]) -> str:
     return "{" + ", ".join(format_elem(e) for e in sorted(es, key=elem_key)) + "}"
-
-
-def parse_elem(text: str) -> Elem:
-    text = text.strip()
-    if not text.startswith("{"):
-        return int(text)
-    if not text.endswith("}"):
-        raise ValueError(f"unbalanced set literal: {text}")
-    body = text[1:-1]
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(body):
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(body[start:i])
-            start = i + 1
-    if body.strip():
-        parts.append(body[start:])
-    return frozenset(parse_elem(p) for p in parts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -597,6 +578,14 @@ def parse_instance(text: str) -> PivotalTree:
     universe: list[Elem] = []
     le: set = set()
     succ: list[tuple[Elem, Elem]] = []
+    parsed: dict[str, Elem] = {}
+
+    def elem(word: str) -> Elem:
+        # Directives repeat each element many times; parse each spelling once.
+        if word not in parsed:
+            parsed[word] = parse_elem(word)
+        return parsed[word]
+
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -604,11 +593,11 @@ def parse_instance(text: str) -> PivotalTree:
         parts = line.split()
         try:
             if parts[0] == "elem":
-                universe.extend(parse_elem(p) for p in parts[1:])
+                universe.extend(elem(p) for p in parts[1:])
             elif parts[0] == "le" and len(parts) == 3:
-                le.add((parse_elem(parts[1]), parse_elem(parts[2])))
+                le.add((elem(parts[1]), elem(parts[2])))
             elif parts[0] == "succ" and len(parts) == 3:
-                succ.append((parse_elem(parts[1]), parse_elem(parts[2])))
+                succ.append((elem(parts[1]), elem(parts[2])))
             else:
                 raise ValueError(f"unknown directive {parts[0]!r}")
         except ValueError as exc:

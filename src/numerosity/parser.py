@@ -1,17 +1,22 @@
 """Tokenizer and recursive-descent parsers for the calculator surface.
 
-Three small grammars share one tokenizer: numerosity expressions (field
-values), ordinal expressions (with distinct spellings for the Cantor
-operations), and set expressions.  Every error carries the offending position.
+Every argument the calculator reads is parsed here.  Three expression grammars
+share one tokenizer: numerosity expressions (field values), ordinal
+expressions (with distinct spellings for the Cantor operations), and set
+expressions.  Surreal operands, dyadic sets, label-tree elements and order
+assertions are small productions on the same token stream; `:sur` operands and
+`:labelcheck` paths are whitespace-separated words.  Every error carries the
+offending position, and recursion stops at MAX_NESTING levels.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from . import field, ordinals, sets
+from . import field, ordinals, sets, surreal
 from .field import Monomial, NumExpr
 from .ordinals import Ord
 
@@ -26,13 +31,18 @@ class ParseError(ValueError):
         super().__init__(f"at column {pos + 1}: expected {expected}{marker}")
 
 
-_TWO_CHAR = ("+.", "*.", "><")
-_THREE_CHAR = ("^<>",)
-_SINGLE = "+-*/^|&\\()[]{},<=."
+# Parentheses, braces, num( / shift( / maps( arguments and right-associative
+# ^ chains each count one level; the limit keeps every accepted line far
+# below the interpreter's recursion limit, parsing and evaluation together.
+MAX_NESTING = 64
+
+# One match per token: a natural number, an identifier, an operator (longest
+# spelling first), or any other visible character, which is an error.
+_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|(\^<>|\+\.|\*\.|><|[-+*/^|&\\()\[\]{},<=.])|(\S))")
+_KINDS = (None, "num", "ident", "op")
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'num', 'ident', 'op', 'end'
     text: str
     pos: int
@@ -40,40 +50,12 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     out: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text[i : i + 3] in _THREE_CHAR:
-            out.append(Token("op", text[i : i + 3], i))
-            i += 3
-            continue
-        if text[i : i + 2] in _TWO_CHAR:
-            out.append(Token("op", text[i : i + 2], i))
-            i += 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(Token("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(Token("ident", text[i:j], i))
-            i = j
-            continue
-        if ch in _SINGLE:
-            out.append(Token("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(i, "a token", text)
-    out.append(Token("end", "", n))
+    for m in _TOKEN.finditer(text):
+        k = m.lastindex
+        if k == 4:
+            raise ParseError(m.start(k), "a token", text)
+        out.append(Token(_KINDS[k], m.group(k), m.start(k)))
+    out.append(Token("end", "", len(text)))
     return out
 
 
@@ -82,9 +64,12 @@ class TokenStream:
         self.text = text
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        if ahead:
+            return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.i]  # next() never moves past the end token
 
     def next(self) -> Token:
         t = self.tokens[self.i]
@@ -99,7 +84,7 @@ class TokenStream:
         return self.next()
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text
+        return self.tokens[self.i].text == text
 
     def accept(self, text: str) -> bool:
         if self.at(text):
@@ -122,21 +107,65 @@ class TokenStream:
 
 
 # ---------------------------------------------------------------------------
-# Rationals
+# Shared productions: nesting, whole-text parses, naturals, rationals, braces
 # ---------------------------------------------------------------------------
+
+
+def _nested(ts: TokenStream, production: Callable, close: Optional[str]):
+    """Run a recursive production one nesting level down, then expect `close` if given."""
+    if ts.depth >= MAX_NESTING:
+        ts.fail(f"at most {MAX_NESTING} levels of nesting")
+    ts.depth += 1
+    out = production(ts)
+    if close:
+        ts.expect(close)
+    ts.depth -= 1
+    return out
+
+
+def _whole(production: Callable, text: str, what: str):
+    """Parse all of `text` with one production."""
+    ts = TokenStream(text)
+    out = production(ts)
+    if not ts.done():
+        ts.fail(f"end of {what}")
+    return out
+
+
+def _words(text: str) -> list[tuple[int, str]]:
+    """Whitespace-separated words with their columns."""
+    return [(m.start(), m.group()) for m in re.finditer(r"\S+", text)]
+
+
+def parse_natural(ts: TokenStream) -> int:
+    t = ts.peek()
+    if t.kind != "num":
+        ts.fail("a natural number")
+    ts.next()
+    return int(t.text)
 
 
 def parse_rational(ts: TokenStream) -> Fraction:
     neg = ts.accept("-")
-    t = ts.peek()
-    if t.kind != "num":
+    if ts.peek().kind != "num":
         ts.fail("a number")
-    ts.next()
-    value = Fraction(int(t.text))
+    value = Fraction(parse_natural(ts))
     if ts.at("/") and ts.peek(1).kind == "num":
         ts.next()
-        value /= int(ts.next().text)
+        value /= parse_natural(ts)
     return -value if neg else value
+
+
+def _braced(ts: TokenStream, item: Callable) -> list:
+    """`{item, item, ...}`, possibly empty."""
+    ts.expect("{")
+    out = []
+    if not ts.at("}"):
+        out.append(item(ts))
+        while ts.accept(","):
+            out.append(item(ts))
+    ts.expect("}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,31 +198,22 @@ def _ord_product(ts: TokenStream) -> Ord:
 def _ord_power(ts: TokenStream) -> Ord:
     base = _ord_atom(ts)
     if ts.accept("^<>") or ts.accept("^"):
-        return ordinals.ord_exp(base, _ord_power(ts))
+        return ordinals.ord_exp(base, _nested(ts, _ord_power, None))
     return base
 
 
 def _ord_atom(ts: TokenStream) -> Ord:
-    t = ts.peek()
-    if t.text == "w":
-        ts.next()
+    if ts.accept("w"):
         return ordinals.OMEGA
-    if t.kind == "num":
-        ts.next()
-        return Ord.from_int(int(t.text))
+    if ts.peek().kind == "num":
+        return Ord.from_int(parse_natural(ts))
     if ts.accept("("):
-        inner = _ord_sum(ts)
-        ts.expect(")")
-        return inner
+        return _nested(ts, _ord_sum, ")")
     ts.fail("an ordinal atom (w, a natural number, or parentheses)")
 
 
 def parse_ordinal(text: str) -> Ord:
-    ts = TokenStream(text)
-    out = parse_ordinal_expr(ts)
-    if not ts.done():
-        ts.fail("end of ordinal expression")
-    return out
+    return _whole(parse_ordinal_expr, text, "ordinal expression")
 
 
 # ---------------------------------------------------------------------------
@@ -229,34 +249,18 @@ def _nf_product(ts: TokenStream) -> NumExpr:
 def _nf_power(ts: TokenStream) -> NumExpr:
     base = _nf_atom(ts)
     if ts.accept("^"):
-        return field.nf_pow(base, _nf_power(ts))
+        return field.nf_pow(base, _nested(ts, _nf_power, None))
     return base
 
 
 def _nf_atom(ts: TokenStream) -> NumExpr:
     t = ts.peek()
     if t.kind == "num":
-        ts.next()
-        value = Fraction(int(t.text))
-        return field.from_rational(value)
+        return field.from_rational(parse_natural(ts))
     if t.text == "w":
         ts.next()
-        if ts.at("^"):
-            ts.next()
-            if ts.accept("("):
-                g = _ord_sum(ts)
-                ts.expect(")")
-            else:
-                nt = ts.peek()
-                if nt.kind == "num":
-                    ts.next()
-                    g = Ord.from_int(int(nt.text))
-                elif nt.text == "w":
-                    ts.next()
-                    g = ordinals.OMEGA
-                else:
-                    ts.fail("an ordinal exponent")
-            return field.omega_power(g)
+        if ts.accept("^"):
+            return field.omega_power(_ord_atom(ts))
         return field.OMEGA_NF
     if t.text == "alpha":
         ts.next()
@@ -273,22 +277,14 @@ def _nf_atom(ts: TokenStream) -> NumExpr:
     if t.text == "num":
         ts.next()
         ts.expect("(")
-        inner = parse_setexpr(ts)
-        ts.expect(")")
-        return sets.num(inner)
+        return sets.num(_nested(ts, parse_setexpr, ")"))
     if ts.accept("("):
-        inner = _nf_sum(ts)
-        ts.expect(")")
-        return inner
+        return _nested(ts, _nf_sum, ")")
     ts.fail("a numerosity atom")
 
 
 def parse_num(text: str) -> NumExpr:
-    ts = TokenStream(text)
-    out = parse_numexpr(ts)
-    if not ts.done():
-        ts.fail("end of expression")
-    return out
+    return _whole(parse_numexpr, text, "expression")
 
 
 # ---------------------------------------------------------------------------
@@ -359,31 +355,19 @@ def _set_atom(ts: TokenStream) -> sets.SetExpr:
         return sets.RAll()
     if t.text == "fin":
         ts.next()
-        ts.expect("{")
-        elems = []
-        if not ts.at("}"):
-            while True:
-                nt = ts.peek()
-                if nt.kind != "num":
-                    ts.fail("a natural number")
-                ts.next()
-                elems.append(int(nt.text))
-                if not ts.accept(","):
-                    break
-        ts.expect("}")
-        return sets.FinSet(frozenset(elems))
+        return sets.FinSet(frozenset(_braced(ts, parse_natural)))
     if t.text == "mod":
         ts.next()
         ts.expect("(")
-        p = int(ts.next().text)
+        p = parse_natural(ts)
         ts.expect(",")
-        i = int(ts.next().text)
+        i = parse_natural(ts)
         ts.expect(")")
         return sets.Mod(p, i)
     if t.text == "pow":
         ts.next()
         ts.expect("(")
-        p = int(ts.next().text)
+        p = parse_natural(ts)
         ts.expect(")")
         return sets.Pow(p)
     if t.text == "Pfin":
@@ -397,17 +381,13 @@ def _set_atom(ts: TokenStream) -> sets.SetExpr:
         ts.expect("(")
         q = parse_rational(ts)
         ts.expect(",")
-        child = parse_setexpr(ts)
-        ts.expect(")")
-        return sets.Shift(q, child)
+        return sets.Shift(q, _nested(ts, parse_setexpr, ")"))
     if t.text == "maps":
         ts.next()
         ts.expect("(")
-        k = int(ts.next().text)
+        k = parse_natural(ts)
         ts.expect(",")
-        child = parse_setexpr(ts)
-        ts.expect(")")
-        return sets.FinMapsInto(k, child)
+        return sets.FinMapsInto(k, _nested(ts, parse_setexpr, ")"))
     if t.text == "[":
         ts.next()
         ts.expect("0")
@@ -416,18 +396,156 @@ def _set_atom(ts: TokenStream) -> sets.SetExpr:
         ts.expect("]")
         return sets.UnitInterval01()
     if ts.accept("("):
-        inner = _set_union(ts)
-        ts.expect(")")
-        return inner
+        return _nested(ts, _set_union, ")")
     ts.fail("a set expression")
 
 
 def parse_set(text: str) -> sets.SetExpr:
+    return _whole(parse_setexpr, text, "set expression")
+
+
+def parse_measure(text: str) -> tuple[sets.SetExpr, NumExpr]:
+    """`SET GAMMA`: the arguments of `:measure`."""
+    return _whole(lambda ts: (parse_setexpr(ts), parse_numexpr(ts)), text, "expression")
+
+
+# ---------------------------------------------------------------------------
+# Comparisons: two numerosity, ordinal, or surreal operands
+# ---------------------------------------------------------------------------
+
+_CANTOR_OPS = ("+.", "*.", "^<>")
+
+
+def _is_sign_word(word: str) -> bool:
+    return word == "()" or word.startswith("plus(") or all(c in "+-" for c in word)
+
+
+def parse_comparands(text: str) -> tuple:
+    """The operands of `:cmp`, both of one kind.
+
+    Two sign words (sign strings, `()`, `plus(ORD)`) compare as surreals; a
+    Cantor operator anywhere makes both ordinal expressions; otherwise both
+    are numerosity expressions.
+    """
+    words = text.split()
+    if len(words) == 2 and all(_is_sign_word(w) for w in words):
+        return parse_surreal_operand(words[0]), parse_surreal_operand(words[1])
     ts = TokenStream(text)
-    out = parse_setexpr(ts)
+    if any(t.text in _CANTOR_OPS for t in ts.tokens):
+        pair, what = (parse_ordinal_expr(ts), parse_ordinal_expr(ts)), "ordinal comparison"
+    else:
+        pair, what = (parse_numexpr(ts), parse_numexpr(ts)), "comparison"
     if not ts.done():
-        ts.fail("end of set expression")
-    return out
+        ts.fail(f"end of {what}")
+    return pair
+
+
+# ---------------------------------------------------------------------------
+# Surreal operands and dyadic sets
+# ---------------------------------------------------------------------------
+
+_SUR_OPS = {"+": surreal.s_add, "-": surreal.s_sub, "*": surreal.s_mul}
+
+
+def _dyadic_literal(ts: TokenStream) -> Fraction:
+    """`n`, `-n`, `p/q` or `p/q^k`."""
+    neg = ts.accept("-")
+    value = Fraction(parse_natural(ts))
+    if ts.accept("/"):
+        den = parse_natural(ts)
+        if ts.accept("^"):
+            den **= parse_natural(ts)
+        value /= den
+    return -value if neg else value
+
+
+def _sur_operand(ts: TokenStream) -> surreal.SignExpansion:
+    if ts.accept("plus"):
+        ts.expect("(")
+        return surreal.ordinal_plus(_nested(ts, _ord_sum, ")"))
+    if ts.peek().kind == "num" or (ts.at("-") and ts.peek(1).kind == "num"):
+        return surreal.se_from_dyadic(_dyadic_literal(ts))
+    if ts.accept("("):
+        ts.expect(")")
+        return surreal.ZERO_SE
+    signs = []
+    while ts.at("+") or ts.at("-"):
+        signs.append(1 if ts.next().text == "+" else -1)
+    if not signs:
+        ts.fail("a surreal operand")
+    return surreal.finite(signs)
+
+
+def parse_surreal_operand(word: str) -> surreal.SignExpansion:
+    """A sign string, `()`, `plus(ORD)`, or a dyadic `n`, `-n`, `p/q`, `p/2^k`."""
+    return _whole(_sur_operand, word, "surreal operand")
+
+
+def parse_surreal(text: str) -> surreal.SignExpansion:
+    """`a (+|-|*) b ...` over operand words, evaluated left to right."""
+    words = text.split()
+    if not words:
+        raise ParseError(0, "a surreal expression", text)
+    ops = words[1::2]
+    if len(words) % 2 == 0 or any(op not in _SUR_OPS for op in ops):
+        raise ParseError(0, "an operator (+, -, *) and an operand", text)
+    acc, *operands = map(parse_surreal_operand, words[::2])
+    for op, operand in zip(ops, operands):
+        acc = _SUR_OPS[op](acc, operand)
+    return acc
+
+
+def _dyadic(ts: TokenStream) -> Fraction:
+    q = parse_rational(ts)
+    if not surreal.is_dyadic(q):
+        raise ParseError(0, f"a dyadic rational (got {q})", str(q))
+    return q
+
+
+def parse_dyadic_sets(text: str) -> tuple[list[Fraction], list[Fraction]]:
+    """`{d, ...} {d, ...}`: the left and right sets of `:simplest`."""
+    return _whole(lambda ts: (_braced(ts, _dyadic), _braced(ts, _dyadic)), text, "dyadic sets")
+
+
+# ---------------------------------------------------------------------------
+# Label-tree elements and the other command words
+# ---------------------------------------------------------------------------
+
+
+def _elem(ts: TokenStream):
+    if ts.at("{"):
+        return frozenset(_nested(ts, lambda s: _braced(s, _elem), None))
+    neg = ts.accept("-")
+    n = parse_natural(ts)
+    return -n if neg else n
+
+
+def parse_elem(text: str):
+    """A label-tree element: an integer atom or a set literal like `{{4},{4,5}}`."""
+    return _whole(_elem, text, "element")
+
+
+_LABEL_MODES = ("literal", "hereditary")
+
+
+def parse_labelcheck(text: str) -> tuple[str, str]:
+    """`PATH [literal|hereditary]`; the path is one word and is not tokenized."""
+    words = _words(text)
+    if not words:
+        raise ParseError(0, "an instance file path", text)
+    if len(words) > 2:
+        raise ParseError(words[2][0], "end of line", text)
+    pos, mode = words[1] if len(words) == 2 else (0, "literal")
+    if mode not in _LABEL_MODES:
+        raise ParseError(pos, "'literal' or 'hereditary'", text)
+    return words[0][1], mode
+
+
+def parse_switch(text: str) -> bool:
+    """`on` or `off`."""
+    if text not in ("on", "off"):
+        raise ParseError(0, "'on' or 'off'", text)
+    return text == "on"
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +581,7 @@ def _parse_monomial(ts: TokenStream) -> tuple[Optional[Monomial], bool]:
             elif nt.text == "(":
                 ts.next()
                 if t.text == "w":
-                    g = _ord_sum(ts)
-                    ts.expect(")")
+                    g = _nested(ts, _ord_sum, ")")
                     omega = g if omega is None else ordinals.natural_add(omega, g)
                     if not ts.accept("*"):
                         break

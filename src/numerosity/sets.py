@@ -620,10 +620,6 @@ def enumerate_on_chain(e: SetExpr, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_q(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def format_set(e: SetExpr) -> str:
     if isinstance(e, NatAll):
         return "N"
@@ -638,13 +634,13 @@ def format_set(e: SetExpr) -> str:
     if isinstance(e, PfinN):
         return "Pfin(N)"
     if isinstance(e, QInterval):
-        return f"Q({_fmt_q(e.p)},{_fmt_q(e.q)}]"
+        return f"Q({e.p},{e.q}]"
     if isinstance(e, QPos):
         return "Q+"
     if isinstance(e, QAll):
         return "Q"
     if isinstance(e, RInterval):
-        return f"R[{_fmt_q(e.p)},{_fmt_q(e.q)})"
+        return f"R[{e.p},{e.q})"
     if isinstance(e, RPos):
         return "R+"
     if isinstance(e, RAll):
@@ -652,7 +648,7 @@ def format_set(e: SetExpr) -> str:
     if isinstance(e, UnitInterval01):
         return "[0,1]"
     if isinstance(e, Shift):
-        return f"shift({_fmt_q(e.q)}, {format_set(e.child)})"
+        return f"shift({e.q}, {format_set(e.child)})"
     if isinstance(e, Union_):
         return f"({format_set(e.left)} | {format_set(e.right)})"
     if isinstance(e, Inter):

@@ -129,15 +129,11 @@ def se_from_dyadic(d: Fraction | int) -> SignExpansion:
     d = Fraction(d)
     if not is_dyadic(d):
         raise ValueError(f"{d} is not dyadic")
-    signs: list[Sign] = []
-    cur = Fraction(0)
+    # The leading run steps by one to the first integer at or past d.
     s = 1 if d > 0 else -1
-    while cur != d:
-        if abs(cur) < abs(d) and cur * d >= 0 and cur.denominator == 1:
-            signs.append(s)
-            cur += s
-            continue
-        break
+    run = abs(d.numerator) // d.denominator + (d.denominator != 1)
+    signs: list[Sign] = [s] * run
+    cur = Fraction(s * run)
     step = Fraction(1, 2)
     while cur != d:
         sign = 1 if d > cur else -1

@@ -88,14 +88,14 @@ class TestParsers:
             assert parse_ordinal(ordinals.format_ordinal(o)) == o
 
     def test_surreal_printer_roundtrip(self):
-        from numerosity.cli import _parse_surreal_operand
+        from numerosity.parser import parse_surreal_operand
         from numerosity.surreal import all_expansions, ordinal_plus
 
         for x in all_expansions(6):
-            assert _parse_surreal_operand(str(x)) == x
+            assert parse_surreal_operand(str(x)) == x
         w_exp = ordinal_plus(parse_ordinal("w^w*2 + 1"))
-        assert _parse_surreal_operand(str(w_exp)) == w_exp
-        assert _parse_surreal_operand("5/2^3") == _parse_surreal_operand("5/8")
+        assert parse_surreal_operand(str(w_exp)) == w_exp
+        assert parse_surreal_operand("5/2^3") == parse_surreal_operand("5/8")
 
 
 class TestCommands:
@@ -235,3 +235,54 @@ class TestScripts:
         path = self.write(tmp_path, ":num mod(3,0)\n")
         assert main(["--script", path]) == 0
         assert "1/3*alpha" in capsys.readouterr().out
+
+
+def _short(line: str) -> str:
+    return line if len(line) <= 40 else f"{line[:16]}...[{len(line)} chars]"
+
+
+MALFORMED_LINES = [
+    # integer arguments are natural-number tokens, not int() of any text
+    ":num mod(-3,1)", ":num pow(x)", ":num maps(k, N)", ":sur 1/2^", ":num mod(3,",
+    ":sur 3/ + +", ":sur +- + 1/",
+    # every verb consumes its whole line
+    ":sur 1 +- 1", ":sur 1 -* 1", ":simplest {0} {1} junk", ":simplest {0} {1} {5}",
+    # nesting past the parser's limit
+    *[f"{verb} {'(' * n}{atom}{')' * n}"
+      for n in (2000, 250) for verb, atom in ((":num", "N"), (":st", "alpha"), (":ord", "w"))],
+    ":num " + "shift(0, " * 200 + "N" + ")" * 200,
+    ":ord " + "^".join(["2"] * 1200),
+]
+
+
+class TestMalformedLines:
+    def records(self, tmp_path, text, strict_cmp=False):
+        path = tmp_path / "script.txt"
+        path.write_text(text)
+        buf = io.StringIO()
+        code = run_script(str(path), strict_cmp=strict_cmp, out=buf)
+        return code, [json.loads(l) for l in buf.getvalue().splitlines()]
+
+    def assert_one_parse_record(self, tmp_path, line):
+        code, records = self.records(tmp_path, line + "\n")
+        assert code == 1
+        [record] = records
+        assert record["status"] == "error" and record["value"].startswith("ParseError")
+
+    @pytest.mark.parametrize("line", MALFORMED_LINES, ids=_short)
+    def test_one_parse_record(self, tmp_path, line):
+        self.assert_one_parse_record(tmp_path, line)
+
+    @pytest.mark.parametrize("words", ["bogus", "literal extra", "hereditary literal"])
+    def test_labelcheck_mode_words(self, tmp_path, words):
+        path = tmp_path / "instance.txt"
+        path.write_text(labtree.format_instance(labtree.standard_instance()))
+        self.assert_one_parse_record(tmp_path, f":labelcheck {path} {words}")
+
+    def test_mixed_script(self, tmp_path):
+        lines = [":num " + "(" * 2000 + "N" + ")" * 2000, ":st alpha/(alpha-alpha)", ":cmp beta X"]
+        code, records = self.records(tmp_path, "\n".join(lines) + "\n", strict_cmp=True)
+        assert code == 1
+        assert [r["status"] for r in records] == ["error", "error", "unknown"]
+        assert records[0]["value"].startswith("ParseError")
+        assert "DivisionByZero" in records[1]["value"]

@@ -91,6 +91,12 @@ class TestOrderAndValue:
         with pytest.raises(ValueError):
             se_from_dyadic(F(1, 3))
 
+    def test_long_integer_run(self):
+        assert len(se_from_dyadic(10**6).signs) == 10**6
+        assert se_from_dyadic(-(10**6) - F(1, 2)).signs == (-1,) * (10**6 + 1) + (1,)
+        for d in (F(2001, 4), F(-1023, 512), F(300)):
+            assert se_value(se_from_dyadic(d)) == d
+
 
 class TestOrdinalExpansions:
     def test_birthday(self):
