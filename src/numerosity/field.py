@@ -15,12 +15,13 @@ entry points.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from functools import reduce
+from typing import Callable, Iterable, Optional
 
-from .ordinals import ZERO as ORD_ZERO
-from .ordinals import Ord, UnsupportedPower, format_ordinal, natural_add, ord_cmp
+from .ordinals import Ord, UnsupportedPower, cantor_add, format_ordinal, ord_cmp
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -46,42 +47,25 @@ class MeasureInternalError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class Monomial:
-    """Product of generator powers; the unit monomial has all fields trivial.
+    """Product of generator powers, stored as one exponent vector.
 
-    alpha carries an arbitrary rational exponent, the remaining generators
-    non-negative integers.  At most one w-power factor exists and its ordinal
-    exponent is always infinite (finite powers are expanded via w = alpha+1);
-    products fold repeated w-powers into one effective exponent.
+    alpha carries a rational exponent; beta, beth1 and X = 2^w carry integer
+    ones.  The w-powers form a free commutative monoid with one generator
+    w^(w^e) per CNF term: omega holds (e, k) pairs with e a non-zero ordinal,
+    sorted by decreasing e, and k a non-zero integer, so w^g for an infinite g
+    with no finite part is g.terms (finite powers expand via w = alpha+1).
+    Exponents may be negative, so a quotient of monomials is a monomial; in a
+    NumExpr they are all non-negative.  The unit monomial is the zero vector.
     """
 
     alpha: Fraction = Fraction(0)
     beta: int = 0
     beth1: int = 0
     x2w: int = 0
-    omega: Optional[Ord] = None
-
-    def __post_init__(self) -> None:
-        if self.omega is not None:
-            if self.omega.is_finite():
-                raise ValueError("w-power monomials must have infinite exponents")
-            if self.omega.finite_part():
-                # w^(g + r) with finite r splits as w^g * (alpha+1)^r; the
-                # stored exponent must be finite-part free for canonicality.
-                raise ValueError("w-power exponents carry no finite part")
-        if min(self.beta, self.beth1, self.x2w) < 0:
-            raise ValueError("only alpha admits negative exponents")
-
-    def is_unit(self) -> bool:
-        return (
-            self.alpha == 0
-            and self.beta == 0
-            and self.beth1 == 0
-            and self.x2w == 0
-            and self.omega is None
-        )
+    omega: tuple[tuple[Ord, int], ...] = ()
 
     def key(self) -> tuple:
-        ok = self.omega._key() if self.omega is not None else ()
+        ok = tuple((e._key(), k) for e, k in self.omega)
         return (ok, self.x2w, self.beth1, self.beta, self.alpha)
 
     def __str__(self) -> str:
@@ -91,19 +75,39 @@ class Monomial:
 UNIT = Monomial()
 
 
+def _componentwise(a: Monomial, b: Monomial, op: Callable) -> Monomial:
+    """Apply op to each pair of exponents; a generator absent from a side has exponent 0.
+
+    The omega lists are merged in one walk by decreasing ordinal exponent.
+    """
+    omega = []
+    ao, bo = a.omega, b.omega
+    i = j = 0
+    while i < len(ao) or j < len(bo):
+        c = 1 if j == len(bo) else -1 if i == len(ao) else ord_cmp(ao[i][0], bo[j][0])
+        e = ao[i][0] if c >= 0 else bo[j][0]
+        k = op(ao[i][1] if c >= 0 else 0, bo[j][1] if c <= 0 else 0)
+        i += c >= 0
+        j += c <= 0
+        if k:
+            omega.append((e, k))
+    return Monomial(op(a.alpha, b.alpha), op(a.beta, b.beta), op(a.beth1, b.beth1),
+                    op(a.x2w, b.x2w), tuple(omega))
+
+
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if a.omega is None:
-        om = b.omega
-    elif b.omega is None:
-        om = a.omega
-    else:
-        om = natural_add(a.omega, b.omega)
-    return Monomial(a.alpha + b.alpha, a.beta + b.beta, a.beth1 + b.beth1,
-                    a.x2w + b.x2w, om)
+    return _componentwise(a, b, operator.add)
 
 
-def _omega_effective(m: Monomial) -> Ord:
-    return m.omega if m.omega is not None else ORD_ZERO
+def mono_div(a: Monomial, b: Monomial) -> Monomial:
+    return _componentwise(a, b, operator.sub)
+
+
+def _omega_sign(r: Monomial) -> int:
+    """Sign of the leading w-power exponent; for r = m1/m2 it is ord_cmp of their w-exponents."""
+    if not r.omega:
+        return 0
+    return 1 if r.omega[0][1] > 0 else -1
 
 
 Terms = tuple[tuple[Fraction, Monomial], ...]
@@ -167,9 +171,9 @@ class NumExpr:
             return Fraction(0)
         if (
             len(self.num) == 1
-            and self.num[0][1].is_unit()
+            and self.num[0][1] == UNIT
             and len(self.den) == 1
-            and self.den[0][1].is_unit()
+            and self.den[0][1] == UNIT
         ):
             return self.num[0][0] / self.den[0][0]
         return None
@@ -182,43 +186,7 @@ class NumExpr:
 
 
 def _content(terms: Iterable[tuple[Fraction, Monomial]]) -> Monomial:
-    monos = [m for _, m in terms]
-    alpha = min(m.alpha for m in monos)
-    beta = min(m.beta for m in monos)
-    beth1 = min(m.beth1 for m in monos)
-    x2w = min(m.x2w for m in monos)
-    omegas = [m.omega for m in monos]
-    if any(o is None for o in omegas):
-        om = None
-    else:
-        om = min(omegas, key=lambda o: o._key())
-    return Monomial(alpha, beta, beth1, x2w, om)
-
-
-def _mono_div(m: Monomial, c: Monomial) -> Monomial:
-    if c.omega is None:
-        om = m.omega
-    else:
-        om = _ord_sub(_omega_effective(m), c.omega)
-        om = om if not om.is_zero() else None
-    return Monomial(m.alpha - c.alpha, m.beta - c.beta, m.beth1 - c.beth1,
-                    m.x2w - c.x2w, om)
-
-
-def _ord_sub(a: Ord, b: Ord) -> Ord:
-    """Hessenberg difference a - b, defined when b's terms embed in a's."""
-    have = {e._key(): (e, c) for e, c in a.terms}
-    for e, c in b.terms:
-        k = e._key()
-        if k not in have or have[k][1] < c:
-            raise ValueError("non-subtractable ordinal pair")
-        e0, c0 = have[k]
-        if c0 == c:
-            del have[k]
-        else:
-            have[k] = (e0, c0 - c)
-    ordered = sorted(have.values(), key=lambda t: t[0]._key(), reverse=True)
-    return Ord(tuple(ordered))
+    return reduce(lambda a, b: _componentwise(a, b, min), (m for _, m in terms))
 
 
 def _make(num: Terms, den: Terms) -> NumExpr:
@@ -229,9 +197,9 @@ def _make(num: Terms, den: Terms) -> NumExpr:
     if num == den:
         return NumExpr(((Fraction(1), UNIT),), ((Fraction(1), UNIT),))
     content = _content(tuple(num) + tuple(den))
-    if not content.is_unit():
-        num = tuple((c, _mono_div(m, content)) for c, m in num)
-        den = tuple((c, _mono_div(m, content)) for c, m in den)
+    if content != UNIT:
+        num = tuple((c, mono_div(m, content)) for c, m in num)
+        den = tuple((c, mono_div(m, content)) for c, m in den)
     lead = den[0][0]
     if lead != 1:
         num = _poly_scale(num, 1 / lead)
@@ -310,7 +278,7 @@ def omega_power(exp: Ord) -> NumExpr:
         finite_power = nf_mul(finite_power, OMEGA_NF)
     if exp.is_finite():
         return finite_power
-    limit_part = Ord(exp.terms[:-1]) if r else exp
+    limit_part = exp.terms[:-1] if r else exp.terms
     return nf_mul(_atom(Monomial(omega=limit_part)), finite_power)
 
 
@@ -339,10 +307,8 @@ def unembed(x: NumExpr) -> Optional[Ord]:
             return None
         # A w^g * alpha^r monomial is the split image of exponent g + r.
         e = Ord.from_int(int(m.alpha))
-        if m.omega is not None:
-            from .ordinals import cantor_add
-
-            e = cantor_add(m.omega, e)
+        if m.omega:
+            e = cantor_add(Ord(m.omega), e)
         if c.denominator != 1 or c <= 0:
             return None
         if prev is not None and ord_cmp(e, prev) >= 0:
@@ -387,9 +353,9 @@ def _alpha_affine(x: NumExpr) -> Optional[tuple[int, int]]:
         return None
     a = c = Fraction(0)
     for coeff, m in x.num:
-        if m.is_unit():
+        if m == UNIT:
             c = coeff
-        elif m.beta == m.beth1 == m.x2w == 0 and m.omega is None and m.alpha == 1:
+        elif m == Monomial(alpha=Fraction(1)):
             a = coeff
         else:
             return None
@@ -423,10 +389,7 @@ def nf_pow(base: NumExpr, exp: NumExpr) -> NumExpr:
         if (
             len(base.num) == 1
             and base.den == ((Fraction(1), UNIT),)
-            and base.num[0][1].beta == 0
-            and base.num[0][1].beth1 == 0
-            and base.num[0][1].x2w == 0
-            and base.num[0][1].omega is None
+            and base.num[0][1] == Monomial(alpha=base.num[0][1].alpha)
         ):
             coeff, m = base.num[0]
             croot = None
@@ -519,7 +482,7 @@ def apply_bb(x: NumExpr, table: AxiomTable) -> NumExpr:
         bx = nf_add(BETA, X2W)
         for c, m in terms:
             stripped = Monomial(m.alpha, m.beta, 0, m.x2w, m.omega)
-            piece = nf_mul(from_rational(c), _atom(stripped) if not stripped.is_unit() else ONE)
+            piece = nf_mul(from_rational(c), _atom(stripped) if stripped != UNIT else ONE)
             for _ in range(m.beth1):
                 piece = nf_mul(piece, bx)
             out = nf_add(out, piece)
@@ -546,85 +509,36 @@ class Comparison:
         return self.kind
 
 
-@dataclass(frozen=True, slots=True)
-class _Ratio:
-    """Exponent vector of m1/m2; the omega part is pre-compared."""
-
-    alpha: Fraction
-    beta: int
-    beth1: int
-    x2w: int
-    omega_sign: int  # sign of ord_cmp(effective w-exponents)
-
-    def inverse(self) -> "_Ratio":
-        return _Ratio(-self.alpha, -self.beta, -self.beth1, -self.x2w, -self.omega_sign)
-
-    def trivial(self) -> bool:
-        return (
-            self.alpha == 0
-            and self.beta == 0
-            and self.beth1 == 0
-            and self.x2w == 0
-            and self.omega_sign == 0
-        )
-
-
-def _ratio(m1: Monomial, m2: Monomial) -> _Ratio:
-    return _Ratio(
-        m1.alpha - m2.alpha,
-        m1.beta - m2.beta,
-        m1.beth1 - m2.beth1,
-        m1.x2w - m2.x2w,
-        ord_cmp(_omega_effective(m1), _omega_effective(m2)),
-    )
-
-
 def _alpha_dominators(table: AxiomTable) -> list[Monomial]:
     return [m for tag, *rest in table.declared if tag == "alpha_dom" for m in rest]
 
 
-def _ratio_exceeds_one(r: _Ratio, table: AxiomTable, need_dominance: bool) -> bool:
-    """Sound one-sided test: does the ratio exceed 1 (or every rational)?
+def _ratio_exceeds_one(r: Monomial, table: AxiomTable, need_dominance: bool) -> bool:
+    """Sound one-sided test: does the ratio r exceed 1 (or every rational)?
 
     Only grounded rules fire: positive generator powers are infinite; X and
     w-powers dominate every alpha power; beta exceeds alpha once per factor
     (order grade only); declared alpha-dominators absorb any alpha deficit.
     """
-    pos_beta_extra = r.beta  # beta exponent available after covering alpha
-    alpha = r.alpha
-    if r.beth1 < 0 or r.x2w < 0 or r.omega_sign < 0 or r.beta < 0:
+    omega_sign = _omega_sign(r)
+    if r.beth1 < 0 or r.x2w < 0 or omega_sign < 0 or r.beta < 0:
         # A deficit in a non-alpha generator is never covered by built-ins.
         return False
-    if alpha >= 0:
-        if need_dominance:
-            return (
-                alpha > 0
-                or r.beta > 0
-                or r.beth1 > 0
-                or r.x2w > 0
-                or r.omega_sign > 0
-            )
-        return r.beta > 0 or r.beth1 > 0 or r.x2w > 0 or r.omega_sign > 0 or alpha > 0
+    if r.alpha >= 0:
+        return r != UNIT
     # alpha deficit: needs coverage by a dominating generator.
-    if r.x2w > 0 or r.omega_sign > 0:
+    if r.x2w > 0 or omega_sign > 0:
         return True
     for m in _alpha_dominators(table):
         # Declared: every alpha power < m.  One unit of a matching generator
         # in the positive part absorbs the whole alpha deficit, with room.
-        if m.beta == 1 and m.beth1 == 0 and m.x2w == 0 and m.omega is None and m.alpha == 0:
-            if r.beta >= 1:
-                return True
-        if m.beth1 == 1 and m.beta == 0 and m.x2w == 0 and m.omega is None and m.alpha == 0:
-            if r.beth1 >= 1:
-                return True
-    if pos_beta_extra > 0 and not need_dominance:
-        # beta^b * alpha^a > 1 for a >= -b: each beta/alpha factor exceeds 1.
-        if -alpha <= pos_beta_extra:
+        if (m == Monomial(beta=1) and r.beta >= 1) or (m == Monomial(beth1=1) and r.beth1 >= 1):
             return True
-    if pos_beta_extra > 0 and need_dominance:
-        if -alpha < pos_beta_extra:
-            return True
-    return False
+    # beta^b * alpha^a exceeds 1 for a >= -b (each beta/alpha factor exceeds
+    # 1) and every rational for a > -b.
+    if need_dominance:
+        return -r.alpha < r.beta
+    return -r.alpha <= r.beta
 
 
 def _declared_order(m1: Monomial, m2: Monomial, table: AxiomTable) -> Optional[int]:
@@ -642,12 +556,9 @@ def _declared_order(m1: Monomial, m2: Monomial, table: AxiomTable) -> Optional[i
 def _mono_order(m1: Monomial, m2: Monomial, table: AxiomTable) -> Optional[int]:
     if m1 == m2:
         return 0
-    r = _ratio(m1, m2)
-    if r.trivial():
-        return 0
-    if _ratio_exceeds_one(r, table, need_dominance=False):
+    if _ratio_exceeds_one(mono_div(m1, m2), table, need_dominance=False):
         return 1
-    if _ratio_exceeds_one(r.inverse(), table, need_dominance=False):
+    if _ratio_exceeds_one(mono_div(m2, m1), table, need_dominance=False):
         return -1
     d = _declared_order(m1, m2, table)
     if d is not None:
@@ -659,15 +570,14 @@ def _mono_dominates(m1: Monomial, m2: Monomial, table: AxiomTable) -> bool:
     """True iff m1/m2 exceeds every rational (infinite ratio)."""
     if m1 == m2:
         return False
-    return _ratio_exceeds_one(_ratio(m1, m2), table, need_dominance=True)
+    return _ratio_exceeds_one(mono_div(m1, m2), table, need_dominance=True)
 
 
-def _blocking_pair(terms: Terms, table: AxiomTable) -> str:
+def _blocking_pair(terms: Terms) -> str:
     pos = [m for c, m in terms if c > 0]
     neg = [m for c, m in terms if c < 0]
     if pos and neg:
-        m1, m2 = pos[0], neg[0]
-        r = _ratio(m1, m2)
+        r = mono_div(pos[0], neg[0])
         return f"{_format_ratio_side(r, positive=True)} vs {_format_ratio_side(r, positive=False)} undeclared"
     return "sign of a mixed expression undecided"
 
@@ -698,7 +608,7 @@ def _poly_sign(terms: Terms, table: AxiomTable) -> tuple[Optional[int], Optional
         return 1, None
     if positive_decided(_poly_neg(terms)):
         return -1, None
-    return None, _blocking_pair(terms, table)
+    return None, _blocking_pair(terms)
 
 
 def nf_cmp(a: NumExpr, b: NumExpr, table: AxiomTable = DEFAULT_TABLE) -> Comparison:
@@ -787,11 +697,11 @@ def _fmt_exp(q: Fraction) -> str:
 
 
 def format_monomial(m: Monomial) -> str:
-    if m.is_unit():
+    if m == UNIT:
         return "1"
     parts = []
-    if m.omega is not None:
-        parts.append(f"w^({format_ordinal(m.omega)})")
+    if m.omega:
+        parts.append(f"w^({format_ordinal(Ord(m.omega))})")
     if m.x2w:
         parts.append("X" if m.x2w == 1 else f"X^{m.x2w}")
     if m.beth1:
@@ -803,10 +713,10 @@ def format_monomial(m: Monomial) -> str:
     return "*".join(parts)
 
 
-def _format_ratio_side(r: _Ratio, positive: bool) -> str:
+def _format_ratio_side(r: Monomial, positive: bool) -> str:
     sgn = 1 if positive else -1
     parts = []
-    if r.omega_sign * sgn > 0:
+    if _omega_sign(r) * sgn > 0:
         parts.append("w-power")
     if r.x2w * sgn > 0:
         parts.append("2^w" if abs(r.x2w) == 1 else f"2^w^{abs(r.x2w)}")
@@ -826,7 +736,7 @@ def format_poly(terms: Terms) -> str:
     parts = []
     for i, (c, m) in enumerate(terms):
         mag = abs(c)
-        if m.is_unit():
+        if m == UNIT:
             body = str(mag)
         elif mag == 1:
             body = format_monomial(m)

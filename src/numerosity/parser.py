@@ -561,49 +561,51 @@ class OrderAssertion:
 
 
 def _parse_monomial(ts: TokenStream) -> tuple[Optional[Monomial], bool]:
-    """One monomial; returns (monomial, saw_universal_alpha_power)."""
+    """One monomial; returns (monomial, saw_universal_alpha_power).
+
+    alpha takes a rational exponent, or an identifier such as k for every
+    alpha power; beta, beth1 and X take natural exponents; either may be
+    parenthesised.  w takes an infinite ordinal exponent with no finite part,
+    in parentheses.
+    """
     alpha = Fraction(0)
-    beta = beth1 = x2w = 0
-    omega: Optional[Ord] = None
+    naturals = {"beta": 0, "beth1": 0, "X": 0}
+    omega = ordinals.ZERO
     universal = False
     while True:
         t = ts.peek()
         if t.text not in ("alpha", "beta", "beth1", "X", "w"):
             break
         ts.next()
-        exp: Fraction = Fraction(1)
-        if ts.accept("^"):
-            nt = ts.peek()
-            if nt.kind == "ident" and t.text == "alpha":
+        if t.text == "w":
+            if not (ts.accept("^") and ts.accept("(")):
+                ts.fail("w requires an ordinal exponent in order assertions")
+            pos = ts.peek().pos
+            g = _nested(ts, _ord_sum, ")")
+            if g.is_finite() or g.finite_part():
+                raise ParseError(pos, "an infinite w exponent with no finite part", ts.text)
+            omega = ordinals.natural_add(omega, g)
+        elif t.text == "alpha":
+            if not ts.accept("^"):
+                alpha += 1
+            elif ts.peek().kind == "ident":
                 ts.next()
                 universal = True
-                exp = Fraction(1)
-            elif nt.text == "(":
-                ts.next()
-                if t.text == "w":
-                    g = _nested(ts, _ord_sum, ")")
-                    omega = g if omega is None else ordinals.natural_add(omega, g)
-                    if not ts.accept("*"):
-                        break
-                    continue
-                exp = parse_rational(ts)
-                ts.expect(")")
             else:
-                exp = parse_rational(ts)
-        if t.text == "alpha":
-            alpha += exp
-        elif t.text == "beta":
-            beta += int(exp)
-        elif t.text == "beth1":
-            beth1 += int(exp)
-        elif t.text == "X":
-            x2w += int(exp)
-        elif t.text == "w":
-            ts.fail("w requires an ordinal exponent in order assertions")
+                alpha += _exponent(ts, parse_rational)
+        else:
+            naturals[t.text] += _exponent(ts, parse_natural) if ts.accept("^") else 1
         if not ts.accept("*"):
             break
-    m = Monomial(alpha, beta, beth1, x2w, omega)
+    m = Monomial(alpha, naturals["beta"], naturals["beth1"], naturals["X"], omega.terms)
     return (None if universal else m), universal
+
+
+def _exponent(ts: TokenStream, production: Callable):
+    """A generator's exponent after `^`: bare, or in parentheses."""
+    if ts.accept("("):
+        return _nested(ts, production, ")")
+    return production(ts)
 
 
 def parse_order_assertion(text: str) -> OrderAssertion:

@@ -129,17 +129,15 @@ def se_from_dyadic(d: Fraction | int) -> SignExpansion:
     d = Fraction(d)
     if not is_dyadic(d):
         raise ValueError(f"{d} is not dyadic")
-    # The leading run steps by one to the first integer at or past d.
+    # d = s*(n + f) with f = 0.b1...bk in binary (bk = 1 when f > 0): a run of
+    # n signs s, then for f > 0 one more s, one -s and b1...b(k-1) (1 is s).
     s = 1 if d > 0 else -1
-    run = abs(d.numerator) // d.denominator + (d.denominator != 1)
-    signs: list[Sign] = [s] * run
-    cur = Fraction(s * run)
-    step = Fraction(1, 2)
-    while cur != d:
-        sign = 1 if d > cur else -1
-        signs.append(sign)
-        cur += sign * step
-        step /= 2
+    n, r = divmod(abs(d.numerator), d.denominator)
+    signs: list[Sign] = [s] * (n + (r != 0))
+    if r:
+        # The denominator is 2^k, so bin(r + 2^k) is "0b1" then b1...bk.
+        signs.append(-s)
+        signs.extend(s if b == "1" else -s for b in bin(r + d.denominator)[3:-1])
     return finite(signs)
 
 

@@ -162,6 +162,16 @@ class TestCommands:
         reports = json.loads(value_of(f":labelcheck {path}"))
         assert reports[0]["status"] == "violations"
 
+    @pytest.mark.parametrize("line, want", [
+        (":st w^(w^2)/w^(w)", "+infinity"),
+        (":cmp w^(w^2)/w^(w*5) 1", "greater"),
+        (":cmp w^(w^2)/w^(w) w^(w*2)", "greater"),
+        (":st w^(w)/w^(w^2)", "0"),
+    ])
+    def test_quotients_of_unrelated_omega_powers(self, line, want):
+        # The exponents share no CNF term, so the common content is 1.
+        assert value_of(line) == want
+
     def test_errors_surface_with_names(self):
         rec, err = run_line(":num Q(0,1] >< oops", Session())
         assert err == "parse" and rec["status"] == "error"
@@ -252,6 +262,10 @@ MALFORMED_LINES = [
       for n in (2000, 250) for verb, atom in ((":num", "N"), (":st", "alpha"), (":ord", "w"))],
     ":num " + "shift(0, " * 200 + "N" + ")" * 200,
     ":ord " + "^".join(["2"] * 1200),
+    # order-assertion monomials: natural exponents, infinite limit w-exponents
+    ":assert_order beta^(1/2) < X", ":assert_order X^(1/2) < beta",
+    ":assert_order beta^(-1) < X", ":assert_order w^(0) < X", ":assert_order w^(3) < X",
+    ":assert_order w^(w+1) < X",
 ]
 
 

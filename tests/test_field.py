@@ -54,6 +54,35 @@ ALPHA2 = nf_mul(ALPHA, ALPHA)
 DOM_TABLE = AxiomTable().with_alpha_dominated_by(Monomial(beta=1))
 
 
+# -- ordinal and monomial strategies ------------------------------------------
+
+
+@st.composite
+def ords(draw, depth: int = 3):
+    """Cantor normal forms nested at most `depth` deep, with <= 3 terms and coefficients <= 3."""
+    if depth == 0:
+        return o.Ord.from_int(draw(st.integers(0, 3)))
+    exps = {e._key(): e for e in draw(st.lists(ords(depth - 1), max_size=3))}
+    ordered = sorted(exps.values(), key=lambda e: e._key(), reverse=True)
+    return o.Ord(tuple((e, draw(st.integers(1, 3))) for e in ordered))
+
+
+def _limit(g: o.Ord) -> o.Ord:
+    """g without its finite part."""
+    return o.Ord(tuple(t for t in g.terms if not t[0].is_zero()))
+
+
+limits = ords().map(_limit)
+
+
+@st.composite
+def monomials(draw, signed: bool = True):
+    """Monomials whose w-vector has one entry per CNF term of a random exponent."""
+    k = st.integers(-3 if signed else 0, 3)
+    omega = tuple((e, draw(k.filter(bool))) for e, _ in draw(limits).terms)
+    return Monomial(F(draw(k), draw(st.integers(1, 3))), draw(k), draw(k), draw(k), omega)
+
+
 # -- expression strategy -----------------------------------------------------
 
 _atoms = st.sampled_from([ALPHA, BETA, BETH1, X2W, ONE, q(2), q(1, 2), q(-3)])
@@ -294,6 +323,34 @@ class TestEmbed:
         lhs = embed(o.ord_exp(o.Ord.from_int(2), o.OMEGA))
         rhs = nf_pow(q(2), embed(o.OMEGA))
         assert nf_cmp(lhs, rhs).kind == LESS
+
+
+class TestMonomialVectors:
+    @settings(max_examples=150, deadline=None)
+    @given(monomials(), monomials())
+    def test_quotient_undoes_product(self, a, b):
+        assert field.mono_div(field.mono_mul(a, b), b) == a
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(monomials(signed=False), min_size=1, max_size=5))
+    def test_content_is_componentwise_min(self, monos):
+        content = field._content((F(1), m) for m in monos)
+        divided = [field.mono_div(m, content) for m in monos]
+        for m in divided:
+            assert min(m.alpha, m.beta, m.beth1, m.x2w, *(k for _, k in m.omega)) >= 0
+        assert field._content((F(1), m) for m in divided) == field.UNIT
+
+    @settings(max_examples=150, deadline=None)
+    @given(limits, limits)
+    def test_omega_sign_matches_ordinal_order(self, g1, g2):
+        ratio = field.mono_div(Monomial(omega=g1.terms), Monomial(omega=g2.terms))
+        assert field._omega_sign(ratio) == o.ord_cmp(g1, g2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(exprs(max_ops=2), ords(), ords(), ords())
+    def test_division_by_omega_power(self, e, g, h1, h2):
+        x = nf_add(nf_mul(e, omega_power(h1)), omega_power(h2))
+        assert nf_eq(nf_mul(nf_div(x, omega_power(g)), omega_power(g)), x)
 
 
 class TestJsonEncoding:

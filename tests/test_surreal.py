@@ -97,6 +97,12 @@ class TestOrderAndValue:
         for d in (F(2001, 4), F(-1023, 512), F(300)):
             assert se_value(se_from_dyadic(d)) == d
 
+    def test_long_binary_fraction(self):
+        d = F(1, 2**16000)
+        x = se_from_dyadic(d)
+        assert len(x.signs) == 16001
+        assert se_value(x) == d
+
 
 class TestOrdinalExpansions:
     def test_birthday(self):
