@@ -563,15 +563,20 @@ class OrderAssertion:
 def _parse_monomial(ts: TokenStream) -> tuple[Optional[Monomial], bool]:
     """One monomial; returns (monomial, saw_universal_alpha_power).
 
-    alpha takes a rational exponent, or an identifier such as k for every
-    alpha power; beta, beth1 and X take natural exponents; either may be
-    parenthesised.  w takes an infinite ordinal exponent with no finite part,
-    in parentheses.
+    alpha^k with an identifier k, for every alpha power, stands alone.
+    Otherwise alpha takes a rational exponent; beta, beth1 and X take natural
+    exponents; either may be parenthesised.  w takes an infinite ordinal
+    exponent with no finite part, in parentheses.
     """
+    if ts.at("alpha") and ts.peek(1).text == "^" and ts.peek(2).kind == "ident":
+        for _ in range(3):  # alpha ^ k
+            ts.next()
+        if ts.at("*"):
+            ts.fail("alpha^k standing alone, with no other factor")
+        return None, True
     alpha = Fraction(0)
     naturals = {"beta": 0, "beth1": 0, "X": 0}
     omega = ordinals.ZERO
-    universal = False
     while True:
         t = ts.peek()
         if t.text not in ("alpha", "beta", "beth1", "X", "w"):
@@ -586,19 +591,13 @@ def _parse_monomial(ts: TokenStream) -> tuple[Optional[Monomial], bool]:
                 raise ParseError(pos, "an infinite w exponent with no finite part", ts.text)
             omega = ordinals.natural_add(omega, g)
         elif t.text == "alpha":
-            if not ts.accept("^"):
-                alpha += 1
-            elif ts.peek().kind == "ident":
-                ts.next()
-                universal = True
-            else:
-                alpha += _exponent(ts, parse_rational)
+            alpha += _exponent(ts, parse_rational) if ts.accept("^") else 1
         else:
             naturals[t.text] += _exponent(ts, parse_natural) if ts.accept("^") else 1
         if not ts.accept("*"):
             break
     m = Monomial(alpha, naturals["beta"], naturals["beth1"], naturals["X"], omega.terms)
-    return (None if universal else m), universal
+    return m, False
 
 
 def _exponent(ts: TokenStream, production: Callable):

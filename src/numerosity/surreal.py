@@ -4,13 +4,15 @@ A finite surreal is a string over {+,-}; its length is the birthday and its
 value a dyadic rational: the leading run steps by one, and every sign after
 the first alternation halves the step.  The earliest-born number between two
 separated sets is computed by integer selection plus binary refinement, and
-the arithmetic is the genetic recursion on options, memoized per call.
+the arithmetic is the genetic recursion on options: its states are the pairs
+(prefix of x, prefix of y), one table of integers over a power-of-two scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor, prod
 from typing import Iterable, Optional
 
 from .ordinals import Ord, ord_cmp
@@ -114,15 +116,13 @@ def se_value(x: SignExpansion) -> Fraction:
     """Dyadic value of a finite expansion."""
     if x.plus_length is not None:
         raise ValueError("ordinal expansions have no dyadic value")
-    value = Fraction(0)
-    step = Fraction(1)
-    alternated = False
-    for i, s in enumerate(x.signs):
-        if i > 0 and (alternated or s != x.signs[i - 1]):
-            alternated = True
-            step /= 2
-        value += s * step
-    return value
+    # A leading run of n signs s is worth s*n; the j-th of the k signs after it
+    # adds +-2^-j, so over 2^k they are twice their '+' digits in binary, less 2^k - 1.
+    s = x.signs[0] if x.signs else 1
+    n = next((i for i, t in enumerate(x.signs) if t != s), len(x.signs))
+    k = len(x.signs) - n
+    plus = int("".join("1" if t > 0 else "0" for t in x.signs[n:]) or "0", 2)
+    return Fraction((s * n << k) + 2 * plus - (1 << k) + 1, 1 << k)
 
 
 def se_from_dyadic(d: Fraction | int) -> SignExpansion:
@@ -141,54 +141,62 @@ def se_from_dyadic(d: Fraction | int) -> SignExpansion:
     return finite(signs)
 
 
+def _prefix_options(signs: tuple[Sign, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """For each prefix length i, the lengths a < i of its lower and upper prefixes:
+    prefix a lies below every longer prefix exactly when signs[a] is +."""
+    out = [((), ())]
+    for a, s in enumerate(signs):
+        left, right = out[-1]
+        out.append((left + (a,), right) if s > 0 else (left, right + (a,)))
+    return out
+
+
 def options(x: SignExpansion) -> tuple[tuple[SignExpansion, ...], tuple[SignExpansion, ...]]:
     """Canonical options: proper prefixes split into lower and upper."""
     if x.plus_length is not None:
         raise ValueError("options are computed for finite expansions")
-    left, right = [], []
-    for k in range(len(x.signs)):
-        p = SignExpansion(x.signs[:k])
-        (left if se_cmp(p, x) < 0 else right).append(p)
-    return tuple(left), tuple(right)
+    left, right = _prefix_options(x.signs)[-1]
+    return (tuple(SignExpansion(x.signs[:a]) for a in left),
+            tuple(SignExpansion(x.signs[:a]) for a in right))
 
 
-def _simplest_in_interval(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
-    if lo is not None and hi is not None and lo >= hi:
-        raise NotSeparated(f"interval ({lo}, {hi}) is empty")
+def _simplest(lo: Optional[int], hi: Optional[int], unit: int) -> int:
+    """Simplest value strictly between lo/unit and hi/unit, times unit (a power of
+    two); raises, never rounds, if no multiple of 1/unit lies between them."""
     if (lo is None or lo < 0) and (hi is None or hi > 0):
-        return Fraction(0)
+        return 0
     if lo is None or (hi is not None and hi <= 0):
-        # Entirely below hi <= 0: nearest integer strictly under hi.
-        n = hi.numerator // hi.denominator  # floor
-        n = n - 1 if hi == n else n
-        if lo is None or n > lo:
-            return Fraction(n)
+        n = -(-hi // unit) - 1  # nearest integer strictly under hi <= 0
+        if lo is None or n * unit > lo:
+            return n * unit
     if hi is None or (lo is not None and lo >= 0):
-        n = -((-lo.numerator) // lo.denominator)  # ceil
-        n = n + 1 if lo == n else n
-        if hi is None or n < hi:
-            return Fraction(n)
+        n = lo // unit + 1  # nearest integer strictly over lo
+        if hi is None or n * unit < hi:
+            return n * unit
     # No integer inside: binary refinement between the bracketing integers.
-    assert lo is not None and hi is not None
-    base = lo.numerator // lo.denominator
-    x = Fraction(base) + Fraction(1, 2)
-    step = Fraction(1, 4)
-    while not (lo < x < hi):
+    step = unit >> 1
+    x = lo // unit * unit + step
+    while not lo < x < hi:
+        step >>= 1
+        if not step:
+            raise ValueError(f"the simplest value needs a step finer than 1/{unit}")
         x += step if x <= lo else -step
-        step /= 2
     return x
 
 
 def simplest(left: Iterable[Fraction], right: Iterable[Fraction]) -> SignExpansion:
     """Earliest-born expansion strictly between the two sets of dyadics."""
-    left, right = list(left), list(right)
-    lo = max(left) if left else None
-    hi = min(right) if right else None
+    lo, hi = max(left, default=None), min(right, default=None)
     if lo is not None and hi is not None and lo >= hi:
         raise NotSeparated(f"max of left {lo} >= min of right {hi}")
+    # With 2^K above the product of the denominators the interval holds a
+    # multiple of 2^-K, so the simplest value is one; and a multiple of 2^-K is
+    # above lo (below hi) exactly when it is above floor (below ceil) on that grid.
+    unit = 1 << prod(b.denominator for b in (lo, hi) if b is not None).bit_length()
+    value = Fraction(_simplest(None if lo is None else floor(lo * unit),
+                               None if hi is None else ceil(hi * unit), unit), unit)
     # A (+n, -n) birthday tie would need both in the interval, but then 0 is
     # inside too and wins outright; assert the tie never surfaces.
-    value = _simplest_in_interval(lo, hi)
     if value != 0 and lo is not None and hi is not None:
         assert not (lo < -abs(value) and abs(value) < hi), "unreachable magnitude tie"
     return se_from_dyadic(value)
@@ -213,41 +221,32 @@ def _check_cap(x: SignExpansion, y: SignExpansion, cap: int, what: str) -> None:
         )
 
 
-def _opts_values(v: Fraction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    l, r = options(se_from_dyadic(v))
-    return tuple(se_value(p) for p in l), tuple(se_value(p) for p in r)
+def _add_bounds(t, i, j, xl, xr, yl, yr):
+    """Options of x_i + y_j: x^L + y and x + y^L below, x^R + y and x + y^R above."""
+    return ([t[a][j] for a in xl] + [t[i][b] for b in yl],
+            [t[a][j] for a in xr] + [t[i][b] for b in yr])
 
 
-def _gen_add(x: Fraction, y: Fraction, memo: dict) -> Fraction:
-    key = (x, y)
-    if key in memo:
-        return memo[key]
-    xl, xr = _opts_values(x)
-    yl, yr = _opts_values(y)
-    left = [_gen_add(a, y, memo) for a in xl] + [_gen_add(x, b, memo) for b in yl]
-    right = [_gen_add(a, y, memo) for a in xr] + [_gen_add(x, b, memo) for b in yr]
-    out = _simplest_in_interval(max(left) if left else None,
-                                min(right) if right else None)
-    memo[key] = out
-    return out
+def _mul_bounds(t, i, j, xl, xr, yl, yr):
+    """Options of x_i * y_j: x^L y + x y^L - x^L y^L over the four pairings."""
+    def pieces(*pairings):
+        return [t[a][j] + t[i][b] - t[a][b] for xo, yo in pairings for a in xo for b in yo]
+    return pieces((xl, yl), (xr, yr)), pieces((xl, yr), (xr, yl))
 
 
-def _gen_mul(x: Fraction, y: Fraction, memo: dict) -> Fraction:
-    key = (x, y)
-    if key in memo:
-        return memo[key]
-    xl, xr = _opts_values(x)
-    yl, yr = _opts_values(y)
-
-    def piece(a: Fraction, b: Fraction) -> Fraction:
-        return _gen_mul(a, y, memo) + _gen_mul(x, b, memo) - _gen_mul(a, b, memo)
-
-    left = [piece(a, b) for a in xl for b in yl] + [piece(a, b) for a in xr for b in yr]
-    right = [piece(a, b) for a in xl for b in yr] + [piece(a, b) for a in xr for b in yl]
-    out = _simplest_in_interval(max(left) if left else None,
-                                min(right) if right else None)
-    memo[key] = out
-    return out
+def _genetic(x: SignExpansion, y: SignExpansion, bounds) -> Fraction:
+    """The genetic recursion on x and y, filled bottom-up over prefix pairs: cell
+    (i, j) holds the value for the i-sign prefix of x and the j-sign prefix of y
+    times 2^S, S = len(x) + len(y) + 1, a grid on which every sum and product of
+    prefixes lies."""
+    unit = 1 << (len(x.signs) + len(y.signs) + 1)
+    yopts = _prefix_options(y.signs)
+    t = [[0] * len(yopts) for _ in range(len(x.signs) + 1)]
+    for i, (xl, xr) in enumerate(_prefix_options(x.signs)):
+        for j, (yl, yr) in enumerate(yopts):
+            left, right = bounds(t, i, j, xl, xr, yl, yr)
+            t[i][j] = _simplest(max(left, default=None), min(right, default=None), unit)
+    return Fraction(t[-1][-1], unit)
 
 
 def s_neg(x: SignExpansion) -> SignExpansion:
@@ -258,7 +257,7 @@ def s_neg(x: SignExpansion) -> SignExpansion:
 
 def s_add(x: SignExpansion, y: SignExpansion, cap: int = ADD_CAP) -> SignExpansion:
     _check_cap(x, y, cap, "addition")
-    return se_from_dyadic(_gen_add(se_value(x), se_value(y), {}))
+    return se_from_dyadic(_genetic(x, y, _add_bounds))
 
 
 def s_sub(x: SignExpansion, y: SignExpansion, cap: int = ADD_CAP) -> SignExpansion:
@@ -267,7 +266,7 @@ def s_sub(x: SignExpansion, y: SignExpansion, cap: int = ADD_CAP) -> SignExpansi
 
 def s_mul(x: SignExpansion, y: SignExpansion, cap: int = MUL_CAP) -> SignExpansion:
     _check_cap(x, y, cap, "multiplication")
-    return se_from_dyadic(_gen_mul(se_value(x), se_value(y), {}))
+    return se_from_dyadic(_genetic(x, y, _mul_bounds))
 
 
 def all_expansions(max_len: int) -> list[SignExpansion]:

@@ -266,6 +266,9 @@ MALFORMED_LINES = [
     ":assert_order beta^(1/2) < X", ":assert_order X^(1/2) < beta",
     ":assert_order beta^(-1) < X", ":assert_order w^(0) < X", ":assert_order w^(3) < X",
     ":assert_order w^(w+1) < X",
+    # a universal alpha^k stands alone
+    ":assert_order alpha^k*beta < X", ":assert_order beta*alpha^k < X",
+    ":assert_order alpha^k*alpha^2 < X",
 ]
 
 

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from fractions import Fraction as F
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numerosity import ordinals as o
 from numerosity.surreal import (
+    ADD_CAP,
+    MUL_CAP,
     NotSeparated,
     RecursionCapExceeded,
     SignExpansion,
@@ -55,6 +61,90 @@ def oracle_simplest(lo, hi, max_day: int = 10) -> F:
     return best[0]
 
 
+# Reference genetic arithmetic: the memoized recursion on Fraction values that
+# the library ran before its integer prefix-pair table.  The memo is keyed by
+# values, so one dict may serve many calls.
+
+def _simplest_in_interval(lo: Optional[Fraction], hi: Optional[Fraction]) -> Fraction:
+    if lo is not None and hi is not None and lo >= hi:
+        raise NotSeparated(f"interval ({lo}, {hi}) is empty")
+    if (lo is None or lo < 0) and (hi is None or hi > 0):
+        return Fraction(0)
+    if lo is None or (hi is not None and hi <= 0):
+        # Entirely below hi <= 0: nearest integer strictly under hi.
+        n = hi.numerator // hi.denominator  # floor
+        n = n - 1 if hi == n else n
+        if lo is None or n > lo:
+            return Fraction(n)
+    if hi is None or (lo is not None and lo >= 0):
+        n = -((-lo.numerator) // lo.denominator)  # ceil
+        n = n + 1 if lo == n else n
+        if hi is None or n < hi:
+            return Fraction(n)
+    # No integer inside: binary refinement between the bracketing integers.
+    assert lo is not None and hi is not None
+    base = lo.numerator // lo.denominator
+    x = Fraction(base) + Fraction(1, 2)
+    step = Fraction(1, 4)
+    while not (lo < x < hi):
+        x += step if x <= lo else -step
+        step /= 2
+    return x
+
+
+def _opts_values(v: Fraction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    l, r = options(se_from_dyadic(v))
+    return tuple(se_value(p) for p in l), tuple(se_value(p) for p in r)
+
+
+def _gen_add(x: Fraction, y: Fraction, memo: dict) -> Fraction:
+    key = (x, y)
+    if key in memo:
+        return memo[key]
+    xl, xr = _opts_values(x)
+    yl, yr = _opts_values(y)
+    left = [_gen_add(a, y, memo) for a in xl] + [_gen_add(x, b, memo) for b in yl]
+    right = [_gen_add(a, y, memo) for a in xr] + [_gen_add(x, b, memo) for b in yr]
+    out = _simplest_in_interval(max(left) if left else None,
+                                min(right) if right else None)
+    memo[key] = out
+    return out
+
+
+def _gen_mul(x: Fraction, y: Fraction, memo: dict) -> Fraction:
+    key = (x, y)
+    if key in memo:
+        return memo[key]
+    xl, xr = _opts_values(x)
+    yl, yr = _opts_values(y)
+
+    def piece(a: Fraction, b: Fraction) -> Fraction:
+        return _gen_mul(a, y, memo) + _gen_mul(x, b, memo) - _gen_mul(a, b, memo)
+
+    left = [piece(a, b) for a in xl for b in yl] + [piece(a, b) for a in xr for b in yr]
+    right = [piece(a, b) for a in xl for b in yr] + [piece(a, b) for a in xr for b in yl]
+    out = _simplest_in_interval(max(left) if left else None,
+                                min(right) if right else None)
+    memo[key] = out
+    return out
+
+
+def reference_add(x: SignExpansion, y: SignExpansion, memo: dict) -> SignExpansion:
+    return se_from_dyadic(_gen_add(se_value(x), se_value(y), memo))
+
+
+def reference_mul(x: SignExpansion, y: SignExpansion, memo: dict) -> SignExpansion:
+    return se_from_dyadic(_gen_mul(se_value(x), se_value(y), memo))
+
+
+def pairs_within(cap: int):
+    """Pairs of finite expansions whose combined birthday is at most cap,
+    the combined birthday drawn uniformly so that pairs at the cap are common."""
+    cut = st.integers(0, cap).flatmap(lambda n: st.tuples(
+        st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n), st.integers(0, n)))
+    return cut.map(lambda t: (finite(t[0][:t[1]]), finite(t[0][t[1]:])))
+
+
 class TestOrderAndValue:
     def test_paper_chain(self):
         chain = ["-", "-+", "()", "+-", "+-+", "+", "++-"]
@@ -96,6 +186,10 @@ class TestOrderAndValue:
         assert se_from_dyadic(-(10**6) - F(1, 2)).signs == (-1,) * (10**6 + 1) + (1,)
         for d in (F(2001, 4), F(-1023, 512), F(300)):
             assert se_value(se_from_dyadic(d)) == d
+
+    def test_value_of_a_hundred_thousand_signs(self):
+        d = F(1, 2**100000)
+        assert se_value(se_from_dyadic(d)) == d
 
     def test_long_binary_fraction(self):
         d = F(1, 2**16000)
@@ -145,6 +239,12 @@ class TestOptionsAndSimplest:
         assert simplest([F(0)], [F(1)]) == parse_signs("+-")
         assert se_value(simplest([F(0)], [F(1)])) == oracle_simplest(F(0), F(1), 4)
         assert simplest([F(1, 2)], []) == parse_signs("+")
+
+    def test_rational_bounds(self):
+        for lo, hi in ((F(1, 3), F(1, 2)), (F(-7, 3), F(-2)), (F(1, 3), F(1, 3) + F(1, 1000)),
+                       (F(2, 3), None), (None, F(-5, 7)), (F(-1, 3), F(1, 5))):
+            got = simplest([] if lo is None else [lo], [] if hi is None else [hi])
+            assert se_value(got) == oracle_simplest(lo, hi)
 
     def test_not_separated(self):
         with pytest.raises(NotSeparated):
@@ -228,6 +328,39 @@ class TestArithmetic:
         x = se_from_dyadic(F(5, 4))
         assert se_value(s_neg(x)) == -F(5, 4)
         assert se_value(s_sub(x, se_from_dyadic(F(1, 4)))) == 1
+
+    def test_matches_reference_to_day_4(self):
+        add_memo, mul_memo = {}, {}
+        xs = all_expansions(4)
+        for x in xs:
+            for y in xs:
+                assert s_add(x, y) == reference_add(x, y, add_memo)
+                assert s_sub(x, y) == reference_add(x, s_neg(y), add_memo)
+                assert s_mul(x, y) == reference_mul(x, y, mul_memo)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs_within(ADD_CAP))
+    def test_addition_matches_reference_to_cap(self, pair):
+        x, y = pair
+        assert s_add(x, y) == reference_add(x, y, {})
+        assert s_sub(x, y) == reference_add(x, s_neg(y), {})
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs_within(MUL_CAP))
+    def test_multiplication_matches_reference_to_cap(self, pair):
+        x, y = pair
+        assert s_mul(x, y) == reference_mul(x, y, {})
+
+    def test_every_split_over_the_caps_raises(self):
+        for cap, ops in ((ADD_CAP, (s_add, s_sub)), (MUL_CAP, (s_mul,))):
+            for k in range(cap + 2):
+                x, y = finite([1] * k), finite(([-1, 1] * cap)[: cap + 1 - k])
+                for op in ops:
+                    with pytest.raises(RecursionCapExceeded):
+                        op(x, y)
+        # The cap is checked before any work: a million-sign operand fails at once.
+        with pytest.raises(RecursionCapExceeded):
+            s_mul(se_from_dyadic(10**6), ZERO_SE)
 
     def test_cap_enforced(self):
         long = finite([1] * 13)
