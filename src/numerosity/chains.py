@@ -60,18 +60,37 @@ def chain_label_card(kind: ChainKind, m: int) -> int:
 
 
 def threshold_divides(d: int, lower: int = 1) -> int:
-    """Least m >= lower with d | n(m)."""
-    m = max(1, lower)
-    while chain_card(m) % d != 0:
-        m += 1
+    """Least m >= lower with d | n(m).
+
+    d | m!^(m!) iff every prime p | d has p <= m and v_p(d) <= m! * v_p(m!),
+    with Legendre's v_p(m!) = sum of m // p^i.  Both only get easier as m
+    grows, so the answer is the largest per-prime least m; once m >= p,
+    m! * v_p(m!) >= m, so m! is built only while m < v_p(d).  The primes of
+    d come by trial division.
+    """
+    if d == 0:
+        raise ZeroDivisionError("0 divides no grid size")
+    m, p, d = max(1, lower), 2, abs(d)
+    while d > 1:
+        if p * p > d:
+            p = d  # what is left is prime
+        e = 0
+        while d % p == 0:
+            d, e = d // p, e + 1
+        if e:
+            m = max(m, p)
+            while e > m and math.factorial(m) * sum(m // p**i for i in range(1, m.bit_length())) < e:
+                m += 1
+        p += 1
     return m
 
 
 def threshold_card_at_least(bound: Fraction, lower: int = 1) -> int:
-    m = max(1, lower)
+    """Least m >= lower with n(m) >= bound; n(lower) itself is never built."""
+    m = 1
     while chain_card(m) < bound:
         m += 1
-    return m
+    return max(m, lower)
 
 
 # ---------------------------------------------------------------------------

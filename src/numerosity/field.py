@@ -15,6 +15,7 @@ entry points.
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,6 +57,7 @@ class Monomial:
     with no finite part is g.terms (finite powers expand via w = alpha+1).
     Exponents may be negative, so a quotient of monomials is a monomial; in a
     NumExpr they are all non-negative.  The unit monomial is the zero vector.
+    The order key and the hash are built once, at construction.
     """
 
     alpha: Fraction = Fraction(0)
@@ -63,10 +65,22 @@ class Monomial:
     beth1: int = 0
     x2w: int = 0
     omega: tuple[tuple[Ord, int], ...] = ()
+    _k: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    _h: int = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        key = (tuple((e._k, k) for e, k in self.omega), self.x2w, self.beth1, self.beta, self.alpha)
+        object.__setattr__(self, "_k", key)
+        object.__setattr__(self, "_h", hash(key))
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (isinstance(other, Monomial) and self._h == other._h and self._k == other._k)
+
+    def __hash__(self) -> int:
+        return self._h
 
     def key(self) -> tuple:
-        ok = tuple((e._key(), k) for e, k in self.omega)
-        return (ok, self.x2w, self.beth1, self.beta, self.alpha)
+        return self._k
 
     def __str__(self) -> str:
         return format_monomial(self)
@@ -122,7 +136,7 @@ def _sort_terms(d: dict[Monomial, Fraction]) -> Terms:
 def _poly_add(a: Terms, b: Terms) -> Terms:
     d: dict[Monomial, Fraction] = {}
     for c, m in a + b:
-        d[m] = d.get(m, Fraction(0)) + c
+        d[m] = d[m] + c if m in d else c
     return _sort_terms(d)
 
 
@@ -130,12 +144,21 @@ def _poly_neg(a: Terms) -> Terms:
     return tuple((-c, m) for c, m in a)
 
 
+def _is_unit_poly(a: Terms) -> bool:
+    return len(a) == 1 and a[0][1] == UNIT and a[0][0] == 1
+
+
 def _poly_mul(a: Terms, b: Terms) -> Terms:
+    """Product of two sorted, duplicate-free, zero-free term lists."""
+    if _is_unit_poly(b):
+        return a
+    if _is_unit_poly(a):
+        return b
     d: dict[Monomial, Fraction] = {}
     for ca, ma in a:
         for cb, mb in b:
             m = mono_mul(ma, mb)
-            d[m] = d.get(m, Fraction(0)) + ca * cb
+            d[m] = d[m] + ca * cb if m in d else ca * cb
     return _sort_terms(d)
 
 
@@ -196,7 +219,8 @@ def _make(num: Terms, den: Terms) -> NumExpr:
         return NumExpr((), ((Fraction(1), UNIT),))
     if num == den:
         return NumExpr(((Fraction(1), UNIT),), ((Fraction(1), UNIT),))
-    content = _content(tuple(num) + tuple(den))
+    # Exponents are non-negative here, so a unit term sorts last and forces unit content.
+    content = UNIT if UNIT in (num[-1][1], den[-1][1]) else _content(num + den)
     if content != UNIT:
         num = tuple((c, mono_div(m, content)) for c, m in num)
         den = tuple((c, mono_div(m, content)) for c, m in den)

@@ -10,7 +10,7 @@ commutative and coefficient-wise/convolution-wise on the normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 
@@ -28,9 +28,12 @@ class Ord:
 
     Terms are sorted by strictly decreasing exponent; coefficients are >= 1;
     the empty tuple is 0; a natural number n is the single term (0, n).
+    The order key and the hash are built once, from the exponents' own.
     """
 
     terms: tuple[tuple["Ord", int], ...] = ()
+    _k: tuple = field(init=False, repr=False, compare=False)
+    _h: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         prev = None
@@ -40,6 +43,14 @@ class Ord:
             if prev is not None and ord_cmp(exp, prev) >= 0:
                 raise ValueError("exponents must strictly decrease")
             prev = exp
+        object.__setattr__(self, "_k", tuple((e._k, c) for e, c in self.terms))
+        object.__setattr__(self, "_h", hash(self._k))
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (isinstance(other, Ord) and self._h == other._h and self._k == other._k)
+
+    def __hash__(self) -> int:
+        return self._h
 
     # -- structure helpers ------------------------------------------------
 
@@ -76,7 +87,7 @@ class Ord:
         return 0
 
     def _key(self) -> tuple:
-        return tuple((exp._key(), coeff) for exp, coeff in self.terms)
+        return self._k
 
     # -- order ------------------------------------------------------------
 
@@ -121,15 +132,10 @@ def omega_pow(exp: Ord, coeff: int = 1) -> Ord:
 
 def ord_cmp(a: Ord, b: Ord) -> int:
     """Total order: -1, 0, or 1.  Lexicographic on (exponent, coefficient)."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = ord_cmp(ea, eb)
-        if c:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
-    return 0
+    if a is b:
+        return 0
+    ka, kb = a._k, b._k
+    return -1 if ka < kb else int(ka != kb)
 
 
 def cantor_add(a: Ord, b: Ord) -> Ord:
@@ -166,15 +172,12 @@ def cantor_mul(a: Ord, b: Ord) -> Ord:
 
 def natural_add(a: Ord, b: Ord) -> Ord:
     """Hessenberg sum: coefficient-wise merge over the union of exponents."""
-    coeffs: dict[tuple, tuple[Ord, int]] = {}
+    if not (a.terms and b.terms):
+        return a if a.terms else b
+    coeffs: dict[Ord, int] = {}
     for exp, coeff in a.terms + b.terms:
-        k = exp._key()
-        if k in coeffs:
-            coeffs[k] = (exp, coeffs[k][1] + coeff)
-        else:
-            coeffs[k] = (exp, coeff)
-    ordered = sorted(coeffs.values(), key=lambda t: t[0]._key(), reverse=True)
-    return Ord(tuple(ordered))
+        coeffs[exp] = coeffs.get(exp, 0) + coeff
+    return Ord(tuple(sorted(coeffs.items(), key=lambda t: t[0]._k, reverse=True)))
 
 
 def natural_mul(a: Ord, b: Ord) -> Ord:

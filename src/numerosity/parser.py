@@ -444,7 +444,9 @@ def parse_comparands(text: str) -> tuple:
 # Surreal operands and dyadic sets
 # ---------------------------------------------------------------------------
 
-_SUR_OPS = {"+": surreal.s_add, "-": surreal.s_sub, "*": surreal.s_mul}
+# Operator words name `surreal` functions, looked up at call time so that a
+# profiler or tracer that rebinds them sees every call.
+_SUR_OPS = {"+": "s_add", "-": "s_sub", "*": "s_mul"}
 
 
 def _dyadic_literal(ts: TokenStream) -> Fraction:
@@ -491,7 +493,7 @@ def parse_surreal(text: str) -> surreal.SignExpansion:
         raise ParseError(0, "an operator (+, -, *) and an operand", text)
     acc, *operands = map(parse_surreal_operand, words[::2])
     for op, operand in zip(ops, operands):
-        acc = _SUR_OPS[op](acc, operand)
+        acc = getattr(surreal, _SUR_OPS[op])(acc, operand)
     return acc
 
 

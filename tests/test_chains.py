@@ -4,9 +4,12 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
+import time
+
 import pytest
 
 from numerosity import field
+from numerosity.cli import Session, run_line
 from numerosity.chains import (
     ChainKind,
     CountingFn,
@@ -48,6 +51,39 @@ class TestChainCards:
         assert threshold_divides(3) == 3
         assert threshold_divides(4) == 2
         assert threshold_divides(2**21) == 4
+
+    @staticmethod
+    def ref_threshold_divides(d: int, lower: int = 1) -> int:
+        """Least m >= lower with d | n(m), by search."""
+        m = max(1, lower)
+        while chain_card(m) % d != 0:
+            m += 1
+        return m
+
+    def test_threshold_divides_matches_search(self):
+        def rough_part(d):
+            for p in (2, 3, 5, 7):
+                while d % p == 0:
+                    d //= p
+            return d
+
+        smooth = [d for d in range(1, 200) if rough_part(d) == 1]
+        assert len(smooth) == 66
+        for d in smooth:
+            for lower in range(7):
+                assert threshold_divides(d, lower) == self.ref_threshold_divides(d, lower), (d, lower)
+        assert threshold_divides(11) == 11 and threshold_divides(7919 * 2**40, 3) == 7919
+
+    @pytest.mark.parametrize("line, value", [
+        (":num mod(11,0)", "1/11*alpha"),
+        (":num mod(7919,1)", "1/7919*alpha"),
+        (":num Q(0,1/11]", "1/11*alpha"),
+    ])
+    def test_large_prime_denominator(self, line, value):
+        start = time.perf_counter()
+        record, err = run_line(line, Session())
+        assert time.perf_counter() - start < 0.1
+        assert err is None and record["value"] == value
 
 
 class TestEval:

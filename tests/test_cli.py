@@ -98,6 +98,15 @@ class TestParsers:
         assert parse_surreal_operand("5/2^3") == parse_surreal_operand("5/8")
 
 
+    def test_surreal_operators_resolved_at_call_time(self, monkeypatch):
+        from numerosity import parser, surreal
+        calls = []
+        real = surreal.s_add
+        monkeypatch.setattr(surreal, "s_add", lambda x, y: calls.append((x, y)) or real(x, y))
+        assert parser.parse_surreal("1 + 1") == surreal.se_from_dyadic(F(2))
+        assert len(calls) == 1
+
+
 class TestCommands:
     def test_num(self):
         assert value_of(":num mod(2,0)") == "1/2*alpha"

@@ -353,6 +353,37 @@ class TestMonomialVectors:
         assert nf_eq(nf_mul(nf_div(x, omega_power(g)), omega_power(g)), x)
 
 
+def _check_stored_terms(x: field.NumExpr) -> None:
+    """Sorted, non-negative exponents, the unit monomial last, content cancelled."""
+    unit_poly = ((F(1), field.UNIT),)
+    for terms in (x.num, x.den):
+        keys = [m.key() for _, m in terms]
+        assert keys == sorted(set(keys), reverse=True)
+        for i, (c, m) in enumerate(terms):
+            assert c != 0
+            assert min(m.alpha, m.beta, m.beth1, m.x2w, *(k for _, k in m.omega)) >= 0
+            assert m != field.UNIT or i == len(terms) - 1
+        assert field._poly_mul(terms, unit_poly) is terms
+        assert field._poly_mul(unit_poly, terms) == terms
+    if x.num:
+        assert field._content(x.num + x.den) == field.UNIT
+
+
+class TestStoredTerms:
+    def test_unit_sorts_last(self, rng):
+        for _ in range(150):
+            a, b = random_numexpr(rng), embed(random_ord(rng))
+            for x in (a, b, nf_mul(a, b), nf_add(a, b), nf_mul(a, a), nf_mul(b, b)):
+                _check_stored_terms(x)
+            for n, d in ((a, b), (b, a), (a, a)):
+                if not d.is_zero():
+                    _check_stored_terms(nf_div(n, d))
+
+    def test_unit_product_is_identity(self):
+        t = nf_add(ALPHA, ONE).num
+        assert field._poly_mul(t, ((F(1), field.UNIT),)) is t
+
+
 class TestJsonEncoding:
     def test_shape(self):
         x = nf_div(nf_add(nf_mul(q(2), ALPHA2), ONE), nf_add(BETA, ONE))

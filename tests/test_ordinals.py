@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction as F
+from functools import cmp_to_key
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numerosity.ordinals import (
     OMEGA,
@@ -26,6 +30,7 @@ from numerosity.ordinals import (
     ord_cmp,
     ord_exp,
 )
+from numerosity.field import Monomial
 from conftest import random_ord
 
 
@@ -320,3 +325,58 @@ class TestFormat:
             ONE,
         ])
         assert format_ordinal(big) == "w^(w + 1)*2 + w + 1"
+
+
+# -- reference: the recursive order before keys were stored ------------------
+
+
+def ref_cmp(a: Ord, b: Ord) -> int:
+    """Total order: -1, 0, or 1.  Lexicographic on (exponent, coefficient)."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = ref_cmp(ea, eb)
+        if c:
+            return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a.terms) != len(b.terms):
+        return -1 if len(a.terms) < len(b.terms) else 1
+    return 0
+
+
+def ref_key(o: Ord) -> tuple:
+    return tuple((ref_key(exp), coeff) for exp, coeff in o.terms)
+
+
+def ref_mono_key(m: Monomial) -> tuple:
+    ok = tuple((ref_key(e), k) for e, k in m.omega)
+    return (ok, m.x2w, m.beth1, m.beta, m.alpha)
+
+
+def rebuilt(o: Ord) -> Ord:
+    """A structurally equal copy that shares no Ord object with o."""
+    return Ord(tuple((rebuilt(e), c) for e, c in o.terms))
+
+
+class TestStoredKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 3), st.integers(0, 3))
+    def test_match_the_recursive_order(self, seed, da, db):
+        rng = random.Random(seed)
+        a, b = random_ord(rng, depth=da), random_ord(rng, depth=db)
+        for x, y in ((a, b), (b, a), (a, rebuilt(a)), (natural_add(a, b), natural_add(b, a))):
+            want = ref_cmp(x, y)
+            assert ord_cmp(x, y) == want
+            assert (x == y) == (want == 0)
+            assert (x < y, x <= y, x > y, x >= y) == (want < 0, want <= 0, want > 0, want >= 0)
+            assert x._key() == ref_key(x)
+            if want == 0:
+                assert hash(x) == hash(y)
+        m = Monomial(F(rng.randint(0, 3), rng.randint(1, 3)), rng.randint(0, 2), rng.randint(0, 2),
+                     rng.randint(0, 2), tuple(t for t in a.terms if not t[0].is_zero()))
+        assert m.key() == ref_mono_key(m)
+        assert m == Monomial(m.alpha, m.beta, m.beth1, m.x2w, rebuilt(Ord(m.omega)).terms)
+        assert hash(m) == hash(Monomial(m.alpha, m.beta, m.beth1, m.x2w, rebuilt(Ord(m.omega)).terms))
+
+    def test_sorting_matches_the_recursive_order(self, rng):
+        ords = [random_ord(rng, depth=rng.randint(0, 3)) for _ in range(300)]
+        assert sorted(ords, key=Ord._key) == sorted(ords, key=cmp_to_key(ref_cmp))
