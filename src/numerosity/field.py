@@ -16,13 +16,14 @@ entry points.
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Iterable, Optional
 
-from .ordinals import Ord, UnsupportedPower, cantor_add, format_ordinal, ord_cmp
+from .ordinals import Ord, UnsupportedPower, cantor_add, check_power_bits, format_ordinal, ord_cmp
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -50,17 +51,19 @@ class MeasureInternalError(RuntimeError):
 class Monomial:
     """Product of generator powers, stored as one exponent vector.
 
-    alpha carries a rational exponent; beta, beth1 and X = 2^w carry integer
-    ones.  The w-powers form a free commutative monoid with one generator
-    w^(w^e) per CNF term: omega holds (e, k) pairs with e a non-zero ordinal,
-    sorted by decreasing e, and k a non-zero integer, so w^g for an infinite g
-    with no finite part is g.terms (finite powers expand via w = alpha+1).
+    alpha carries a rational exponent, stored as an int when it is integral
+    (an equal int and Fraction hash alike, so keys and order do not see it);
+    beta, beth1 and X = 2^w carry integer ones.  The w-powers form a free
+    commutative monoid with one generator w^(w^e) per CNF term: omega holds
+    (e, k) pairs with e a non-zero ordinal, sorted by decreasing e, and k a
+    non-zero integer, so w^g for an infinite g with no finite part is g.terms
+    (finite powers expand via w = alpha+1).
     Exponents may be negative, so a quotient of monomials is a monomial; in a
     NumExpr they are all non-negative.  The unit monomial is the zero vector.
     The order key and the hash are built once, at construction.
     """
 
-    alpha: Fraction = Fraction(0)
+    alpha: Fraction | int = 0
     beta: int = 0
     beth1: int = 0
     x2w: int = 0
@@ -69,6 +72,8 @@ class Monomial:
     _h: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.alpha.__class__ is not int and self.alpha.denominator == 1:
+            object.__setattr__(self, "alpha", self.alpha.numerator)
         key = (tuple((e._k, k) for e, k in self.omega), self.x2w, self.beth1, self.beta, self.alpha)
         object.__setattr__(self, "_k", key)
         object.__setattr__(self, "_h", hash(key))
@@ -110,7 +115,11 @@ def _componentwise(a: Monomial, b: Monomial, op: Callable) -> Monomial:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return _componentwise(a, b, operator.add)
+    """The exponents add; the omega lists are merged only when both sides have one."""
+    if a.omega and b.omega:
+        return _componentwise(a, b, operator.add)
+    return Monomial(a.alpha + b.alpha, a.beta + b.beta, a.beth1 + b.beth1, a.x2w + b.x2w,
+                    a.omega or b.omega)
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
@@ -124,17 +133,17 @@ def _omega_sign(r: Monomial) -> int:
     return 1 if r.omega[0][1] > 0 else -1
 
 
-Terms = tuple[tuple[Fraction, Monomial], ...]
+Terms = tuple[tuple[int, Monomial], ...]
 
 
-def _sort_terms(d: dict[Monomial, Fraction]) -> Terms:
-    items = [(c, m) for m, c in d.items() if c != 0]
-    items.sort(key=lambda t: t[1].key(), reverse=True)
+def _sort_terms(d: dict[Monomial, int]) -> Terms:
+    items = [(c, m) for m, c in d.items() if c]
+    items.sort(key=lambda t: t[1]._k, reverse=True)
     return tuple(items)
 
 
 def _poly_add(a: Terms, b: Terms) -> Terms:
-    d: dict[Monomial, Fraction] = {}
+    d: dict[Monomial, int] = {}
     for c, m in a + b:
         d[m] = d[m] + c if m in d else c
     return _sort_terms(d)
@@ -144,28 +153,23 @@ def _poly_neg(a: Terms) -> Terms:
     return tuple((-c, m) for c, m in a)
 
 
-def _is_unit_poly(a: Terms) -> bool:
-    return len(a) == 1 and a[0][1] == UNIT and a[0][0] == 1
-
-
 def _poly_mul(a: Terms, b: Terms) -> Terms:
-    """Product of two sorted, duplicate-free, zero-free term lists."""
-    if _is_unit_poly(b):
-        return a
-    if _is_unit_poly(a):
-        return b
-    d: dict[Monomial, Fraction] = {}
+    """Product of two sorted, duplicate-free, zero-free term lists.
+
+    A constant side scales the other, which keeps its order; a constant 1
+    returns the other side itself.
+    """
+    if len(b) != 1 or b[0][1] != UNIT:  # a constant side, if any, goes to b
+        a, b = b, a
+    if len(b) == 1 and b[0][1] == UNIT:
+        c = b[0][0]
+        return a if c == 1 else tuple((ca * c, ma) for ca, ma in a)
+    d: dict[Monomial, int] = {}
     for ca, ma in a:
         for cb, mb in b:
             m = mono_mul(ma, mb)
             d[m] = d[m] + ca * cb if m in d else ca * cb
     return _sort_terms(d)
-
-
-def _poly_scale(a: Terms, c: Fraction) -> Terms:
-    if c == 0:
-        return ()
-    return tuple((ca * c, ma) for ca, ma in a)
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +181,17 @@ def _poly_scale(a: Terms, c: Fraction) -> Terms:
 class NumExpr:
     """Canonical quotient of two generalized polynomials.
 
-    Invariants: term lists are sorted by monomial key and duplicate-free; the
-    denominator's leading coefficient is 1; joint monomial content has been
-    cancelled (so all stored exponents are non-negative); zero is the empty
-    numerator over the unit denominator.
+    Invariants: term lists are sorted by monomial key and duplicate-free;
+    every coefficient is a non-zero int, the gcd of all numerator and
+    denominator coefficients is 1 and the denominator's leading coefficient
+    is positive (one-to-one with the monic form, whose coefficients are these
+    divided by that lead); joint monomial content has been cancelled (so all
+    stored exponents are non-negative); zero is the empty numerator over the
+    unit denominator.
     """
 
     num: Terms = ()
-    den: Terms = ((Fraction(1), UNIT),)
+    den: Terms = ((1, UNIT),)
 
     def is_zero(self) -> bool:
         return not self.num
@@ -192,13 +199,9 @@ class NumExpr:
     def as_rational(self) -> Optional[Fraction]:
         if self.is_zero():
             return Fraction(0)
-        if (
-            len(self.num) == 1
-            and self.num[0][1] == UNIT
-            and len(self.den) == 1
-            and self.den[0][1] == UNIT
-        ):
-            return self.num[0][0] / self.den[0][0]
+        d = _constant_den(self)
+        if d is not None and len(self.num) == 1 and self.num[0][1] == UNIT:
+            return Fraction(self.num[0][0], d)
         return None
 
     def __str__(self) -> str:
@@ -208,7 +211,14 @@ class NumExpr:
         return f"NumExpr[{format_numexpr(self)}]"
 
 
-def _content(terms: Iterable[tuple[Fraction, Monomial]]) -> Monomial:
+def _constant_den(x: NumExpr) -> Optional[int]:
+    """The denominator of x when it is a constant (a positive int), else None."""
+    if len(x.den) == 1 and x.den[0][1] == UNIT:
+        return x.den[0][0]
+    return None
+
+
+def _content(terms: Iterable[tuple[int, Monomial]]) -> Monomial:
     return reduce(lambda a, b: _componentwise(a, b, min), (m for _, m in terms))
 
 
@@ -216,37 +226,40 @@ def _make(num: Terms, den: Terms) -> NumExpr:
     if not den:
         raise DivisionByZero("denominator is zero")
     if not num:
-        return NumExpr((), ((Fraction(1), UNIT),))
+        return ZERO
     if num == den:
-        return NumExpr(((Fraction(1), UNIT),), ((Fraction(1), UNIT),))
+        return ONE
     # Exponents are non-negative here, so a unit term sorts last and forces unit content.
     content = UNIT if UNIT in (num[-1][1], den[-1][1]) else _content(num + den)
     if content != UNIT:
         num = tuple((c, mono_div(m, content)) for c, m in num)
         den = tuple((c, mono_div(m, content)) for c, m in den)
-    lead = den[0][0]
-    if lead != 1:
-        num = _poly_scale(num, 1 / lead)
-        den = _poly_scale(den, 1 / lead)
+    # A denominator lead of 1 already makes the joint gcd 1 and the lead positive.
+    if den[0][0] != 1:
+        g = math.gcd(*(c for c, _ in num), *(c for c, _ in den))
+        if den[0][0] < 0:
+            g = -g
+        if g != 1:
+            num = tuple((c // g, m) for c, m in num)
+            den = tuple((c // g, m) for c, m in den)
     return NumExpr(num, den)
 
 
 ZERO = NumExpr()
-ONE = _make(((Fraction(1), UNIT),), ((Fraction(1), UNIT),))
+ONE = NumExpr(((1, UNIT),), ((1, UNIT),))
 
 
 def from_rational(q: Fraction | int) -> NumExpr:
-    q = Fraction(q)
     if q == 0:
         return ZERO
-    return _make(((q, UNIT),), ((Fraction(1), UNIT),))
+    return NumExpr(((q.numerator, UNIT),), ((q.denominator, UNIT),))
 
 
 def _atom(m: Monomial) -> NumExpr:
-    return _make(((Fraction(1), m),), ((Fraction(1), UNIT),))
+    return NumExpr(((1, m),), ((1, UNIT),))
 
 
-ALPHA = _atom(Monomial(alpha=Fraction(1)))
+ALPHA = _atom(Monomial(alpha=1))
 BETA = _atom(Monomial(beta=1))
 BETH1 = _atom(Monomial(beth1=1))
 X2W = _atom(Monomial(x2w=1))
@@ -255,10 +268,9 @@ X2W = _atom(Monomial(x2w=1))
 def alpha_power(q: Fraction) -> NumExpr:
     if q == 0:
         return ONE
-    m = Monomial(alpha=Fraction(q))
     if q > 0:
-        return _atom(m)
-    return _make(((Fraction(1), UNIT),), ((Fraction(1), Monomial(alpha=-Fraction(q))),))
+        return _atom(Monomial(alpha=q))
+    return NumExpr(((1, UNIT),), ((1, Monomial(alpha=-q)),))
 
 
 def nf_add(a: NumExpr, b: NumExpr) -> NumExpr:
@@ -316,13 +328,12 @@ def embed(o: Ord) -> NumExpr:
 
 def unembed(x: NumExpr) -> Optional[Ord]:
     """Inverse of embed on its image; None if x is not an embedded ordinal."""
-    if x.den != ((Fraction(1), UNIT),):
-        return None
     rest = x
     cnf: list[tuple[Ord, int]] = []
     prev: Optional[Ord] = None
     while not rest.is_zero():
-        if rest.den != ((Fraction(1), UNIT),):
+        d = _constant_den(rest)
+        if d is None:
             return None
         c, m = rest.num[0]  # dominant by key: omega grade then alpha degree
         if m.beta or m.beth1 or m.x2w:
@@ -333,13 +344,13 @@ def unembed(x: NumExpr) -> Optional[Ord]:
         e = Ord.from_int(int(m.alpha))
         if m.omega:
             e = cantor_add(Ord(m.omega), e)
-        if c.denominator != 1 or c <= 0:
+        if c % d or c <= 0:
             return None
         if prev is not None and ord_cmp(e, prev) >= 0:
             return None
-        cnf.append((e, int(c)))
+        cnf.append((e, c // d))
         prev = e
-        rest = nf_sub(rest, nf_mul(from_rational(c), omega_power(e)))
+        rest = nf_sub(rest, nf_mul(from_rational(c // d), omega_power(e)))
     return Ord(tuple(cnf))
 
 
@@ -373,19 +384,20 @@ def _rational_root(q: Fraction, k: int) -> Optional[Fraction]:
 
 def _alpha_affine(x: NumExpr) -> Optional[tuple[int, int]]:
     """Decompose x = a*alpha + c with integers a >= 0, c; None otherwise."""
-    if x.den != ((Fraction(1), UNIT),):
+    d = _constant_den(x)
+    if d is None:
         return None
-    a = c = Fraction(0)
+    a = c = 0
     for coeff, m in x.num:
         if m == UNIT:
             c = coeff
-        elif m == Monomial(alpha=Fraction(1)):
+        elif m == Monomial(alpha=1):
             a = coeff
         else:
             return None
-    if a.denominator != 1 or c.denominator != 1 or a < 0:
+    if a % d or c % d or a < 0:
         return None
-    return int(a), int(c)
+    return a // d, c // d
 
 
 def nf_pow(base: NumExpr, exp: NumExpr) -> NumExpr:
@@ -399,29 +411,36 @@ def nf_pow(base: NumExpr, exp: NumExpr) -> NumExpr:
     r = exp.as_rational()
     if r is not None and r.denominator == 1 and r >= 0:
         n = int(r)
+        b = base.as_rational()
+        if b is not None:
+            check_power_bits(b, n)
         out = ONE
         sq = base
         while n:
             if n & 1:
                 out = nf_mul(out, sq)
-            sq = nf_mul(sq, sq)
             n >>= 1
+            if n:
+                sq = nf_mul(sq, sq)
         return out
 
     if r is not None:
         # Rational non-integer exponent: only single monomials in alpha.
+        d = _constant_den(base)
         if (
-            len(base.num) == 1
-            and base.den == ((Fraction(1), UNIT),)
+            d is not None
+            and len(base.num) == 1
             and base.num[0][1] == Monomial(alpha=base.num[0][1].alpha)
         ):
-            coeff, m = base.num[0]
+            coeff, m = Fraction(base.num[0][0], d), base.num[0][1]
             croot = None
             if r.denominator == 1:
+                check_power_bits(coeff, r.numerator)
                 croot = coeff**int(r)
             else:
                 root = _rational_root(coeff, r.denominator)
                 if root is not None:
+                    check_power_bits(root, r.numerator)
                     croot = root ** r.numerator if r.numerator >= 0 else Fraction(1) / root ** (-r.numerator)
             if croot is not None:
                 return nf_mul(from_rational(croot), alpha_power(m.alpha * r))
@@ -441,6 +460,7 @@ def nf_pow(base: NumExpr, exp: NumExpr) -> NumExpr:
                 a, c = aff
                 # (2^j)^(a*alpha + c) = 2^(j*c - j*a) * X^(j*a), using 2^alpha = X/2.
                 ja, jc = j * a, j * c
+                check_power_bits(2, jc - ja)
                 scale = Fraction(2) ** (jc - ja)
                 return nf_mul(from_rational(scale), _atom(Monomial(x2w=ja)) if ja else ONE)
         raise UnsupportedPowerPair(
@@ -478,7 +498,7 @@ class AxiomTable:
         return AxiomTable(on, self.declared)
 
     def with_alpha_dominated_by(self, m: Monomial) -> "AxiomTable":
-        probe = Monomial(alpha=Fraction(1))
+        probe = Monomial(alpha=1)
         c = _mono_order(probe, m, self)
         if c is not None and c >= 0:
             raise InconsistentOrder(f"alpha^k < {format_monomial(m)} contradicts the built-in order")
@@ -671,7 +691,7 @@ class StandardPart:
         return self.kind
 
 
-def _dominant_term(terms: Terms, table: AxiomTable) -> Optional[tuple[Fraction, Monomial]]:
+def _dominant_term(terms: Terms, table: AxiomTable) -> Optional[tuple[int, Monomial]]:
     for c, m in terms:
         if all(m2 == m or _mono_dominates(m, m2, table) for _, m2 in terms):
             return c, m
@@ -689,7 +709,7 @@ def standard_part(a: NumExpr, table: AxiomTable = DEFAULT_TABLE) -> StandardPart
     cn, mn = top
     cd, md = bot
     if mn == md:
-        return StandardPart(FINITE, cn / cd)
+        return StandardPart(FINITE, Fraction(cn, cd))
     if _mono_dominates(mn, md, table):
         return StandardPart(PLUS_INF if cn * cd > 0 else MINUS_INF)
     if _mono_dominates(md, mn, table):
@@ -754,12 +774,13 @@ def _format_ratio_side(r: Monomial, positive: bool) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def format_poly(terms: Terms) -> str:
+def format_poly(terms: Terms, lead: int) -> str:
+    """The terms with every coefficient divided by lead (the denominator's, for a NumExpr)."""
     if not terms:
         return "0"
     parts = []
     for i, (c, m) in enumerate(terms):
-        mag = abs(c)
+        mag = Fraction(abs(c), lead)
         if m == UNIT:
             body = str(mag)
         elif mag == 1:
@@ -774,17 +795,19 @@ def format_poly(terms: Terms) -> str:
 
 
 def format_numexpr(x: NumExpr) -> str:
-    num = format_poly(x.num)
-    if x.den == ((Fraction(1), UNIT),):
+    lead = x.den[0][0]
+    num = format_poly(x.num, lead)
+    if _constant_den(x) is not None:
         return num
-    den = format_poly(x.den)
+    den = format_poly(x.den, lead)
     lhs = f"({num})" if len(x.num) > 1 else num
     rhs = f"({den})" if len(x.den) > 1 else den
     return f"{lhs}/{rhs}"
 
 
 def numexpr_to_json(x: NumExpr) -> dict:
+    lead = x.den[0][0]
     return {
-        "num": [[str(c), format_monomial(m)] for c, m in x.num],
-        "den": [[str(c), format_monomial(m)] for c, m in x.den],
+        "num": [[str(Fraction(c, lead)), format_monomial(m)] for c, m in x.num],
+        "den": [[str(Fraction(c, lead)), format_monomial(m)] for c, m in x.den],
     }

@@ -11,11 +11,32 @@ commutative and coefficient-wise/convolution-wise on the normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Rational
 from typing import Iterable
+
+# Bits allowed in an integer power, estimated before it is computed as the
+# base's bit length times the exponent.  2^14000 has 4215 decimal digits, so
+# every power under the budget prints under Python's default 4300-digit limit.
+MAX_POWER_BITS = 14_000
 
 
 class UnsupportedPower(ValueError):
     """Base/exponent pair outside the implemented exponentiation cases."""
+
+
+class BudgetExceeded(ValueError):
+    """A result would exceed a named size budget."""
+
+
+def check_power_bits(base: Rational, n: int) -> None:
+    """Raise BudgetExceeded before base**n is computed if it may need over MAX_POWER_BITS bits.
+
+    For a rational base the larger of numerator and denominator counts; 0, 1
+    and -1 have no budget, since their powers stay put.
+    """
+    bits = max(abs(base.numerator), base.denominator).bit_length()
+    if bits > 1 and bits * abs(n) > MAX_POWER_BITS:
+        raise BudgetExceeded(f"integer power over the budget MAX_POWER_BITS = {MAX_POWER_BITS} bits")
 
 
 class ZeroArgument(ValueError):
@@ -192,13 +213,16 @@ def natural_mul(a: Ord, b: Ord) -> Ord:
 
 
 def _finite_pow(base: Ord, n: int) -> Ord:
+    if base.is_finite():
+        check_power_bits(base.as_int(), n)
     result = ONE
     square = base
     while n:
         if n & 1:
             result = cantor_mul(result, square)
-        square = cantor_mul(square, square)
         n >>= 1
+        if n:
+            square = cantor_mul(square, square)
     return result
 
 
@@ -236,6 +260,7 @@ def ord_exp(base: Ord, exp: Ord) -> Ord:
             else:
                 e_shift = e
             shifted.append((e_shift, c))
+        check_power_bits(n, r)
         return omega_pow(Ord(tuple(shifted)), n**r)
     raise UnsupportedPower(
         f"base {format_ordinal(base)} with infinite exponent {format_ordinal(exp)}"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -181,6 +182,12 @@ class TestCommands:
         # The exponents share no CNF term, so the common content is 1.
         assert value_of(line) == want
 
+    def test_dense_power_ends(self):
+        start = time.perf_counter()
+        rec, err = run_line(":st (alpha+beta+X+1)^16", Session())
+        assert time.perf_counter() - start < 5
+        assert err is None and rec["value"] == "unknown (dominant term undecided)"
+
     def test_errors_surface_with_names(self):
         rec, err = run_line(":num Q(0,1] >< oops", Session())
         assert err == "parse" and rec["status"] == "error"
@@ -312,3 +319,19 @@ class TestMalformedLines:
         assert [r["status"] for r in records] == ["error", "error", "unknown"]
         assert records[0]["value"].startswith("ParseError")
         assert "DivisionByZero" in records[1]["value"]
+
+    @pytest.mark.parametrize("line", [":ord 2^2^2^2^2", ":st 2^2^2^2^2",
+                                      ":ord 2^2^2^2^2^2", ":st 2^2^2^2^2^2"])
+    def test_integer_tower_over_budget(self, tmp_path, line):
+        start = time.perf_counter()
+        code, records = self.records(tmp_path, line + "\n")
+        assert time.perf_counter() - start < 0.1
+        assert code == 2
+        [record] = records
+        assert record["status"] == "error"
+        assert record["value"].startswith("BudgetExceeded") and "MAX_POWER_BITS" in record["value"]
+
+    def test_integer_power_under_budget(self):
+        assert value_of(":ord 2^2^2^2") == "65536"
+        half = ordinals.MAX_POWER_BITS // 2
+        assert value_of(f":ord 2^{half}") == str(2**half)

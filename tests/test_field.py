@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import operator
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -354,13 +357,18 @@ class TestMonomialVectors:
 
 
 def _check_stored_terms(x: field.NumExpr) -> None:
-    """Sorted, non-negative exponents, the unit monomial last, content cancelled."""
+    """Sorted, non-negative exponents, the unit monomial last, content cancelled;
+    int coefficients with joint gcd 1 and a positive denominator lead; an
+    integral alpha exponent stored as an int."""
     unit_poly = ((F(1), field.UNIT),)
+    assert x.den[0][0] > 0
+    assert math.gcd(*(c for c, _ in x.num + x.den)) == 1
     for terms in (x.num, x.den):
         keys = [m.key() for _, m in terms]
         assert keys == sorted(set(keys), reverse=True)
         for i, (c, m) in enumerate(terms):
-            assert c != 0
+            assert type(c) is int and c != 0
+            assert m.alpha.denominator != 1 or type(m.alpha) is int
             assert min(m.alpha, m.beta, m.beth1, m.x2w, *(k for _, k in m.omega)) >= 0
             assert m != field.UNIT or i == len(terms) - 1
         assert field._poly_mul(terms, unit_poly) is terms
@@ -382,6 +390,197 @@ class TestStoredTerms:
     def test_unit_product_is_identity(self):
         t = nf_add(ALPHA, ONE).num
         assert field._poly_mul(t, ((F(1), field.UNIT),)) is t
+
+
+# -- reference: the Fraction-coefficient arithmetic with a monic denominator ----
+# Kept verbatim from before coefficients became ints; pairs (num, den) stand
+# for the NumExpr.
+
+
+def ref_sort_terms(d):
+    items = [(c, m) for m, c in d.items() if c != 0]
+    items.sort(key=lambda t: t[1].key(), reverse=True)
+    return tuple(items)
+
+
+def ref_poly_add(a, b):
+    d = {}
+    for c, m in a + b:
+        d[m] = d[m] + c if m in d else c
+    return ref_sort_terms(d)
+
+
+def ref_is_unit_poly(a):
+    return len(a) == 1 and a[0][1] == field.UNIT and a[0][0] == 1
+
+
+def ref_poly_mul(a, b):
+    if ref_is_unit_poly(b):
+        return a
+    if ref_is_unit_poly(a):
+        return b
+    d = {}
+    for ca, ma in a:
+        for cb, mb in b:
+            m = field._componentwise(ma, mb, operator.add)  # the old mono_mul
+            d[m] = d[m] + ca * cb if m in d else ca * cb
+    return ref_sort_terms(d)
+
+
+def ref_poly_scale(a, c):
+    if c == 0:
+        return ()
+    return tuple((ca * c, ma) for ca, ma in a)
+
+
+def ref_make(num, den):
+    UNIT = field.UNIT
+    if not den:
+        raise DivisionByZero("denominator is zero")
+    if not num:
+        return ((), ((F(1), UNIT),))
+    if num == den:
+        return (((F(1), UNIT),), ((F(1), UNIT),))
+    content = UNIT if UNIT in (num[-1][1], den[-1][1]) else field._content(num + den)
+    if content != UNIT:
+        num = tuple((c, field.mono_div(m, content)) for c, m in num)
+        den = tuple((c, field.mono_div(m, content)) for c, m in den)
+    lead = den[0][0]
+    if lead != 1:
+        num = ref_poly_scale(num, 1 / lead)
+        den = ref_poly_scale(den, 1 / lead)
+    return (num, den)
+
+
+def ref_add(a, b):
+    return ref_make(ref_poly_add(ref_poly_mul(a[0], b[1]), ref_poly_mul(b[0], a[1])),
+                    ref_poly_mul(a[1], b[1]))
+
+
+def ref_mul(a, b):
+    return ref_make(ref_poly_mul(a[0], b[0]), ref_poly_mul(a[1], b[1]))
+
+
+def ref_div(a, b):
+    return ref_make(ref_poly_mul(a[0], b[1]), ref_poly_mul(a[1], b[0]))
+
+
+def ref_sub(a, b):
+    return ref_add(a, ref_make(tuple((-c, m) for c, m in b[0]), b[1]))
+
+
+def ref_cmp(a, b):
+    num, den = ref_sub(a, b)
+    if not num:
+        return field.Comparison(EQUAL)
+    sn, rn = field._poly_sign(num, field.DEFAULT_TABLE)
+    if sn is None:
+        return field.Comparison(UNKNOWN, rn)
+    sd, rd = field._poly_sign(den, field.DEFAULT_TABLE)
+    if sd is None or sd == 0:
+        return field.Comparison(UNKNOWN, rd or "denominator sign undecided")
+    return field.Comparison(GREATER if sn * sd > 0 else LESS)
+
+
+def ref_format_poly(terms):
+    if not terms:
+        return "0"
+    parts = []
+    for i, (c, m) in enumerate(terms):
+        mag = abs(c)
+        if m == field.UNIT:
+            body = str(mag)
+        elif mag == 1:
+            body = field.format_monomial(m)
+        else:
+            body = f"{mag}*{field.format_monomial(m)}"
+        if i == 0:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def ref_format(x):
+    num = ref_format_poly(x[0])
+    if x[1] == ((F(1), field.UNIT),):
+        return num
+    den = ref_format_poly(x[1])
+    lhs = f"({num})" if len(x[0]) > 1 else num
+    rhs = f"({den})" if len(x[1]) > 1 else den
+    return f"{lhs}/{rhs}"
+
+
+def ref_json(x):
+    return {
+        "num": [[str(c), field.format_monomial(m)] for c, m in x[0]],
+        "den": [[str(c), field.format_monomial(m)] for c, m in x[1]],
+    }
+
+
+def monic(x: field.NumExpr):
+    """The reference form of x: every coefficient over the denominator's lead."""
+    lead = x.den[0][0]
+    return (tuple((F(c, lead), m) for c, m in x.num), tuple((F(c, lead), m) for c, m in x.den))
+
+
+class TestIntegerCoefficients:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_matches_fraction_reference(self, seed):
+        rng = random.Random(seed)
+        xs = [random_numexpr(rng), random_numexpr(rng), embed(random_ord(rng)), embed(random_ord(rng))]
+        for a in xs:
+            for b in xs:
+                ra, rb = monic(a), monic(b)
+                got = [nf_add(a, b), nf_mul(a, b)]
+                want = [ref_add(ra, rb), ref_mul(ra, rb)]
+                if not b.is_zero():
+                    got.append(nf_div(a, b))
+                    want.append(ref_div(ra, rb))
+                for g, w in zip(got, want):
+                    _check_stored_terms(g)
+                    assert monic(g) == w
+                    assert field.numexpr_to_json(g) == ref_json(w)
+                    assert field.format_numexpr(g) == ref_format(w)
+                assert nf_cmp(a, b) == ref_cmp(ra, rb)
+
+    def test_integral_alpha_exponent_is_int(self):
+        m = Monomial(alpha=F(4, 2))
+        assert type(m.alpha) is int and m == Monomial(alpha=2) and hash(m) == hash(Monomial(alpha=2))
+        assert type(Monomial(alpha=F(1, 2)).alpha) is F
+        root = nf_pow(ALPHA, q(1, 2))
+        assert type(nf_mul(root, root).num[0][1].alpha) is int
+
+    def test_constant_denominator_prints_over_its_lead(self):
+        x = nf_div(nf_add(ALPHA, q(3)), q(6))
+        assert (x.num, x.den) == (((1, Monomial(alpha=1)), (3, field.UNIT)), ((6, field.UNIT),))
+        assert field.format_numexpr(x) == "1/6*alpha + 1/2"
+        assert x.as_rational() is None and nf_div(q(3), q(6)).as_rational() == F(1, 2)
+
+
+class TestPowerBudget:
+    def test_squares_only_while_bits_remain(self, monkeypatch):
+        base = nf_add(nf_add(ALPHA, BETA), ONE)
+        want = ONE
+        for _ in range(16):
+            want = nf_mul(want, base)
+        calls = []
+        real = field.nf_mul
+        monkeypatch.setattr(field, "nf_mul", lambda a, b: calls.append(1) or real(a, b))
+        got = nf_pow(base, q(16))
+        assert len(calls) == 5
+        assert got == want
+
+    def test_rational_constant_base(self):
+        half = o.MAX_POWER_BITS // 2
+        assert nf_pow(q(2), q(half)).as_rational() == 2 ** half
+        assert nf_pow(q(1, 2), q(half)).as_rational() == F(1, 2 ** half)
+        assert nf_pow(q(-1), q(10**9)).as_rational() == 1
+        for base, exp in ((q(2), q(half + 1)), (q(1, 3), q(half + 1)),
+                          (nf_mul(q(2), ALPHA), q(-half - 1)), (q(2), nf_mul(q(half + 1), ALPHA))):
+            with pytest.raises(o.BudgetExceeded, match="MAX_POWER_BITS"):
+                nf_pow(base, exp)
 
 
 class TestJsonEncoding:

@@ -11,10 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numerosity import ordinals
 from numerosity.ordinals import (
+    MAX_POWER_BITS,
     OMEGA,
     ONE,
     ZERO,
+    BudgetExceeded,
     Ord,
     UnsupportedPower,
     ZeroArgument,
@@ -285,6 +288,24 @@ class TestExponentiation:
     def test_unsupported_pair_raises(self):
         with pytest.raises(UnsupportedPower):
             ord_exp(cantor_add(OMEGA, ONE), OMEGA)
+
+    def test_squares_only_while_bits_remain(self, monkeypatch):
+        base = cantor_add(OMEGA, Ord.from_int(2))
+        want = ONE
+        for _ in range(16):
+            want = cantor_mul(want, base)
+        calls = []
+        monkeypatch.setattr(ordinals, "cantor_mul", lambda a, b: calls.append(1) or cantor_mul(a, b))
+        assert ord_exp(base, Ord.from_int(16)) == want
+        assert len(calls) == 5
+
+    def test_finite_base_budget(self):
+        half = MAX_POWER_BITS // 2
+        assert ord_exp(Ord.from_int(2), Ord.from_int(half)) == Ord.from_int(2**half)
+        assert ord_exp(Ord.from_int(1), Ord.from_int(10**9)) == ONE
+        for exp in (Ord.from_int(half + 1), cantor_add(OMEGA, Ord.from_int(half + 1))):
+            with pytest.raises(BudgetExceeded, match="MAX_POWER_BITS"):
+                ord_exp(Ord.from_int(2), exp)
 
 
 class TestIndecomposable:

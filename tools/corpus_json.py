@@ -9,8 +9,13 @@ runs through `numerosity.cli.run_line` on one `Session`, and one output line
 is written per input line: the workload, the line index and the error class
 (`parse`, `eval`, `raised` or `-`), tab-separated, then the record exactly as
 script mode prints it.  Tail lines are skipped, since they may not end
-(defect C).  The `:labelcheck` instance files are written to a temporary
-directory, which is the working directory while the lines run.  The library
+(defect C).  After the corpus, the fixed `EXTRA` lines run on one more
+`Session` under the workload name `extra`: they reach field code the corpus
+does not (linear exponents of 2, rational powers of an alpha-monomial,
+`w`-powers read back as ordinals, `:mode_bb on`, dense powers, declared
+order, rational gammas, integer powers at the size budget).  The `:labelcheck`
+instance files are written to a temporary directory, which is the working
+directory while the lines run.  The library
 is imported from the `src/` of the checkout this script lives in, so running
 it in two checkouts and diffing the outputs shows every changed answer.
 """
@@ -24,6 +29,21 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED, BLOCKS = 1, 12
+EXTRA = [
+    ":st 2^(3*alpha+1)/X^3", ":st 4^(alpha-2)/X^2", ":num maps(4, N+)",
+    ":st (4*alpha^2)^(1/2)/alpha", ":st (1/9*alpha)^(-1/2)*alpha^(1/2)",
+    ":st (alpha+1)^(w+1)/w^(w+1)", ":cmp (alpha+1)^(w+1) w^(w+1)",
+    ":mode_bb on", ":st (beth1 - X)/(2*beta)", ":cmp beth1 - X beta/2",
+    ":measure R[0,1) (beth1 - X)/3", ":st (3*beth1 + 1)/(2*X + beta)", ":mode_bb off",
+    ":st (2*alpha+beta+X+1)^8/X^8", ":st (2*alpha+X+1)^8/(2*X+1)^8",
+    ":st (1/2*alpha+1/3)^6/(alpha^6+1)", ":cmp (alpha+beta+1)^5 (alpha+beta)^5",
+    ":measure Q(0,1] 3/2*alpha", ":measure mod(3,1) alpha/3", ":measure R[0,1) 2/3*beta",
+    ":cmp 1/3*alpha + 1/2 alpha/3", ":cmp (alpha^2+1)/(3*beta) 1/2",
+    ":ord 2^2^2^2", ":st 2^2^2^2", ":ord 2^2^2^2^2", ":st 2^2^2^2^2",
+    ":assert_order alpha^k < beta", ":assert_order beta < beth1",
+    ":cmp beth1 - 2*beta 0", ":cmp 2*beta beth1", ":st alpha^5/(3*beta)",
+    ":st (2*beth1+alpha)/(3*beth1+beta)", ":cmp (alpha^2+1)/(3*beta) 1/2",
+]
 
 
 def main() -> int:
@@ -32,6 +52,19 @@ def main() -> int:
     from numerosity import cli, labtree
 
     out = sys.stdout
+
+    def replay(workload: str, texts: list[str]) -> None:
+        session = cli.Session()
+        for i, text in enumerate(texts):
+            try:
+                record, err = cli.run_line(text, session)
+            except Exception as exc:  # a line escaping run_line is itself a finding
+                record = {"input": text, "status": "error",
+                          "value": f"{type(exc).__name__}: {exc}"}
+                err = "raised"
+            out.write(f"{workload}\t{i}\t{err or '-'}\t"
+                      f"{json.dumps(record, sort_keys=True)}\n")
+
     with tempfile.TemporaryDirectory() as work:
         with open(os.path.join(work, "standard.txt"), "w", encoding="utf-8") as fh:
             fh.write(labtree.format_instance(labtree.standard_instance()))
@@ -43,16 +76,8 @@ def main() -> int:
         try:
             for workload in sorted(corpus.BLOCKS):
                 body, _, _ = corpus.generate(workload, SEED, BLOCKS)
-                session = cli.Session()
-                for i, line in enumerate(body):
-                    try:
-                        record, err = cli.run_line(line.text, session)
-                    except Exception as exc:  # a line escaping run_line is itself a finding
-                        record = {"input": line.text, "status": "error",
-                                  "value": f"{type(exc).__name__}: {exc}"}
-                        err = "raised"
-                    out.write(f"{workload}\t{i}\t{err or '-'}\t"
-                              f"{json.dumps(record, sort_keys=True)}\n")
+                replay(workload, [line.text for line in body])
+            replay("extra", EXTRA)
         finally:
             os.chdir(here)
     return 0
