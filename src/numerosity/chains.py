@@ -23,6 +23,11 @@ from typing import Optional
 
 from . import field
 from .field import NumExpr
+from .ordinals import BudgetExceeded
+
+# Largest trial divisor in the factor search of a modulus: every modulus below
+# 2^40 still factors exactly, and the search stays around 0.25 s at most.
+MAX_TRIAL_DIVISOR = 1 << 20
 
 
 class ChainKind(Enum):
@@ -66,7 +71,7 @@ def threshold_divides(d: int, lower: int = 1) -> int:
     with Legendre's v_p(m!) = sum of m // p^i.  Both only get easier as m
     grows, so the answer is the largest per-prime least m; once m >= p,
     m! * v_p(m!) >= m, so m! is built only while m < v_p(d).  The primes of
-    d come by trial division.
+    d come by trial division up to MAX_TRIAL_DIVISOR.
     """
     if d == 0:
         raise ZeroDivisionError("0 divides no grid size")
@@ -74,6 +79,10 @@ def threshold_divides(d: int, lower: int = 1) -> int:
     while d > 1:
         if p * p > d:
             p = d  # what is left is prime
+        elif p > MAX_TRIAL_DIVISOR:
+            raise BudgetExceeded(
+                f"modulus factor search over the budget MAX_TRIAL_DIVISOR = {MAX_TRIAL_DIVISOR}"
+            )
         e = 0
         while d % p == 0:
             d, e = d // p, e + 1

@@ -367,6 +367,8 @@ def _rational_root(q: Fraction, k: int) -> Optional[Fraction]:
     def iroot(n: int) -> Optional[int]:
         if n in (0, 1):
             return n
+        if k >= n.bit_length():  # 1 < n < 2**k: no integer root
+            return None
         lo, hi = 0, 1 << ((n.bit_length() + k - 1) // k + 1)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -433,17 +435,18 @@ def nf_pow(base: NumExpr, exp: NumExpr) -> NumExpr:
             and base.num[0][1] == Monomial(alpha=base.num[0][1].alpha)
         ):
             coeff, m = Fraction(base.num[0][0], d), base.num[0][1]
-            croot = None
             if r.denominator == 1:
                 check_power_bits(coeff, r.numerator)
                 croot = coeff**int(r)
             else:
                 root = _rational_root(coeff, r.denominator)
-                if root is not None:
-                    check_power_bits(root, r.numerator)
-                    croot = root ** r.numerator if r.numerator >= 0 else Fraction(1) / root ** (-r.numerator)
-            if croot is not None:
-                return nf_mul(from_rational(croot), alpha_power(m.alpha * r))
+                if root is None:
+                    raise UnsupportedPowerPair(
+                        f"the coefficient {coeff} has no non-negative rational root of order {r.denominator}"
+                    )
+                check_power_bits(root, r.numerator)
+                croot = root ** r.numerator if r.numerator >= 0 else Fraction(1) / root ** (-r.numerator)
+            return nf_mul(from_rational(croot), alpha_power(m.alpha * r))
         raise UnsupportedPowerPair(
             f"rational exponent {r} requires a single alpha-monomial base"
         )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .parser import parse_elem
 
@@ -61,9 +61,6 @@ class PivotalTree:
     def below(self, a: Elem, b: Elem) -> bool:
         return (a, b) in self.le
 
-    def equiv(self, a: Elem, b: Elem) -> bool:
-        return a == b or (self.below(a, b) and self.below(b, a))
-
 
 @dataclass(slots=True)
 class Report:
@@ -104,45 +101,79 @@ def _one_step_under(a: Elem, b: Elem) -> bool:
     return isinstance(a, frozenset) and a <= b
 
 
-def _hereditary_under(a: Elem, b: Elem, universe: tuple[Elem, ...]) -> bool:
-    """Membership chains through universe elements, or direct inclusion."""
-    if _one_step_under(a, b):
-        return True
-    seen, stack = set(), [a]
-    while stack:
-        x = stack.pop()
-        for y in universe:
-            if isinstance(y, frozenset) and x in y and y not in seen:
-                if y == b:
-                    return True
-                seen.add(y)
-                stack.append(y)
-    return False
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _masks(tree: PivotalTree) -> tuple[dict, dict, dict]:
+    """The preorder table as bitmasks over universe positions, keyed by element.
+
+    Bit i of `at[x]` is set when U[i] is x; a hand-built universe may repeat an
+    element, and then x owns every such position.  `up[x]` has the positions
+    of the elements x lies below, `down[x]` those of the elements below x.
+    Every universe element has an entry, and an element outside the universe
+    has one when some pair links it to the universe.  So for b in the universe
+    `(a, b) in tree.le` is a bit of `up.get(a, 0)`, and for a in the universe
+    a bit of `down.get(b, 0)`.
+    """
+    at: dict = {}
+    for i, x in enumerate(tree.universe):
+        at[x] = at.get(x, 0) | 1 << i
+    up, down = dict.fromkeys(at, 0), dict.fromkeys(at, 0)
+    for a, b in tree.le:
+        if b in at:
+            up[a] = up.get(a, 0) | at[b]
+        if a in at:
+            down[b] = down.get(b, 0) | at[a]
+    return at, up, down
+
+
+def _member_reach(universe: tuple[Elem, ...], at: dict) -> dict:
+    """Bit j of reach[x] is set when a membership chain through universe
+    elements leads from x up to U[j] (Warshall's closure over bit rows)."""
+    reach = dict.fromkeys(at, 0)
+    for j, y in enumerate(universe):
+        if isinstance(y, frozenset):
+            for x in y:
+                if x in reach:
+                    reach[x] |= 1 << j
+    for k, y in enumerate(universe):
+        for x, row in reach.items():
+            if row >> k & 1:
+                reach[x] = row | reach[y]
+    return reach
 
 
 def validate_pivotal(tree: PivotalTree, mode: str = "literal") -> Report:
-    """Exhaustive check of the pivotal-tree axioms; lists every violation."""
+    """Exhaustive check of the pivotal-tree axioms; lists every violation.
+
+    Witnesses come in the order of the exhaustive loops over the table and
+    the universe; the set bits of a mask are read lowest position first.
+    """
     rep = Report("pivotal")
     U = tree.universe
-    uset = set(U)
-    if EMPTY not in uset:
+    at, up, down = _masks(tree)
+    if EMPTY not in at:
         rep.add("bottom", "{}", note="empty set missing from the universe")
         return rep
     for a, b in tree.le:
-        if a not in uset or b not in uset:
+        if a not in at or b not in at:
             rep.add("table", a, b, note="pair outside the universe")
-    for x in U:
-        if not tree.below(EMPTY, x):
+    for i, x in enumerate(U):
+        if not up[EMPTY] >> i & 1:
             rep.add("bottom", x, note="empty set not below this element")
-        if not tree.below(x, x):
+        if not up[x] >> i & 1:
             rep.add("preorder", x, note="missing reflexive pair")
     for a, b in tree.le:
-        for c in U:
-            if tree.below(b, c) and not tree.below(a, c):
-                rep.add("preorder", a, b, c, note="transitivity fails")
+        for k in _bits(up.get(b, 0) & ~up.get(a, 0)):
+            rep.add("preorder", a, b, U[k], note="transitivity fails")
     for x in U:
         for y in U:
-            if not any(tree.below(x, z) and tree.below(y, z) for z in U):
+            if not up[x] & up[y]:
                 rep.add("directed", x, y, note="no common upper bound")
 
     sm = tree.succ_map()
@@ -150,7 +181,7 @@ def validate_pivotal(tree: PivotalTree, mode: str = "literal") -> Report:
         rep.add("successor-injective", "{}", note="successor defined on the empty set")
     seen_targets: dict = {}
     for a, b in sm.items():
-        if a not in uset or b not in uset:
+        if a not in at or b not in at:
             rep.add("successor-injective", a, b, note="successor pair outside the universe")
         if b == EMPTY:
             rep.add("successor-injective", a, note="successor maps into the empty set")
@@ -158,32 +189,29 @@ def validate_pivotal(tree: PivotalTree, mode: str = "literal") -> Report:
             rep.add("successor-injective", seen_targets[b], a, b, note="successor not injective")
         seen_targets[b] = a
 
-    under = (
-        _one_step_under
-        if mode == "literal"
-        else lambda a, b: _hereditary_under(a, b, U)
-    )
-    for a in U:
-        for b in U:
-            if a != b and under(a, b) and not tree.below(a, b):
+    # Literal mode reflects one membership or inclusion step; hereditary mode
+    # also every membership chain through the universe.
+    reach = dict.fromkeys(at, 0) if mode == "literal" else _member_reach(U, at)
+    for i, a in enumerate(U):
+        for j, b in enumerate(U):
+            if a != b and not up[a] >> j & 1 and (reach[a] >> j & 1 or _one_step_under(a, b)):
                 rep.add("membership-order", a, b, note="membership/inclusion not reflected")
+
+    def equivalent(x: Elem) -> int:
+        """Positions equal to x or both below and above it."""
+        return at.get(x, 0) | (up.get(x, 0) & down.get(x, 0))
 
     for a in U:
         if a == EMPTY:
             continue
-        for b in U:
-            if not tree.below(a, b) or tree.equiv(a, b):
-                continue
-            x, reached = a, False
-            for _ in range(len(U) + 1):
-                if x not in sm:
-                    break
-                x = sm[x]
-                if tree.equiv(x, b):
-                    reached = True
-                    break
-            if not reached:
-                rep.add("successor-reach", a, b, note="no successor iterate reaches the class")
+        x, reached = a, 0
+        for _ in range(len(U) + 1):
+            if x not in sm:
+                break
+            x = sm[x]
+            reached |= equivalent(x)
+        for j in _bits(up[a] & ~equivalent(a) & ~reached):
+            rep.add("successor-reach", a, U[j], note="no successor iterate reaches the class")
 
     # Finite down-sets cannot fail on a finite universe; recorded for
     # completeness of the report.
@@ -208,34 +236,16 @@ def label_family(tree: PivotalTree) -> list[frozenset]:
     return sorted(fam, key=lambda l: (len(l), sorted(map(elem_key, l))))
 
 
-def _lattice_join(fam: list[frozenset], lam: frozenset, mu: frozenset) -> Optional[frozenset]:
-    uppers = [s for s in fam if lam | mu <= s]
-    if not uppers:
-        return None
-    out = uppers[0]
-    for s in uppers[1:]:
-        out = out & s
-    return out
-
-
-def _elem_meet(tree: PivotalTree, a: Elem, b: Elem) -> Optional[Elem]:
-    down = [x for x in tree.universe if tree.below(x, a) and tree.below(x, b)]
-    for c in down:
-        if all(tree.below(y, c) for y in down):
-            return c
-    return None
-
-
-def _elem_join(tree: PivotalTree, a: Elem, b: Elem) -> Optional[Elem]:
-    ub = [z for z in tree.universe if tree.below(a, z) and tree.below(b, z)]
-    for c in ub:
-        if all(tree.below(c, z) for z in ub):
-            return c
-    return None
-
-
 def validate_labeltree(tree: PivotalTree, mode: str = "literal") -> Report:
-    """Checks the seven label identities plus the slicing lemmas."""
+    """Checks the seven label identities plus the slicing lemmas.
+
+    Once the pivotal axioms hold the table is a closed preorder, so the label
+    of x is the mask `down[x]` (see `_masks`) and the family is the set of
+    those masks, sorted as `label_family` sorts it.  A greatest lower bound
+    of a and b is an element whose label is `down[a] & down[b]`, so it exists
+    iff that mask is a label.  A least upper bound is an element whose up mask
+    is `up[a] & up[b]`; the first such position is the one a witness names.
+    """
     rep = Report("labeltree")
     pre = validate_pivotal(tree, mode)
     if not pre.ok:
@@ -244,90 +254,108 @@ def validate_labeltree(tree: PivotalTree, mode: str = "literal") -> Report:
         return rep
 
     U = tree.universe
-    labels = {a: label(tree, a) for a in U}
-    fam = label_family(tree)
-    famset = set(fam)
+    at, up, down = _masks(tree)
+    first = 0  # each element's lowest position: one bit per element
+    for m in at.values():
+        first |= m & -m
+    keys = [elem_key(x) for x in U]
+
+    def fmt(mask: int) -> str:
+        return format_elems(U[k] for k in _bits(mask & first))
+
+    def family_key(mask: int) -> tuple:
+        ks = sorted(keys[k] for k in _bits(mask & first))
+        return (len(ks), ks)
+
+    famset = set(down.values())
+    fam = sorted(famset, key=family_key)
+    joins: dict = {}
+
+    def join(u: int) -> Optional[int]:
+        """The meet of every label containing u, None when none does."""
+        if u not in joins:
+            out = None
+            for s in fam:
+                if s & u == u:
+                    out = s if out is None else out & s
+            joins[u] = out
+        return joins[u]
 
     for lam in fam:
         for mu in fam:
-            if lam & mu not in famset:
-                rep.add("label-meet-closed", format_elems(lam), format_elems(mu))
-            if _lattice_join(fam, lam, mu) is None:
-                rep.add("label-join-closed", format_elems(lam), format_elems(mu))
             inter = lam & mu
-            if inter not in (lam, mu, labels[EMPTY]):
-                rep.add("meet-trichotomy", format_elems(lam), format_elems(mu))
+            if inter not in famset:
+                rep.add("label-meet-closed", fmt(lam), fmt(mu))
+            if join(lam | mu) is None:
+                rep.add("label-join-closed", fmt(lam), fmt(mu))
+            if inter not in (lam, mu, down[EMPTY]):
+                rep.add("meet-trichotomy", fmt(lam), fmt(mu))
 
     for a, b in tree.le:
-        if not labels[a] <= labels[b]:
+        if down[a] & ~down[b]:
             rep.add("label-monotone", a, b)
 
     for a in U:
-        closure = frozenset().union(*(labels[x] for x in labels[a]))
-        if closure != labels[a]:
+        closure = 0
+        for k in _bits(down[a]):
+            closure |= down[U[k]]
+        if closure != down[a]:
             rep.add("label-closure", a, note="label not closed under member labels")
 
+    join_at = {up[x]: x for x in reversed(U)}  # the first position wins
     for a in U:
         for b in U:
-            m = _elem_meet(tree, a, b)
-            if m is None:
+            if down[a] & down[b] not in famset:
                 rep.add("label-meet", a, b, note="no greatest common lower bound")
-            elif labels[m] != labels[a] & labels[b]:
-                rep.add("label-meet", a, b, m)
-            j = _elem_join(tree, a, b)
-            if j is None:
+            c = join_at.get(up[a] & up[b])
+            if c is None:
                 rep.add("label-join", a, b, note="no least common upper bound")
-            else:
-                lj = _lattice_join(fam, labels[a], labels[b])
-                if lj is None or labels[j] != lj:
-                    rep.add("label-join", a, b, j)
+            elif down[c] != join(down[a] | down[b]):
+                rep.add("label-join", a, b, c)
 
-    uset = set(U)
+    single = [frozenset([x]) for x in U]
+    pairs = [i for i, x in enumerate(U)
+             if single[i] in at or frozenset([single[i]]) in at]
     pair_labels = kuratowski_labels = 0
-    for a in U:
-        for b in U:
-            if elem_key(a) >= elem_key(b):
+    for i in pairs:
+        for j in pairs:
+            if keys[i] >= keys[j]:
                 continue
-            sa, sb, sab = frozenset([a]), frozenset([b]), frozenset([a, b])
-            if sa in uset and sb in uset and sab in uset:
+            a, b, sa, sb = U[i], U[j], single[i], single[j]
+            sab = frozenset([a, b])
+            if sa in at and sb in at and sab in at:
                 pair_labels += 1
-                want = _lattice_join(fam, labels[sa], labels[sb])
-                if labels[sab] != want:
+                if down[sab] != join(down[sa] | down[sb]):
                     rep.add("pair-label", a, b)
-            ssa, ssb = frozenset([sa]), frozenset([sb])
-            kur = frozenset([sa, sab])
-            if ssa in uset and ssb in uset and kur in uset:
+            ssa, ssb, kur = frozenset([sa]), frozenset([sb]), frozenset([sa, sab])
+            if ssa in at and ssb in at and kur in at:
                 kuratowski_labels += 1
-                want = _lattice_join(fam, labels[ssa], labels[ssb])
-                if labels[kur] != want:
+                if down[kur] != join(down[ssa] | down[ssb]):
                     rep.add("kuratowski-label", a, b)
     rep.details["pair_label_instances"] = pair_labels
     rep.details["kuratowski_instances"] = kuratowski_labels
 
-    # Slicing order (strict containment respects the enumeration).
-    order = sorted(fam, key=len)
-    for i, lam in enumerate(order):
-        for j in range(i):
-            if lam < order[j]:
-                rep.add("containment-order", format_elems(lam), format_elems(order[j]),
+    # Slicing order (strict containment respects the enumeration, which is
+    # already sorted by size).
+    for i, lam in enumerate(fam):
+        for mu in fam[:i]:
+            if lam != mu and lam & mu == lam:
+                rep.add("containment-order", fmt(lam), fmt(mu),
                         note="size order does not extend strict containment")
 
-    # Disjoint slice decomposition of every label.
-    index = {lam: i for i, lam in enumerate(order)}
+    # Disjoint slice decomposition of every label: peel off the last label of
+    # the enumeration strictly inside what is left.
     for lam in fam:
-        cur, slices = lam, []
+        cur, union, total = lam, 0, 0
         while True:
-            inside = [m for m in fam if m < cur]
+            inside = [m for m in fam if m != cur and m & cur == m]
+            part = cur & ~inside[-1] if inside else cur
+            union, total = union | part, total + (part & first).bit_count()
             if not inside:
-                slices.append(cur)
                 break
-            nxt = max(inside, key=lambda m: index[m])
-            slices.append(cur - nxt)
-            cur = nxt
-        union = frozenset().union(*slices) if slices else frozenset()
-        total = sum(len(s) for s in slices)
-        if union != lam or total != len(lam):
-            rep.add("slice-partition", format_elems(lam), note="slices do not partition the label")
+            cur = inside[-1]
+        if union != lam or total != (lam & first).bit_count():
+            rep.add("slice-partition", fmt(lam), note="slices do not partition the label")
     return rep
 
 

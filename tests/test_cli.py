@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from numerosity import field, labtree, ordinals, sets
+from numerosity import chains, field, labtree, ordinals, sets
 from numerosity.cli import Session, eval_line, main, run_line, run_script
 from numerosity.parser import (
     ParseError,
@@ -335,3 +335,31 @@ class TestMalformedLines:
         assert value_of(":ord 2^2^2^2") == "65536"
         half = ordinals.MAX_POWER_BITS // 2
         assert value_of(f":ord 2^{half}") == str(2**half)
+
+    def test_rational_root_of_large_order_ends(self):
+        start = time.perf_counter()
+        record, err = run_line(":st (2*alpha)^(1/10000000)", Session())
+        assert time.perf_counter() - start < 0.01
+        assert err == "eval"
+        assert record["value"] == ("UnsupportedPowerPair: the coefficient 2 has no "
+                                   "non-negative rational root of order 10000000")
+
+    @pytest.mark.parametrize("line, want", [
+        (":st (2*alpha)^(1/2)",
+         "UnsupportedPowerPair: the coefficient 2 has no non-negative rational root of order 2"),
+        (":st beta^(1/2)",
+         "UnsupportedPowerPair: rational exponent 1/2 requires a single alpha-monomial base"),
+        (":st (4*alpha^2)^(1/2)/alpha", "2"),
+    ])
+    def test_rational_root_messages(self, line, want):
+        assert run_line(line, Session())[0]["value"] == want
+
+    def test_modulus_factor_budget_edge(self):
+        # The primes on either side of the largest trial divisor.
+        below, above = 1048573, 1048583
+        assert below <= chains.MAX_TRIAL_DIVISOR < above
+        assert value_of(f":num mod({below**2},0)") == f"1/{below**2}*alpha"
+        rec, err = run_line(f":num mod({above**2},0)", Session())
+        assert err == "eval"
+        assert rec["value"] == ("BudgetExceeded: modulus factor search over the budget "
+                                "MAX_TRIAL_DIVISOR = 1048576")

@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import json
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numerosity.labtree import (
     EMPTY,
+    Elem,
     NotABijection,
+    PivotalTree,
+    Report,
+    _closure,
+    _one_step_under,
     check_comparison_map,
     check_counting_axioms,
     counterexample_missing_membership,
@@ -28,6 +36,8 @@ from numerosity.labtree import (
     validate_labeltree,
     validate_pivotal,
     UnknownElement,
+    elem_key,
+    format_elems,
 )
 
 TREE = standard_instance()
@@ -193,3 +203,288 @@ class TestInstanceFiles:
         text = format_instance(counterexample_noninjective())
         rep = validate_pivotal(parse_instance(text))
         assert {v["rule"] for v in rep.violations} == {"successor-injective"}
+
+
+# ---------------------------------------------------------------------------
+# Reference: the exhaustive validators over `PivotalTree.below`, kept verbatim
+# (apart from names) from before the bitmask rewrite.  Every report of the
+# library must match theirs byte for byte.
+# ---------------------------------------------------------------------------
+
+
+def ref_equiv(tree: PivotalTree, a: Elem, b: Elem) -> bool:
+    return a == b or (tree.below(a, b) and tree.below(b, a))
+
+
+def ref_hereditary_under(a: Elem, b: Elem, universe: tuple[Elem, ...]) -> bool:
+    """Membership chains through universe elements, or direct inclusion."""
+    if _one_step_under(a, b):
+        return True
+    seen, stack = set(), [a]
+    while stack:
+        x = stack.pop()
+        for y in universe:
+            if isinstance(y, frozenset) and x in y and y not in seen:
+                if y == b:
+                    return True
+                seen.add(y)
+                stack.append(y)
+    return False
+
+
+def ref_validate_pivotal(tree: PivotalTree, mode: str = "literal") -> Report:
+    rep = Report("pivotal")
+    U = tree.universe
+    uset = set(U)
+    if EMPTY not in uset:
+        rep.add("bottom", "{}", note="empty set missing from the universe")
+        return rep
+    for a, b in tree.le:
+        if a not in uset or b not in uset:
+            rep.add("table", a, b, note="pair outside the universe")
+    for x in U:
+        if not tree.below(EMPTY, x):
+            rep.add("bottom", x, note="empty set not below this element")
+        if not tree.below(x, x):
+            rep.add("preorder", x, note="missing reflexive pair")
+    for a, b in tree.le:
+        for c in U:
+            if tree.below(b, c) and not tree.below(a, c):
+                rep.add("preorder", a, b, c, note="transitivity fails")
+    for x in U:
+        for y in U:
+            if not any(tree.below(x, z) and tree.below(y, z) for z in U):
+                rep.add("directed", x, y, note="no common upper bound")
+
+    sm = tree.succ_map()
+    if EMPTY in sm:
+        rep.add("successor-injective", "{}", note="successor defined on the empty set")
+    seen_targets: dict = {}
+    for a, b in sm.items():
+        if a not in uset or b not in uset:
+            rep.add("successor-injective", a, b, note="successor pair outside the universe")
+        if b == EMPTY:
+            rep.add("successor-injective", a, note="successor maps into the empty set")
+        if b in seen_targets:
+            rep.add("successor-injective", seen_targets[b], a, b, note="successor not injective")
+        seen_targets[b] = a
+
+    under = (
+        _one_step_under
+        if mode == "literal"
+        else lambda a, b: ref_hereditary_under(a, b, U)
+    )
+    for a in U:
+        for b in U:
+            if a != b and under(a, b) and not tree.below(a, b):
+                rep.add("membership-order", a, b, note="membership/inclusion not reflected")
+
+    for a in U:
+        if a == EMPTY:
+            continue
+        for b in U:
+            if not tree.below(a, b) or ref_equiv(tree, a, b):
+                continue
+            x, reached = a, False
+            for _ in range(len(U) + 1):
+                if x not in sm:
+                    break
+                x = sm[x]
+                if ref_equiv(tree, x, b):
+                    reached = True
+                    break
+            if not reached:
+                rep.add("successor-reach", a, b, note="no successor iterate reaches the class")
+
+    rep.details["finite-downsets"] = "finite universe: all down-sets finite"
+    return rep
+
+
+def ref_lattice_join(fam: list[frozenset], lam: frozenset, mu: frozenset) -> Optional[frozenset]:
+    uppers = [s for s in fam if lam | mu <= s]
+    if not uppers:
+        return None
+    out = uppers[0]
+    for s in uppers[1:]:
+        out = out & s
+    return out
+
+
+def ref_elem_meet(tree: PivotalTree, a: Elem, b: Elem) -> Optional[Elem]:
+    down = [x for x in tree.universe if tree.below(x, a) and tree.below(x, b)]
+    for c in down:
+        if all(tree.below(y, c) for y in down):
+            return c
+    return None
+
+
+def ref_elem_join(tree: PivotalTree, a: Elem, b: Elem) -> Optional[Elem]:
+    ub = [z for z in tree.universe if tree.below(a, z) and tree.below(b, z)]
+    for c in ub:
+        if all(tree.below(c, z) for z in ub):
+            return c
+    return None
+
+
+def ref_validate_labeltree(tree: PivotalTree, mode: str = "literal") -> Report:
+    rep = Report("labeltree")
+    pre = ref_validate_pivotal(tree, mode)
+    if not pre.ok:
+        rep.add("pivotal", "precondition", note="pivotal-tree axioms fail")
+        rep.violations.extend(pre.violations)
+        return rep
+
+    U = tree.universe
+    labels = {a: label(tree, a) for a in U}
+    fam = label_family(tree)
+    famset = set(fam)
+
+    for lam in fam:
+        for mu in fam:
+            if lam & mu not in famset:
+                rep.add("label-meet-closed", format_elems(lam), format_elems(mu))
+            if ref_lattice_join(fam, lam, mu) is None:
+                rep.add("label-join-closed", format_elems(lam), format_elems(mu))
+            inter = lam & mu
+            if inter not in (lam, mu, labels[EMPTY]):
+                rep.add("meet-trichotomy", format_elems(lam), format_elems(mu))
+
+    for a, b in tree.le:
+        if not labels[a] <= labels[b]:
+            rep.add("label-monotone", a, b)
+
+    for a in U:
+        closure = frozenset().union(*(labels[x] for x in labels[a]))
+        if closure != labels[a]:
+            rep.add("label-closure", a, note="label not closed under member labels")
+
+    for a in U:
+        for b in U:
+            m = ref_elem_meet(tree, a, b)
+            if m is None:
+                rep.add("label-meet", a, b, note="no greatest common lower bound")
+            elif labels[m] != labels[a] & labels[b]:
+                rep.add("label-meet", a, b, m)
+            j = ref_elem_join(tree, a, b)
+            if j is None:
+                rep.add("label-join", a, b, note="no least common upper bound")
+            else:
+                lj = ref_lattice_join(fam, labels[a], labels[b])
+                if lj is None or labels[j] != lj:
+                    rep.add("label-join", a, b, j)
+
+    uset = set(U)
+    pair_labels = kuratowski_labels = 0
+    for a in U:
+        for b in U:
+            if elem_key(a) >= elem_key(b):
+                continue
+            sa, sb, sab = frozenset([a]), frozenset([b]), frozenset([a, b])
+            if sa in uset and sb in uset and sab in uset:
+                pair_labels += 1
+                want = ref_lattice_join(fam, labels[sa], labels[sb])
+                if labels[sab] != want:
+                    rep.add("pair-label", a, b)
+            ssa, ssb = frozenset([sa]), frozenset([sb])
+            kur = frozenset([sa, sab])
+            if ssa in uset and ssb in uset and kur in uset:
+                kuratowski_labels += 1
+                want = ref_lattice_join(fam, labels[ssa], labels[ssb])
+                if labels[kur] != want:
+                    rep.add("kuratowski-label", a, b)
+    rep.details["pair_label_instances"] = pair_labels
+    rep.details["kuratowski_instances"] = kuratowski_labels
+
+    order = sorted(fam, key=len)
+    for i, lam in enumerate(order):
+        for j in range(i):
+            if lam < order[j]:
+                rep.add("containment-order", format_elems(lam), format_elems(order[j]),
+                        note="size order does not extend strict containment")
+
+    index = {lam: i for i, lam in enumerate(order)}
+    for lam in fam:
+        cur, slices = lam, []
+        while True:
+            inside = [m for m in fam if m < cur]
+            if not inside:
+                slices.append(cur)
+                break
+            nxt = max(inside, key=lambda m: index[m])
+            slices.append(cur - nxt)
+            cur = nxt
+        union = frozenset().union(*slices) if slices else frozenset()
+        total = sum(len(s) for s in slices)
+        if union != lam or total != len(lam):
+            rep.add("slice-partition", format_elems(lam), note="slices do not partition the label")
+    return rep
+
+
+# Atoms, sets of rank 1 and 2 over them, and two elements that only ever
+# appear outside the universe.
+POOL: list = [EMPTY, 1, 2, 3, 4, frozenset([1]), frozenset([2]), frozenset([1, 2]),
+              frozenset([frozenset([1])]), frozenset([frozenset([2])]),
+              frozenset([1, frozenset([1])]), frozenset([frozenset([1]), frozenset([1, 2])]),
+              frozenset([3, 4])]
+OUTSIDE: list = [7, frozenset([8])]
+MODES = ("literal", "hereditary")
+
+
+@st.composite
+def arbitrary_trees(draw) -> PivotalTree:
+    """Anything a hand-built PivotalTree may hold: repeated elements, pairs
+    and successor pairs outside the universe, unclosed tables, partial maps."""
+    universe = draw(st.lists(st.sampled_from(POOL), max_size=8))
+    if universe and draw(st.booleans()):
+        universe.append(draw(st.sampled_from(universe)))  # a repeated element
+    if draw(st.integers(0, 5)):
+        universe.insert(draw(st.integers(0, len(universe))), EMPTY)
+    U = tuple(universe)
+    elems = st.sampled_from(list(U) + OUTSIDE) if U else st.sampled_from(OUTSIDE)
+    base = set(draw(st.lists(st.tuples(elems, elems), max_size=12)))
+    le = _closure(U, base) if draw(st.booleans()) else frozenset(base)
+    succ = tuple(draw(st.lists(st.tuples(elems, elems), max_size=6)))
+    return PivotalTree(U, le, succ)
+
+
+@st.composite
+def pivotal_trees(draw) -> PivotalTree:
+    """Trees that pass validate_pivotal in both modes, so the label-tree
+    identities themselves are checked: {} at the bottom, a top atom, every
+    one-step membership plus random extra pairs, closed, and a successor
+    thread along a linear extension."""
+    top = 100
+    rest = draw(st.lists(st.sampled_from(POOL[1:]), unique=True, max_size=9))
+    U = (EMPTY, *rest, top)
+    base = {(x, y) for x in U for y in U if x != y and _one_step_under(x, y)}
+    base |= {(x, top) for x in U}
+    base |= set(draw(st.lists(st.tuples(st.sampled_from(U), st.sampled_from(U)), max_size=6)))
+    le = _closure(U, base)
+    below = {x: sum(1 for y in U if (y, x) in le) for x in U}
+    thread = sorted(U[1:], key=lambda x: (below[x], elem_key(x)))
+    return PivotalTree(U, le, tuple(zip(thread, thread[1:])))
+
+
+class TestAgainstReference:
+    def test_standard_and_counterexamples(self):
+        trees = [TREE, counterexample_noninjective(), counterexample_unreachable(),
+                 counterexample_missing_membership()]
+        for tree in trees:
+            for mode in MODES:
+                assert validate_pivotal(tree, mode).to_json() == ref_validate_pivotal(tree, mode).to_json()
+                assert validate_labeltree(tree, mode).to_json() == ref_validate_labeltree(tree, mode).to_json()
+
+    @settings(max_examples=400, deadline=None)
+    @given(arbitrary_trees())
+    def test_arbitrary_instances(self, tree):
+        for mode in MODES:
+            assert validate_pivotal(tree, mode).to_json() == ref_validate_pivotal(tree, mode).to_json()
+            assert validate_labeltree(tree, mode).to_json() == ref_validate_labeltree(tree, mode).to_json()
+
+    @settings(max_examples=200, deadline=None)
+    @given(pivotal_trees())
+    def test_label_tree_witnesses(self, tree):
+        for mode in MODES:
+            assert validate_pivotal(tree, mode).ok
+            got = validate_labeltree(tree, mode).to_json()
+            assert got == ref_validate_labeltree(tree, mode).to_json()

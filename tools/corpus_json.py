@@ -13,11 +13,14 @@ script mode prints it.  Tail lines are skipped, since they may not end
 `Session` under the workload name `extra`: they reach field code the corpus
 does not (linear exponents of 2, rational powers of an alpha-monomial,
 `w`-powers read back as ordinals, `:mode_bb on`, dense powers, declared
-order, rational gammas, integer powers at the size budget).  The `:labelcheck`
-instance files are written to a temporary directory, which is the working
-directory while the lines run.  The library
-is imported from the `src/` of the checkout this script lives in, so running
-it in two checkouts and diffing the outputs shows every changed answer.
+order, rational gammas, integer powers and modulus factor searches at their
+budgets, rational roots of an alpha-monomial's coefficient), then
+`:labelcheck` in both modes on every instance file: the corpus files plus
+`EXTRA_INSTANCES`, whose label-tree, table and directedness checks fail, so
+the diff reaches the witness paths.  The instance files are written to a
+temporary directory, which is the working directory while the lines run.  The
+library is imported from the `src/` of the checkout this script lives in, so
+running it in two checkouts and diffing the outputs shows every changed answer.
 """
 
 from __future__ import annotations
@@ -43,7 +46,20 @@ EXTRA = [
     ":assert_order alpha^k < beta", ":assert_order beta < beth1",
     ":cmp beth1 - 2*beta 0", ":cmp 2*beta beth1", ":st alpha^5/(3*beta)",
     ":st (2*beth1+alpha)/(3*beth1+beta)", ":cmp (alpha^2+1)/(3*beta) 1/2",
+    ":st (2*alpha)^(1/2)", ":st (2*alpha)^(1/10000000)",
+    ":num mod(1099505336329,0)", ":num mod(10000000000037,0)",
 ]
+EXTRA_INSTANCES = {
+    # Pivotal, but the labels of 2 and 3 share 1 and neither holds the other,
+    # so meet trichotomy fails.
+    "branch.txt": "elem {} 1 2 3 {1,2,3}\nle 1 2\nle 1 3\n"
+    + "".join(f"le {x} {{1,2,3}}\n" for x in "123")
+    + "succ 1 2\nsucc 2 3\nsucc 3 {1,2,3}\n",
+    # Pairs with an end outside the universe.
+    "outside.txt": "elem {} 1 2\nle 7 1\nle 2 8\nsucc 1 2\n",
+    # No common upper bound for 2 and the others.
+    "undirected.txt": "elem {} 1 2 {1}\nle 1 {1}\nsucc 1 {1}\n",
+}
 
 
 def main() -> int:
@@ -68,16 +84,19 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         with open(os.path.join(work, "standard.txt"), "w", encoding="utf-8") as fh:
             fh.write(labtree.format_instance(labtree.standard_instance()))
-        for name, text in corpus.SMALL_INSTANCES.items():
+        instances = {**corpus.SMALL_INSTANCES, **EXTRA_INSTANCES}
+        for name, text in instances.items():
             with open(os.path.join(work, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
+        labelchecks = [f":labelcheck {name} {mode}" for name in ["standard.txt", *instances]
+                       for mode in ("literal", "hereditary")]
         here = os.getcwd()
         os.chdir(work)
         try:
             for workload in sorted(corpus.BLOCKS):
                 body, _, _ = corpus.generate(workload, SEED, BLOCKS)
                 replay(workload, [line.text for line in body])
-            replay("extra", EXTRA)
+            replay("extra", EXTRA + labelchecks)
         finally:
             os.chdir(here)
     return 0
