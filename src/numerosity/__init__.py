@@ -66,6 +66,7 @@ from .surreal import (
 from .labtree import (
     PivotalTree,
     check_comparison_map,
+    check_instance,
     check_counting_axioms,
     label,
     standard_instance,

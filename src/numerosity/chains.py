@@ -230,18 +230,38 @@ class CfComparison:
     reason: Optional[str] = None
 
 
-def _tail_certified(terms: tuple[CTerm, ...], n0: int) -> bool:
+def _chain_scale(m: int) -> tuple[int | float, float]:
+    """n(m) and ln n(m) as `_tail_certified` takes them, without building n(m)
+    beyond float range.
+
+    n(5) = 120^120 < 1e300 < n(6), so below m = 6 n(m) is exact.  From m = 6
+    on it stands as the clamp 1e300, with ln n(m) = m!*ln m!, itself clamped
+    to 1e300 once m! leaves float range (m > 170).  Neither stand-in exceeds
+    the true value or falls below 1e300 and ln(1e300), which only weakens
+    the certificate.
+    """
+    if m < 6:
+        n = chain_card(m)
+        return n, math.log(n)
+    if m > 170:
+        return 1e300, 1e300
+    f = math.factorial(m)
+    return 1e300, min(f * math.log(f), 1e300)
+
+
+def _tail_certified(terms: tuple[CTerm, ...], n0: int | float, ln_n0: float) -> bool:
     """Check that the lex-leading term outweighs the rest for every n >= n0.
 
     Ratios r_t = 2^(de*n) * n^dq against the leading term have (de, dq)
     lex-negative; each must be decreasing at n0 and their weighted sum < 1.
     Log arithmetic in floats is safe: the gaps at chain scale are enormous.
+    A chain size past float range comes clamped (see `_chain_scale`): a
+    smaller n0 (at least 1e300) in the decreasing test and the linear 2^n
+    part, or an ln_n0 between ln(1e300) and the true log, only makes a ratio
+    look larger past its peak, so the certificate stays sound.
     """
     c0, q0, _, e0 = terms[0]
-    # Clamping n0 in the linear (2^n) part only weakens the bound, so the
-    # certificate stays sound for chain sizes beyond float range.
-    n0f = float(min(n0, 10**300))
-    ln_n0 = math.log(n0)
+    n0f = float(n0)
     budget = 0.0
     for c, q, _, e in terms[1:]:
         de, dq = e - e0, q - q0
@@ -281,8 +301,8 @@ def cf_compare(f: CountingFn, g: CountingFn) -> CfComparison:
         )
     sign = signs.pop()
     for m in range(base, base + 9):
-        n0 = chain_card(m)
-        if all(_tail_certified(ts, n0) for ts in groups.values()):
+        n0, ln_n0 = _chain_scale(m)
+        if all(_tail_certified(ts, n0, ln_n0) for ts in groups.values()):
             return CfComparison(
                 Eventually.GREATER if sign > 0 else Eventually.LESS, m
             )

@@ -119,10 +119,7 @@ def eval_line(line: str, session: Session) -> dict:
         path, mode = parse_labelcheck(rest)
         with open(path, "r", encoding="utf-8") as fh:
             tree = labtree.parse_instance(fh.read())
-        pivotal = labtree.validate_pivotal(tree, mode)
-        reports = [pivotal]
-        if pivotal.ok:
-            reports.append(labtree.validate_labeltree(tree, mode))
+        reports = labtree.check_instance(tree, mode)
         record.update(value="[" + ", ".join(r.to_json() for r in reports) + "]")
     else:
         raise ParseError(0, f"a known command (got {verb!r})", line)

@@ -274,6 +274,11 @@ def alpha_power(q: Fraction) -> NumExpr:
 
 
 def nf_add(a: NumExpr, b: NumExpr) -> NumExpr:
+    d = a.den
+    if d == b.den:
+        # (a.num*d + b.num*d)/(d*d) with d factored out of the sum: the same
+        # term lists as the cross products, for one product instead of two.
+        return _make(_poly_mul(_poly_add(a.num, b.num), d), _poly_mul(d, d))
     return _make(_poly_add(_poly_mul(a.num, b.den), _poly_mul(b.num, a.den)),
                  _poly_mul(a.den, b.den))
 

@@ -148,15 +148,25 @@ def _member_reach(universe: tuple[Elem, ...], at: dict) -> dict:
     return reach
 
 
-def validate_pivotal(tree: PivotalTree, mode: str = "literal") -> Report:
-    """Exhaustive check of the pivotal-tree axioms; lists every violation.
+def check_instance(tree: PivotalTree, mode: str = "literal") -> list[Report]:
+    """The reports of `:labelcheck`: the pivotal axioms, then the label-tree
+    identities only when the axioms hold.  The table is read into masks once."""
+    masks = _masks(tree)
+    pivotal = _pivotal(tree, mode, masks)
+    return [pivotal, _labeltree(tree, masks)] if pivotal.ok else [pivotal]
 
-    Witnesses come in the order of the exhaustive loops over the table and
-    the universe; the set bits of a mask are read lowest position first.
-    """
+
+def validate_pivotal(tree: PivotalTree, mode: str = "literal") -> Report:
+    """Exhaustive check of the pivotal-tree axioms; lists every violation."""
+    return _pivotal(tree, mode, _masks(tree))
+
+
+def _pivotal(tree: PivotalTree, mode: str, masks: tuple[dict, dict, dict]) -> Report:
+    """Witnesses come in the order of the exhaustive loops over the table and
+    the universe; the set bits of a mask are read lowest position first."""
     rep = Report("pivotal")
     U = tree.universe
-    at, up, down = _masks(tree)
+    at, up, down = masks
     if EMPTY not in at:
         rep.add("bottom", "{}", note="empty set missing from the universe")
         return rep
@@ -237,24 +247,31 @@ def label_family(tree: PivotalTree) -> list[frozenset]:
 
 
 def validate_labeltree(tree: PivotalTree, mode: str = "literal") -> Report:
-    """Checks the seven label identities plus the slicing lemmas.
+    """Checks the seven label identities plus the slicing lemmas; on a tree
+    that fails the pivotal axioms, reports their violations as a precondition."""
+    masks = _masks(tree)
+    pre = _pivotal(tree, mode, masks)
+    if pre.ok:
+        return _labeltree(tree, masks)
+    rep = Report("labeltree")
+    rep.add("pivotal", "precondition", note="pivotal-tree axioms fail")
+    rep.violations.extend(pre.violations)
+    return rep
 
-    Once the pivotal axioms hold the table is a closed preorder, so the label
-    of x is the mask `down[x]` (see `_masks`) and the family is the set of
-    those masks, sorted as `label_family` sorts it.  A greatest lower bound
-    of a and b is an element whose label is `down[a] & down[b]`, so it exists
-    iff that mask is a label.  A least upper bound is an element whose up mask
-    is `up[a] & up[b]`; the first such position is the one a witness names.
+
+def _labeltree(tree: PivotalTree, masks: tuple[dict, dict, dict]) -> Report:
+    """The label-tree identities of a tree that passes the pivotal axioms.
+
+    The table is then a closed preorder, so the label of x is the mask
+    `down[x]` (see `_masks`) and the family is the set of those masks, sorted
+    as `label_family` sorts it.  A greatest lower bound of a and b is an
+    element whose label is `down[a] & down[b]`, so it exists iff that mask is
+    a label.  A least upper bound is an element whose up mask is
+    `up[a] & up[b]`; the first such position is the one a witness names.
     """
     rep = Report("labeltree")
-    pre = validate_pivotal(tree, mode)
-    if not pre.ok:
-        rep.add("pivotal", "precondition", note="pivotal-tree axioms fail")
-        rep.violations.extend(pre.violations)
-        return rep
-
     U = tree.universe
-    at, up, down = _masks(tree)
+    at, up, down = masks
     first = 0  # each element's lowest position: one bit per element
     for m in at.values():
         first |= m & -m

@@ -1,12 +1,21 @@
-"""Tokenizer and recursive-descent parsers for the calculator surface.
+"""Tokenizer and operator-precedence parsers for the calculator surface.
 
 Every argument the calculator reads is parsed here.  Three expression grammars
 share one tokenizer: numerosity expressions (field values), ordinal
 expressions (with distinct spellings for the Cantor operations), and set
 expressions.  Surreal operands, dyadic sets, label-tree elements and order
-assertions are small productions on the same token stream; `:sur` operands and
+assertions are small productions on the same tokens; `:sur` operands and
 `:labelcheck` paths are whitespace-separated words.  Every error carries the
 offending position, and recursion stops at MAX_NESTING levels.
+
+A line is tokenized whole, by one regex split, into a flat list of token texts
+and the whitespace before each; a column is computed from those only when an
+error reports it.  Productions read the list through a `_Line` cursor.  The
+left-associative operators of each grammar come from one table per grammar,
+folded by one loop (precedence climbing); a table names the function of
+`field`, `ordinals` or `sets` each operator calls, and the name is looked up
+on the module at call time, so a profiler or tracer that rebinds it sees
+every call.  Evaluation is eager and left to right.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from . import field, ordinals, sets, surreal
 from .field import Monomial, NumExpr
@@ -36,74 +45,68 @@ class ParseError(ValueError):
 # below the interpreter's recursion limit, parsing and evaluation together.
 MAX_NESTING = 64
 
-# One match per token: a natural number, an identifier, an operator (longest
-# spelling first), or any other visible character, which is an error.
-_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d]\w*)|(\^<>|\+\.|\*\.|><|[-+*/^|&\\()\[\]{},<=.])|(\S))")
-_KINDS = (None, "num", "ident", "op")
+# One match per token: a natural number, an identifier or an operator
+# (longest spelling first), captured in group 1, or any other visible
+# character, captured in group 2, which is an error.  Split on it, a line
+# alternates whitespace, token, stray character.
+_TOKEN = re.compile(r"(\d+|[^\W\d]\w*|\^<>|\+\.|\*\.|><|[-+*/^|&\\()\[\]{},<=.])|(\S)")
 
 
-class Token(NamedTuple):
-    kind: str  # 'num', 'ident', 'op', 'end'
-    text: str
-    pos: int
+def tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The token texts of a line, ending with "" at its end, and the
+    whitespace before each of them (one more entry: the trailing space)."""
+    parts = _TOKEN.split(text)
+    toks, gaps, strays = parts[1::3], parts[0::3], parts[2::3]
+    if any(strays):
+        k = next(k for k, s in enumerate(strays) if s)
+        raise ParseError(_column(toks, gaps, k), "a token", text)
+    toks.append("")
+    return toks, gaps
 
 
-def tokenize(text: str) -> list[Token]:
-    out: list[Token] = []
-    for m in _TOKEN.finditer(text):
-        k = m.lastindex
-        if k == 4:
-            raise ParseError(m.start(k), "a token", text)
-        out.append(Token(_KINDS[k], m.group(k), m.start(k)))
-    out.append(Token("end", "", len(text)))
-    return out
+def _column(toks: list[str], gaps: list[str], k: int) -> int:
+    """Where token k starts: the text before it is gaps and tokens in turn."""
+    return sum(map(len, gaps[:k + 1])) + sum(map(len, toks[:k]))
 
 
-class TokenStream:
+def _is_ident(tok: str) -> bool:
+    return (tok[:1].isalnum() or tok[:1] == "_") and not tok[:1].isdecimal()
+
+
+class _Line:
+    """A tokenized line, the index of the next token, and the nesting depth.
+
+    Productions read `toks[i]` directly and advance `i` themselves; `i` never
+    moves past the final "".  A natural-number token is one whose text
+    `isdecimal()`, as the tokenizer's `\\d+` matches exactly those.
+    """
+
+    __slots__ = ("text", "toks", "gaps", "i", "depth")
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokenize(text)
+        self.toks, self.gaps = tokenize(text)
         self.i = 0
         self.depth = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        if ahead:
-            return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
-        return self.tokens[self.i]  # next() never moves past the end token
 
-    def next(self) -> Token:
-        t = self.tokens[self.i]
-        if t.kind != "end":
-            self.i += 1
-        return t
+def _fail(p: _Line, expected: str, k: Optional[int] = None):
+    """Raise a ParseError at token k, by default the next one."""
+    k = p.i if k is None else k
+    raise ParseError(_column(p.toks, p.gaps, k), expected, p.text)
 
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text:
-            raise ParseError(t.pos, f"{text!r}", self.text)
-        return self.next()
 
-    def at(self, text: str) -> bool:
-        return self.tokens[self.i].text == text
+def _expect(p: _Line, tok: str) -> None:
+    if p.toks[p.i] != tok:
+        _fail(p, f"{tok!r}")
+    p.i += 1
 
-    def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
-            return True
-        return False
 
-    def done(self) -> bool:
-        return self.peek().kind == "end"
-
-    def fail(self, expected: str):
-        raise ParseError(self.peek().pos, expected, self.text)
-
-    def adjacent(self) -> bool:
-        """Next token starts exactly where the previous one ended."""
-        if self.i == 0:
-            return False
-        prev = self.tokens[self.i - 1]
-        return self.peek().pos == prev.pos + len(prev.text)
+def _accept(p: _Line, tok: str) -> bool:
+    if p.toks[p.i] == tok:
+        p.i += 1
+        return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -111,24 +114,24 @@ class TokenStream:
 # ---------------------------------------------------------------------------
 
 
-def _nested(ts: TokenStream, production: Callable, close: Optional[str]):
+def _nested(p: _Line, production: Callable, close: Optional[str]):
     """Run a recursive production one nesting level down, then expect `close` if given."""
-    if ts.depth >= MAX_NESTING:
-        ts.fail(f"at most {MAX_NESTING} levels of nesting")
-    ts.depth += 1
-    out = production(ts)
+    if p.depth >= MAX_NESTING:
+        _fail(p, f"at most {MAX_NESTING} levels of nesting")
+    p.depth += 1
+    out = production(p)
     if close:
-        ts.expect(close)
-    ts.depth -= 1
+        _expect(p, close)
+    p.depth -= 1
     return out
 
 
 def _whole(production: Callable, text: str, what: str):
     """Parse all of `text` with one production."""
-    ts = TokenStream(text)
-    out = production(ts)
-    if not ts.done():
-        ts.fail(f"end of {what}")
+    p = _Line(text)
+    out = production(p)
+    if p.toks[p.i]:
+        _fail(p, f"end of {what}")
     return out
 
 
@@ -137,283 +140,250 @@ def _words(text: str) -> list[tuple[int, str]]:
     return [(m.start(), m.group()) for m in re.finditer(r"\S+", text)]
 
 
-def parse_natural(ts: TokenStream) -> int:
-    t = ts.peek()
-    if t.kind != "num":
-        ts.fail("a natural number")
-    ts.next()
-    return int(t.text)
+def _natural(p: _Line) -> int:
+    tok = p.toks[p.i]
+    if not tok.isdecimal():
+        _fail(p, "a natural number")
+    p.i += 1
+    return int(tok)
 
 
-def parse_rational(ts: TokenStream) -> Fraction:
-    neg = ts.accept("-")
-    if ts.peek().kind != "num":
-        ts.fail("a number")
-    value = Fraction(parse_natural(ts))
-    if ts.at("/") and ts.peek(1).kind == "num":
-        ts.next()
-        value /= parse_natural(ts)
+def _rational(p: _Line) -> Fraction:
+    toks = p.toks
+    neg = _accept(p, "-")
+    if not toks[p.i].isdecimal():
+        _fail(p, "a number")
+    value = Fraction(_natural(p))
+    if toks[p.i] == "/" and toks[p.i + 1].isdecimal():
+        p.i += 1
+        value /= _natural(p)
     return -value if neg else value
 
 
-def _braced(ts: TokenStream, item: Callable) -> list:
+def _braced(p: _Line, item: Callable) -> list:
     """`{item, item, ...}`, possibly empty."""
-    ts.expect("{")
+    _expect(p, "{")
     out = []
-    if not ts.at("}"):
-        out.append(item(ts))
-        while ts.accept(","):
-            out.append(item(ts))
-    ts.expect("}")
+    if p.toks[p.i] != "}":
+        out.append(item(p))
+        while _accept(p, ","):
+            out.append(item(p))
+    _expect(p, "}")
     return out
+
+
+def _fold(p: _Line, module, ops: dict, operand: Callable, left, min_bp: int = 0):
+    """Fold the left-associative operators of one grammar onto `left`.
+
+    `ops` maps an operator to its binding power and the name of the function
+    of `module` it applies.  Operators binding at least `min_bp` are folded;
+    the right operand of one binding b takes only operators binding above b.
+    """
+    toks = p.toks
+    while True:
+        entry = ops.get(toks[p.i])
+        if entry is None or entry[0] < min_bp:
+            return left
+        bp, name = entry
+        p.i += 1
+        right = operand(p)
+        entry = ops.get(toks[p.i])
+        if entry is not None and entry[0] > bp:
+            right = _fold(p, module, ops, operand, right, bp + 1)
+        left = getattr(module, name)(left, right)
 
 
 # ---------------------------------------------------------------------------
 # Ordinal expressions: + and * natural, +. and *. Cantor, ^<> exponentiation
 # ---------------------------------------------------------------------------
 
-
-def parse_ordinal_expr(ts: TokenStream) -> Ord:
-    return _ord_sum(ts)
-
-
-def _ord_sum(ts: TokenStream) -> Ord:
-    left = _ord_product(ts)
-    while ts.at("+") or ts.at("+."):
-        op = ts.next().text
-        right = _ord_product(ts)
-        left = ordinals.natural_add(left, right) if op == "+" else ordinals.cantor_add(left, right)
-    return left
+_ORD_OPS = {"+": (0, "natural_add"), "+.": (0, "cantor_add"),
+            "*": (1, "natural_mul"), "*.": (1, "cantor_mul")}
 
 
-def _ord_product(ts: TokenStream) -> Ord:
-    left = _ord_power(ts)
-    while ts.at("*") or ts.at("*."):
-        op = ts.next().text
-        right = _ord_power(ts)
-        left = ordinals.natural_mul(left, right) if op == "*" else ordinals.cantor_mul(left, right)
-    return left
+def _ord_expr(p: _Line) -> Ord:
+    return _fold(p, ordinals, _ORD_OPS, _ord_power, _ord_power(p))
 
 
-def _ord_power(ts: TokenStream) -> Ord:
-    base = _ord_atom(ts)
-    if ts.accept("^<>") or ts.accept("^"):
-        return ordinals.ord_exp(base, _nested(ts, _ord_power, None))
+def _ord_power(p: _Line) -> Ord:
+    base = _ord_atom(p)
+    if p.toks[p.i] in ("^<>", "^"):
+        p.i += 1
+        return ordinals.ord_exp(base, _nested(p, _ord_power, None))
     return base
 
 
-def _ord_atom(ts: TokenStream) -> Ord:
-    if ts.accept("w"):
+def _ord_atom(p: _Line) -> Ord:
+    tok = p.toks[p.i]
+    if tok == "w":
+        p.i += 1
         return ordinals.OMEGA
-    if ts.peek().kind == "num":
-        return Ord.from_int(parse_natural(ts))
-    if ts.accept("("):
-        return _nested(ts, _ord_sum, ")")
-    ts.fail("an ordinal atom (w, a natural number, or parentheses)")
+    if tok.isdecimal():
+        p.i += 1
+        return Ord.from_int(int(tok))
+    if tok == "(":
+        p.i += 1
+        return _nested(p, _ord_expr, ")")
+    _fail(p, "an ordinal atom (w, a natural number, or parentheses)")
 
 
 def parse_ordinal(text: str) -> Ord:
-    return _whole(parse_ordinal_expr, text, "ordinal expression")
+    return _whole(_ord_expr, text, "ordinal expression")
 
 
 # ---------------------------------------------------------------------------
 # Numerosity expressions
 # ---------------------------------------------------------------------------
 
+_NF_OPS = {"+": (0, "nf_add"), "-": (0, "nf_sub"), "*": (1, "nf_mul"), "/": (1, "nf_div")}
+# Generator atoms, by the name of their `field` constant.
+_NF_GENERATORS = {"alpha": "ALPHA", "beta": "BETA", "beth1": "BETH1", "X": "X2W"}
 
-def parse_numexpr(ts: TokenStream) -> NumExpr:
-    return _nf_sum(ts)
 
-
-def _nf_sum(ts: TokenStream) -> NumExpr:
-    if ts.accept("-"):
-        left = field.nf_neg(_nf_product(ts))
+def _num_expr(p: _Line) -> NumExpr:
+    """A sum of products; a leading `-` negates the first product."""
+    if p.toks[p.i] == "-":
+        p.i += 1
+        first = field.nf_neg(_fold(p, field, _NF_OPS, _nf_power, _nf_power(p), 1))
     else:
-        left = _nf_product(ts)
-    while ts.at("+") or ts.at("-"):
-        op = ts.next().text
-        right = _nf_product(ts)
-        left = field.nf_add(left, right) if op == "+" else field.nf_sub(left, right)
-    return left
+        first = _nf_power(p)
+    return _fold(p, field, _NF_OPS, _nf_power, first)
 
 
-def _nf_product(ts: TokenStream) -> NumExpr:
-    left = _nf_power(ts)
-    while ts.at("*") or ts.at("/"):
-        op = ts.next().text
-        right = _nf_power(ts)
-        left = field.nf_mul(left, right) if op == "*" else field.nf_div(left, right)
-    return left
-
-
-def _nf_power(ts: TokenStream) -> NumExpr:
-    base = _nf_atom(ts)
-    if ts.accept("^"):
-        return field.nf_pow(base, _nested(ts, _nf_power, None))
+def _nf_power(p: _Line) -> NumExpr:
+    base = _nf_atom(p)
+    if p.toks[p.i] == "^":
+        p.i += 1
+        return field.nf_pow(base, _nested(p, _nf_power, None))
     return base
 
 
-def _nf_atom(ts: TokenStream) -> NumExpr:
-    t = ts.peek()
-    if t.kind == "num":
-        return field.from_rational(parse_natural(ts))
-    if t.text == "w":
-        ts.next()
-        if ts.accept("^"):
-            return field.omega_power(_ord_atom(ts))
+def _nf_atom(p: _Line) -> NumExpr:
+    tok = p.toks[p.i]
+    if tok.isdecimal():
+        p.i += 1
+        return field.from_rational(int(tok))
+    if tok in _NF_GENERATORS:
+        p.i += 1
+        return getattr(field, _NF_GENERATORS[tok])
+    if tok == "w":
+        p.i += 1
+        if p.toks[p.i] == "^":
+            p.i += 1
+            return field.omega_power(_ord_atom(p))
         return field.OMEGA_NF
-    if t.text == "alpha":
-        ts.next()
-        return field.ALPHA
-    if t.text == "beta":
-        ts.next()
-        return field.BETA
-    if t.text == "beth1":
-        ts.next()
-        return field.BETH1
-    if t.text == "X":
-        ts.next()
-        return field.X2W
-    if t.text == "num":
-        ts.next()
-        ts.expect("(")
-        return sets.num(_nested(ts, parse_setexpr, ")"))
-    if ts.accept("("):
-        return _nested(ts, _nf_sum, ")")
-    ts.fail("a numerosity atom")
+    if tok == "num":
+        p.i += 1
+        _expect(p, "(")
+        return sets.num(_nested(p, _set_expr, ")"))
+    if tok == "(":
+        p.i += 1
+        return _nested(p, _num_expr, ")")
+    _fail(p, "a numerosity atom")
 
 
 def parse_num(text: str) -> NumExpr:
-    return _whole(parse_numexpr, text, "expression")
+    return _whole(_num_expr, text, "expression")
 
 
 # ---------------------------------------------------------------------------
 # Set expressions: | union, & intersection, \ difference, >< product
 # ---------------------------------------------------------------------------
 
-
-def parse_setexpr(ts: TokenStream) -> sets.SetExpr:
-    return _set_union(ts)
+_SET_OPS = {"|": (0, "Union_"), "&": (1, "Inter"), "\\": (1, "Diff"), "><": (2, "Prod")}
 
 
-def _set_union(ts: TokenStream) -> sets.SetExpr:
-    left = _set_inter(ts)
-    while ts.accept("|"):
-        left = sets.Union_(left, _set_inter(ts))
-    return left
+def _set_expr(p: _Line) -> sets.SetExpr:
+    return _fold(p, sets, _SET_OPS, _set_atom, _set_atom(p))
 
 
-def _set_inter(ts: TokenStream) -> sets.SetExpr:
-    left = _set_prod(ts)
-    while ts.at("&") or ts.at("\\"):
-        op = ts.next().text
-        right = _set_prod(ts)
-        left = sets.Inter(left, right) if op == "&" else sets.Diff(left, right)
-    return left
+def _adjacent(p: _Line, tok: str) -> bool:
+    """The next token is `tok`, with no space before it: `N+`, `Q(`, `R[`."""
+    if p.toks[p.i] == tok and not p.gaps[p.i]:
+        p.i += 1
+        return True
+    return False
 
 
-def _set_prod(ts: TokenStream) -> sets.SetExpr:
-    left = _set_atom(ts)
-    while ts.accept("><"):
-        left = sets.Prod(left, _set_atom(ts))
-    return left
+def _interval(p: _Line, close: str) -> tuple[Fraction, Fraction]:
+    lo = _rational(p)
+    _expect(p, ",")
+    hi = _rational(p)
+    _expect(p, close)
+    return lo, hi
 
 
-def _set_atom(ts: TokenStream) -> sets.SetExpr:
-    t = ts.peek()
-    if t.text == "N":
-        ts.next()
-        if ts.at("+") and ts.adjacent():
-            ts.next()
-            return sets.NatPos()
-        return sets.NatAll()
-    if t.text == "Q":
-        ts.next()
-        if ts.at("+") and ts.adjacent():
-            ts.next()
+_SET_ATOMS = frozenset(("N", "Q", "R", "fin", "mod", "pow", "Pfin", "shift", "maps", "[", "("))
+
+
+def _set_atom(p: _Line) -> sets.SetExpr:
+    tok = p.toks[p.i]
+    if tok not in _SET_ATOMS:
+        _fail(p, "a set expression")
+    p.i += 1
+    if tok == "N":
+        return sets.NatPos() if _adjacent(p, "+") else sets.NatAll()
+    if tok == "Q":
+        if _adjacent(p, "+"):
             return sets.QPos()
-        if ts.at("(") and ts.adjacent():
-            ts.next()
-            p = parse_rational(ts)
-            ts.expect(",")
-            q = parse_rational(ts)
-            ts.expect("]")
-            return sets.QInterval(p, q)
+        if _adjacent(p, "("):
+            return sets.QInterval(*_interval(p, "]"))
         return sets.QAll()
-    if t.text == "R":
-        ts.next()
-        if ts.at("+") and ts.adjacent():
-            ts.next()
+    if tok == "R":
+        if _adjacent(p, "+"):
             return sets.RPos()
-        if ts.at("[") and ts.adjacent():
-            ts.next()
-            p = parse_rational(ts)
-            ts.expect(",")
-            q = parse_rational(ts)
-            ts.expect(")")
-            return sets.RInterval(p, q)
+        if _adjacent(p, "["):
+            return sets.RInterval(*_interval(p, ")"))
         return sets.RAll()
-    if t.text == "fin":
-        ts.next()
-        return sets.FinSet(frozenset(_braced(ts, parse_natural)))
-    if t.text == "mod":
-        ts.next()
-        ts.expect("(")
-        p = parse_natural(ts)
-        ts.expect(",")
-        i = parse_natural(ts)
-        ts.expect(")")
-        return sets.Mod(p, i)
-    if t.text == "pow":
-        ts.next()
-        ts.expect("(")
-        p = parse_natural(ts)
-        ts.expect(")")
-        return sets.Pow(p)
-    if t.text == "Pfin":
-        ts.next()
-        ts.expect("(")
-        ts.expect("N")
-        ts.expect(")")
+    if tok == "fin":
+        return sets.FinSet(frozenset(_braced(p, _natural)))
+    if tok == "mod":
+        _expect(p, "(")
+        m = _natural(p)
+        _expect(p, ",")
+        i = _natural(p)
+        _expect(p, ")")
+        return sets.Mod(m, i)
+    if tok == "pow":
+        _expect(p, "(")
+        k = _natural(p)
+        _expect(p, ")")
+        return sets.Pow(k)
+    if tok == "Pfin":
+        for want in ("(", "N", ")"):
+            _expect(p, want)
         return sets.PfinN()
-    if t.text == "shift":
-        ts.next()
-        ts.expect("(")
-        q = parse_rational(ts)
-        ts.expect(",")
-        return sets.Shift(q, _nested(ts, parse_setexpr, ")"))
-    if t.text == "maps":
-        ts.next()
-        ts.expect("(")
-        k = parse_natural(ts)
-        ts.expect(",")
-        return sets.FinMapsInto(k, _nested(ts, parse_setexpr, ")"))
-    if t.text == "[":
-        ts.next()
-        ts.expect("0")
-        ts.expect(",")
-        ts.expect("1")
-        ts.expect("]")
+    if tok == "[":
+        for want in ("0", ",", "1", "]"):
+            _expect(p, want)
         return sets.UnitInterval01()
-    if ts.accept("("):
-        return _nested(ts, _set_union, ")")
-    ts.fail("a set expression")
+    if tok == "shift":
+        _expect(p, "(")
+        q = _rational(p)
+        _expect(p, ",")
+        return sets.Shift(q, _nested(p, _set_expr, ")"))
+    if tok == "maps":
+        _expect(p, "(")
+        k = _natural(p)
+        _expect(p, ",")
+        return sets.FinMapsInto(k, _nested(p, _set_expr, ")"))
+    return _nested(p, _set_expr, ")")
 
 
 def parse_set(text: str) -> sets.SetExpr:
-    return _whole(parse_setexpr, text, "set expression")
+    return _whole(_set_expr, text, "set expression")
 
 
 def parse_measure(text: str) -> tuple[sets.SetExpr, NumExpr]:
     """`SET GAMMA`: the arguments of `:measure`."""
-    return _whole(lambda ts: (parse_setexpr(ts), parse_numexpr(ts)), text, "expression")
+    return _whole(lambda p: (_set_expr(p), _num_expr(p)), text, "expression")
 
 
 # ---------------------------------------------------------------------------
 # Comparisons: two numerosity, ordinal, or surreal operands
 # ---------------------------------------------------------------------------
 
-_CANTOR_OPS = ("+.", "*.", "^<>")
+_CANTOR_OPS = frozenset(("+.", "*.", "^<>"))
 
 
 def _is_sign_word(word: str) -> bool:
@@ -430,13 +400,13 @@ def parse_comparands(text: str) -> tuple:
     words = text.split()
     if len(words) == 2 and all(_is_sign_word(w) for w in words):
         return parse_surreal_operand(words[0]), parse_surreal_operand(words[1])
-    ts = TokenStream(text)
-    if any(t.text in _CANTOR_OPS for t in ts.tokens):
-        pair, what = (parse_ordinal_expr(ts), parse_ordinal_expr(ts)), "ordinal comparison"
+    p = _Line(text)
+    if _CANTOR_OPS.isdisjoint(p.toks):
+        pair, what = (_num_expr(p), _num_expr(p)), "comparison"
     else:
-        pair, what = (parse_numexpr(ts), parse_numexpr(ts)), "comparison"
-    if not ts.done():
-        ts.fail(f"end of {what}")
+        pair, what = (_ord_expr(p), _ord_expr(p)), "ordinal comparison"
+    if p.toks[p.i]:
+        _fail(p, f"end of {what}")
     return pair
 
 
@@ -444,37 +414,42 @@ def parse_comparands(text: str) -> tuple:
 # Surreal operands and dyadic sets
 # ---------------------------------------------------------------------------
 
-# Operator words name `surreal` functions, looked up at call time so that a
-# profiler or tracer that rebinds them sees every call.
+# Operator words name `surreal` functions, looked up at call time like the
+# operator tables above.
 _SUR_OPS = {"+": "s_add", "-": "s_sub", "*": "s_mul"}
 
 
-def _dyadic_literal(ts: TokenStream) -> Fraction:
+def _dyadic_literal(p: _Line) -> Fraction:
     """`n`, `-n`, `p/q` or `p/q^k`."""
-    neg = ts.accept("-")
-    value = Fraction(parse_natural(ts))
-    if ts.accept("/"):
-        den = parse_natural(ts)
-        if ts.accept("^"):
-            den **= parse_natural(ts)
+    neg = _accept(p, "-")
+    value = Fraction(_natural(p))
+    if _accept(p, "/"):
+        den = _natural(p)
+        if _accept(p, "^"):
+            den **= _natural(p)
         value /= den
     return -value if neg else value
 
 
-def _sur_operand(ts: TokenStream) -> surreal.SignExpansion:
-    if ts.accept("plus"):
-        ts.expect("(")
-        return surreal.ordinal_plus(_nested(ts, _ord_sum, ")"))
-    if ts.peek().kind == "num" or (ts.at("-") and ts.peek(1).kind == "num"):
-        return surreal.se_from_dyadic(_dyadic_literal(ts))
-    if ts.accept("("):
-        ts.expect(")")
+def _sur_operand(p: _Line) -> surreal.SignExpansion:
+    toks = p.toks
+    tok = toks[p.i]
+    if tok == "plus":
+        p.i += 1
+        _expect(p, "(")
+        return surreal.ordinal_plus(_nested(p, _ord_expr, ")"))
+    if tok.isdecimal() or (tok == "-" and toks[p.i + 1].isdecimal()):
+        return surreal.se_from_dyadic(_dyadic_literal(p))
+    if tok == "(":
+        p.i += 1
+        _expect(p, ")")
         return surreal.ZERO_SE
     signs = []
-    while ts.at("+") or ts.at("-"):
-        signs.append(1 if ts.next().text == "+" else -1)
+    while toks[p.i] in ("+", "-"):
+        signs.append(1 if toks[p.i] == "+" else -1)
+        p.i += 1
     if not signs:
-        ts.fail("a surreal operand")
+        _fail(p, "a surreal operand")
     return surreal.finite(signs)
 
 
@@ -497,8 +472,8 @@ def parse_surreal(text: str) -> surreal.SignExpansion:
     return acc
 
 
-def _dyadic(ts: TokenStream) -> Fraction:
-    q = parse_rational(ts)
+def _dyadic(p: _Line) -> Fraction:
+    q = _rational(p)
     if not surreal.is_dyadic(q):
         raise ParseError(0, f"a dyadic rational (got {q})", str(q))
     return q
@@ -506,7 +481,7 @@ def _dyadic(ts: TokenStream) -> Fraction:
 
 def parse_dyadic_sets(text: str) -> tuple[list[Fraction], list[Fraction]]:
     """`{d, ...} {d, ...}`: the left and right sets of `:simplest`."""
-    return _whole(lambda ts: (_braced(ts, _dyadic), _braced(ts, _dyadic)), text, "dyadic sets")
+    return _whole(lambda p: (_braced(p, _dyadic), _braced(p, _dyadic)), text, "dyadic sets")
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +489,11 @@ def parse_dyadic_sets(text: str) -> tuple[list[Fraction], list[Fraction]]:
 # ---------------------------------------------------------------------------
 
 
-def _elem(ts: TokenStream):
-    if ts.at("{"):
-        return frozenset(_nested(ts, lambda s: _braced(s, _elem), None))
-    neg = ts.accept("-")
-    n = parse_natural(ts)
+def _elem(p: _Line):
+    if p.toks[p.i] == "{":
+        return frozenset(_nested(p, lambda q: _braced(q, _elem), None))
+    neg = _accept(p, "-")
+    n = _natural(p)
     return -n if neg else n
 
 
@@ -562,7 +537,7 @@ class OrderAssertion:
     rhs: Monomial
 
 
-def _parse_monomial(ts: TokenStream) -> tuple[Optional[Monomial], bool]:
+def _parse_monomial(p: _Line) -> tuple[Optional[Monomial], bool]:
     """One monomial; returns (monomial, saw_universal_alpha_power).
 
     alpha^k with an identifier k, for every alpha power, stands alone.
@@ -570,52 +545,53 @@ def _parse_monomial(ts: TokenStream) -> tuple[Optional[Monomial], bool]:
     exponents; either may be parenthesised.  w takes an infinite ordinal
     exponent with no finite part, in parentheses.
     """
-    if ts.at("alpha") and ts.peek(1).text == "^" and ts.peek(2).kind == "ident":
-        for _ in range(3):  # alpha ^ k
-            ts.next()
-        if ts.at("*"):
-            ts.fail("alpha^k standing alone, with no other factor")
+    toks = p.toks
+    if toks[p.i] == "alpha" and toks[p.i + 1] == "^" and _is_ident(toks[p.i + 2]):
+        p.i += 3  # alpha ^ k
+        if toks[p.i] == "*":
+            _fail(p, "alpha^k standing alone, with no other factor")
         return None, True
     alpha = Fraction(0)
     naturals = {"beta": 0, "beth1": 0, "X": 0}
     omega = ordinals.ZERO
     while True:
-        t = ts.peek()
-        if t.text not in ("alpha", "beta", "beth1", "X", "w"):
+        tok = toks[p.i]
+        if tok not in ("alpha", "beta", "beth1", "X", "w"):
             break
-        ts.next()
-        if t.text == "w":
-            if not (ts.accept("^") and ts.accept("(")):
-                ts.fail("w requires an ordinal exponent in order assertions")
-            pos = ts.peek().pos
-            g = _nested(ts, _ord_sum, ")")
+        p.i += 1
+        if tok == "w":
+            for want in ("^", "("):
+                if not _accept(p, want):
+                    _fail(p, "w requires an ordinal exponent in order assertions")
+            start = p.i
+            g = _nested(p, _ord_expr, ")")
             if g.is_finite() or g.finite_part():
-                raise ParseError(pos, "an infinite w exponent with no finite part", ts.text)
+                _fail(p, "an infinite w exponent with no finite part", start)
             omega = ordinals.natural_add(omega, g)
-        elif t.text == "alpha":
-            alpha += _exponent(ts, parse_rational) if ts.accept("^") else 1
+        elif tok == "alpha":
+            alpha += _exponent(p, _rational) if _accept(p, "^") else 1
         else:
-            naturals[t.text] += _exponent(ts, parse_natural) if ts.accept("^") else 1
-        if not ts.accept("*"):
+            naturals[tok] += _exponent(p, _natural) if _accept(p, "^") else 1
+        if not _accept(p, "*"):
             break
     m = Monomial(alpha, naturals["beta"], naturals["beth1"], naturals["X"], omega.terms)
     return m, False
 
 
-def _exponent(ts: TokenStream, production: Callable):
+def _exponent(p: _Line, production: Callable):
     """A generator's exponent after `^`: bare, or in parentheses."""
-    if ts.accept("("):
-        return _nested(ts, production, ")")
-    return production(ts)
+    if _accept(p, "("):
+        return _nested(p, production, ")")
+    return production(p)
 
 
 def parse_order_assertion(text: str) -> OrderAssertion:
-    ts = TokenStream(text)
-    lhs, universal = _parse_monomial(ts)
-    ts.expect("<")
-    rhs, runi = _parse_monomial(ts)
+    p = _Line(text)
+    lhs, universal = _parse_monomial(p)
+    _expect(p, "<")
+    rhs, runi = _parse_monomial(p)
     if runi or rhs is None:
-        ts.fail("a concrete monomial on the right")
-    if not ts.done():
-        ts.fail("end of assertion")
+        _fail(p, "a concrete monomial on the right")
+    if p.toks[p.i]:
+        _fail(p, "end of assertion")
     return OrderAssertion(universal, lhs, rhs)

@@ -2,21 +2,28 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numerosity import field
 from numerosity.cli import Session, run_line
 from numerosity.chains import (
+    CfComparison,
     ChainKind,
     CountingFn,
     Eventually,
     IndexTooLarge,
     NonIntegral,
     XFreeRequired,
+    _chain_scale,
+    _tail_certified,
+    _x_groups,
     cf_compare,
     cf_eval,
     chain_card,
@@ -192,3 +199,89 @@ class TestLimit:
             if cf_compare(f, CountingFn.constant(0)).kind == Eventually.GREATER:
                 c = field.nf_cmp(lambda_limit(f), field.ZERO)
                 assert c.kind == field.GREATER
+
+
+# -- reference: the comparison that built n(m) = m!^(m!) at every index --------
+# Kept verbatim, except that the reference loop stops after m = 8 (n(9) takes
+# about a second to build and n(10) does not finish) and then answers None.
+
+
+def ref_tail_certified(terms, n0):
+    c0, q0, _, e0 = terms[0]
+    n0f = float(min(n0, 10**300))
+    ln_n0 = math.log(n0)
+    budget = 0.0
+    for c, q, _, e in terms[1:]:
+        de, dq = e - e0, q - q0
+        if de > 0 or (de == 0 and dq >= 0):
+            return False
+        if de < 0:
+            if dq > 0 and n0 < float(dq) / (-de * math.log(2)):
+                return False
+        log_ratio = de * n0f * math.log(2) + float(dq) * ln_n0
+        budget += abs(float(c) / float(c0)) * math.exp(min(log_ratio, 0.0))
+        if budget >= 0.5:
+            return False
+    return True
+
+
+REF_LAST_INDEX = 8
+
+
+def ref_cf_compare(f, g):
+    h = f - g
+    base = max(f.m0, g.m0)
+    if h.is_zero():
+        return CfComparison(Eventually.EQUAL, base)
+    groups = _x_groups(h)
+    signs = set()
+    for ts in groups.values():
+        signs.add(1 if ts[0][0] > 0 else -1)
+    if len(signs) != 1:
+        return CfComparison(
+            Eventually.UNKNOWN,
+            reason="mixed signs across seed-size degrees; no cone decides",
+        )
+    sign = signs.pop()
+    for m in range(base, base + 9):
+        if m > REF_LAST_INDEX:
+            return None
+        n0 = chain_card(m)
+        if all(ref_tail_certified(ts, n0) for ts in groups.values()):
+            return CfComparison(
+                Eventually.GREATER if sign > 0 else Eventually.LESS, m
+            )
+    return CfComparison(Eventually.UNKNOWN, reason="no certified threshold found")
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+counting_fns = st.builds(
+    CountingFn.make,
+    st.lists(st.tuples(_small.filter(bool), _small, st.integers(0, 1), st.integers(0, 1)),
+             min_size=1, max_size=3),
+    st.integers(1, REF_LAST_INDEX),
+)
+
+
+class TestCompareWithoutChainSizes:
+    @settings(max_examples=200, deadline=None)
+    @given(counting_fns, counting_fns)
+    def test_matches_exact_chain_sizes(self, f, g):
+        got, want = cf_compare(f, g), ref_cf_compare(f, g)
+        if want is None:  # the reference would need n(9) or later
+            assert got.kind is Eventually.UNKNOWN or got.m0 > REF_LAST_INDEX
+        else:
+            assert (got.kind, got.m0) == (want.kind, want.m0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(counting_fns, st.integers(1, REF_LAST_INDEX))
+    def test_tail_certificate_at_each_index(self, f, m):
+        for ts in _x_groups(f).values():
+            assert _tail_certified(ts, *_chain_scale(m)) == ref_tail_certified(ts, chain_card(m))
+
+    @pytest.mark.parametrize("m0", [9, 10, 11, 171, 10**6])
+    def test_large_threshold_ends(self, m0):
+        start = time.perf_counter()
+        c = cf_compare(CountingFn.monomial(1, 1, m0=m0), CountingFn.monomial(1, 0, m0=1))
+        assert time.perf_counter() - start < 0.1
+        assert (c.kind, c.m0) == (Eventually.GREATER, m0)

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from numerosity import field
@@ -557,6 +557,44 @@ class TestIntegerCoefficients:
         assert (x.num, x.den) == (((1, Monomial(alpha=1)), (3, field.UNIT)), ((6, field.UNIT),))
         assert field.format_numexpr(x) == "1/6*alpha + 1/2"
         assert x.as_rational() is None and nf_div(q(3), q(6)).as_rational() == F(1, 2)
+
+
+@st.composite
+def shared_denominator_pairs(draw):
+    """Two stored NumExprs over one non-constant denominator with lead 1."""
+    coeff = st.integers(-4, 4).filter(bool)
+
+    def terms(size):
+        return field._sort_terms({draw(monomials(signed=False)): draw(coeff) for _ in range(size)})
+
+    den = terms(draw(st.integers(1, 3)))
+    assume(den and den[0][1] != field.UNIT)
+    den = ((1, den[0][1]),) + den[1:]
+    # A unit term on one side or the other keeps the joint content trivial.
+    unit = ((draw(coeff), field.UNIT),)
+    if den[-1][1] != field.UNIT and draw(st.booleans()):
+        den += unit
+    pair = []
+    for _ in range(2):
+        num = field._poly_add(terms(draw(st.integers(1, 3))), () if den[-1][1] == field.UNIT else unit)
+        assume(num and num != den)
+        pair.append(field._make(num, den))
+    assume(pair[0].den == pair[1].den == den)
+    return pair
+
+
+class TestSharedDenominatorSums:
+    @settings(max_examples=80, deadline=None)
+    @given(shared_denominator_pairs())
+    def test_matches_cross_multiplied_reference(self, pair):
+        a, b = pair
+        ra, rb = monic(a), monic(b)
+        for got, want in ((nf_add(a, b), ref_add(ra, rb)), (nf_sub(a, b), ref_sub(ra, rb))):
+            _check_stored_terms(got)
+            assert monic(got) == want
+        P = field._poly_mul
+        cross = field._make(field._poly_add(P(a.num, b.den), P(b.num, a.den)), P(a.den, b.den))
+        assert nf_add(a, b) == cross
 
 
 class TestPowerBudget:

@@ -18,6 +18,7 @@ from numerosity.labtree import (
     _closure,
     _one_step_under,
     check_comparison_map,
+    check_instance,
     check_counting_axioms,
     counterexample_missing_membership,
     counterexample_noninjective,
@@ -488,3 +489,28 @@ class TestAgainstReference:
             assert validate_pivotal(tree, mode).ok
             got = validate_labeltree(tree, mode).to_json()
             assert got == ref_validate_labeltree(tree, mode).to_json()
+
+
+def _labelcheck_reference(tree, mode):
+    """`:labelcheck` as the calculator composed it: the label-tree report
+    only on a pivotal instance, its validator re-checking the axioms."""
+    pivotal = ref_validate_pivotal(tree, mode)
+    return [pivotal] + ([ref_validate_labeltree(tree, mode)] if pivotal.ok else [])
+
+
+class TestCheckInstance:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(arbitrary_trees(), pivotal_trees()))
+    def test_reports_match_the_two_validators(self, tree):
+        for mode in MODES:
+            got = [r.to_json() for r in check_instance(tree, mode)]
+            assert got == [r.to_json() for r in _labelcheck_reference(tree, mode)]
+
+    def test_pivotal_axioms_checked_once(self, monkeypatch):
+        from numerosity import labtree
+        calls = []
+        real = labtree._pivotal
+        monkeypatch.setattr(labtree, "_pivotal", lambda *args: calls.append(1) or real(*args))
+        assert [r.ok for r in check_instance(TREE)] == [True, True]
+        assert [r.ok for r in check_instance(counterexample_noninjective())] == [False]
+        assert len(calls) == 2

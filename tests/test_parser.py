@@ -1,0 +1,226 @@
+"""The flat-token parser against the recursive-descent reference in `ref_parser`.
+
+Both parse the same argument text with the entry point the calculator uses
+for its verb; they must return values with the same repr (NumExpr term lists
+compared exactly) or raise the same exception with the same text, which for
+a ParseError includes the column and the caret line.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ref_parser as ref
+from numerosity import cli, field, ordinals, sets
+from numerosity import parser as new
+from test_cli import MALFORMED_LINES
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+import corpus  # noqa: E402
+
+# The parser each verb hands its argument text to (see `cli.eval_line`), and
+# the label-tree element parser that instance files use.
+ENTRIES = {
+    ":num": "parse_set", ":st": "parse_num", ":cmp": "parse_comparands",
+    ":measure": "parse_measure", ":ord": "parse_ordinal", ":sur": "parse_surreal",
+    ":simplest": "parse_dyadic_sets", ":labelcheck": "parse_labelcheck",
+    ":assert_order": "parse_order_assertion", ":mode_bb": "parse_switch",
+    ":elem": "parse_elem",
+}
+
+
+def _shape(value):
+    if isinstance(value, tuple):
+        return tuple(map(_shape, value))
+    if isinstance(value, field.NumExpr):
+        return value.num, value.den
+    return repr(value)
+
+
+def outcome(module, verb: str, rest: str):
+    try:
+        return "value", _shape(getattr(module, ENTRIES[verb])(rest))
+    except Exception as exc:  # a ParseError, or an evaluation error while parsing
+        return type(exc).__name__, str(exc)
+
+
+def assert_same(line: str) -> None:
+    verb, _, rest = line.strip().partition(" ")
+    if verb not in ENTRIES:
+        verb = ":st"
+    rest = rest.strip()
+    assert outcome(new, verb, rest) == outcome(ref, verb, rest), line
+
+
+# -- generated lines ----------------------------------------------------------
+
+SPACE = st.sampled_from(["", "", " ", "  ", "\t"])
+JUNK = st.sampled_from(["$", ">", "<", "^", ".", "@", "-", ",", ")", "(", "]", "{", "k", "0"])
+
+
+def _joined(*parts):
+    """Parts joined by drawn whitespace."""
+    return st.tuples(*[x for p in parts for x in (SPACE, p)]).map("".join)
+
+
+def _binary(operand, ops):
+    return st.tuples(operand, st.lists(st.tuples(SPACE, st.sampled_from(ops), SPACE, operand),
+                                        max_size=2)).map(
+        lambda t: t[0] + "".join("".join(x) for x in t[1]))
+
+
+def _parens(inner):
+    return _joined(st.just("("), inner, st.just(")"))
+
+
+# Powers take small exponents or bases whose powers stay small (w, 2, and
+# exponents of 2 that are linear in alpha), so no drawn line spends seconds
+# in dense polynomial or ordinal arithmetic; every operator still occurs.
+SMALL = st.integers(0, 5).map(str)
+RATIONAL = st.one_of(SMALL, st.tuples(st.sampled_from(["", "-"]), SMALL, SMALL).map(
+    lambda t: f"{t[0]}{t[1]}/{t[2]}"))
+ORD = st.recursive(
+    st.one_of(st.just("w"), SMALL),
+    lambda inner: st.one_of(
+        _binary(inner, ["+", "*", "+.", "*."]), _parens(inner),
+        _joined(st.sampled_from(["w", "2"]), st.sampled_from(["^", "^<>"]), _parens(inner)),
+        _joined(_parens(inner), st.sampled_from(["^", "^<>"]), st.sampled_from(["0", "2", "3", "w"])),
+    ),
+    max_leaves=8,
+)
+SET_ATOM = st.one_of(
+    st.sampled_from(["N", "N+", "N +", "Q", "Q+", "R", "R+", "R +", "[0,1]", "[0, 1]", "Pfin(N)",
+                     "Pfin(Q)", "mod(3,", "fin{}", "Q (0,1]"]),
+    st.tuples(st.integers(1, 7), st.integers(0, 8)).map(lambda t: f"mod({t[0]},{t[1]})"),
+    SMALL.map(lambda k: f"pow({k})"),
+    st.lists(SMALL, max_size=3).map(lambda xs: "fin{" + ",".join(xs) + "}"),
+    st.tuples(RATIONAL, RATIONAL).map(lambda t: f"Q({t[0]},{t[1]}]"),
+    st.tuples(RATIONAL, RATIONAL).map(lambda t: f"R[{t[0]},{t[1]})"),
+)
+SET = st.recursive(
+    SET_ATOM,
+    lambda inner: st.one_of(
+        _binary(inner, ["|", "&", "\\", "><"]),
+        _joined(st.just("("), inner, st.just(")")),
+        st.tuples(RATIONAL, inner).map(lambda t: f"shift({t[0]}, {t[1]})"),
+        st.tuples(st.integers(1, 3), inner).map(lambda t: f"maps({t[0]}, {t[1]})"),
+    ),
+    max_leaves=6,
+)
+NUM_ATOM = st.one_of(
+    SMALL, st.sampled_from(["alpha", "beta", "beth1", "X", "w", "alpha^(1/2)", "X^2", "w^w"]),
+    ORD.map(lambda o: f"w^({o})"), SET_ATOM.map(lambda s: f"num({s})"),
+)
+NUM = st.recursive(
+    st.one_of(
+        NUM_ATOM,
+        _joined(_parens(_binary(NUM_ATOM, ["+", "-"])), st.just("^"),
+                st.sampled_from(["0", "2", "(1/2)", "(-1)", "(-2)"])),
+        _binary(st.sampled_from(["alpha", "1", "2*alpha", "1/2"]), ["+", "-"]).map(lambda e: f"2^({e})"),
+    ),
+    lambda inner: st.one_of(_binary(inner, ["+", "-", "*", "/"]), _parens(inner)),
+    max_leaves=6,
+)
+NUM_EXPR = st.tuples(st.sampled_from(["", "-", "- "]), NUM).map("".join)
+MONO = st.lists(st.one_of(
+    st.sampled_from(["alpha", "beta", "beth1", "X", "alpha^k", "w^(w)", "w^(w*2)", "w^(w+1)",
+                     "w^(3)", "w^w", "w"]),
+    st.tuples(st.sampled_from(["alpha", "beta", "X"]), RATIONAL).map(lambda t: f"{t[0]}^({t[1]})"),
+), min_size=1, max_size=3).map("*".join)
+SIGNS = st.text("+-", min_size=1, max_size=4)
+SUR_WORD = st.one_of(SIGNS, SMALL, RATIONAL, st.just("()"), ORD.map(lambda o: f"plus({o})"),
+                     st.tuples(SMALL, SMALL).map(lambda t: f"{t[0]}/2^{t[1]}"))
+ELEM = st.recursive(st.one_of(SMALL, SMALL.map(lambda k: f"-{k}")),
+                    lambda inner: st.lists(inner, max_size=3).map(lambda xs: "{" + ",".join(xs) + "}"),
+                    max_leaves=6)
+
+LINES = st.one_of(
+    NUM_EXPR.map(lambda e: f":st {e}"),
+    st.tuples(NUM_EXPR, NUM_EXPR).map(lambda t: f":cmp {t[0]} {t[1]}"),
+    st.tuples(ORD, ORD).map(lambda t: f":cmp {t[0]} +. {t[1]}"),
+    st.tuples(SUR_WORD, SUR_WORD).map(lambda t: f":cmp {t[0]} {t[1]}"),
+    ORD.map(lambda o: f":ord {o}"),
+    SET.map(lambda s: f":num {s}"),
+    st.tuples(SET, NUM_EXPR).map(lambda t: f":measure {t[0]} {t[1]}"),
+    st.tuples(MONO, MONO).map(lambda t: f":assert_order {t[0]} < {t[1]}"),
+    st.lists(SUR_WORD, min_size=1, max_size=3).map(lambda ws: ":sur " + " + ".join(ws)),
+    st.tuples(st.lists(RATIONAL, max_size=2), st.lists(RATIONAL, max_size=2)).map(
+        lambda t: ":simplest {" + ", ".join(t[0]) + "} {" + ",".join(t[1]) + "}"),
+    ELEM.map(lambda e: f":elem {e}"),
+)
+
+
+def _mutate(line: str, k: int, junk: str, insert: bool) -> str:
+    k %= len(line) + 1
+    return line[:k] + junk + line[k:] if insert else line[:k] + line[k + 1:]
+
+
+class TestAgainstReference:
+    @settings(max_examples=500, deadline=None)
+    @given(LINES)
+    def test_generated_lines(self, line):
+        assert_same(line)
+
+    @settings(max_examples=200, deadline=None)
+    @given(LINES, st.integers(0, 400), JUNK, st.booleans())
+    def test_generated_lines_with_one_edit(self, line, k, junk, insert):
+        assert_same(_mutate(line, k, junk, insert))
+
+    @pytest.mark.parametrize("line", MALFORMED_LINES, ids=range(len(MALFORMED_LINES)))
+    def test_malformed_lines(self, line):
+        assert_same(line)
+
+    @pytest.mark.parametrize("line", [
+        ":st ٣*alpha", ":ord w^٣", ":assert_order alpha^² < beta", ":assert_order alpha^_k < X",
+        ":assert_order alpha^2k < X", ":num Q(1/0,1]", ":sur 1/0", ":simplest {1/3} {}",
+        ":st alpha^", ":st ", ":cmp ", ":num N+ ", ":num N+(", ":num Q (0,1]", ":cmp 1 +. 2 3",
+        ":assert_order w^(w*2) < w^(w) < X", ":labelcheck a b c", ":mode_bb maybe",
+    ])
+    def test_edge_lines(self, line):
+        assert_same(line)
+
+    CORPUS = [line.text for workload in sorted(corpus.BLOCKS)
+              for line in corpus.generate(workload, 1, 1)[0]]
+
+    def test_corpus_lines(self):
+        for line in self.CORPUS:
+            assert_same(line)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(CORPUS), st.integers(0, 2000), JUNK, st.booleans())
+    def test_corpus_lines_with_one_edit(self, line, k, junk, insert):
+        assert_same(_mutate(line, k, junk, insert))
+
+
+class TestTokens:
+    def test_flat_lists(self):
+        toks, gaps = new.tokenize(" N+ >< mod(3,1)  ")
+        assert toks == ["N", "+", "><", "mod", "(", "3", ",", "1", ")", ""]
+        assert gaps == [" ", "", " ", " ", "", "", "", "", "", "  "]
+
+    @pytest.mark.parametrize("text", ["alpha + $", "$", "  >", "^<>>", "w ^<> 2 <> 3", "(1)~"])
+    def test_stray_character_column(self, text):
+        with pytest.raises(new.ParseError) as got:
+            new.tokenize(text)
+        with pytest.raises(ref.ParseError) as want:
+            ref.tokenize(text)
+        assert str(got.value) == str(want.value)
+
+    def test_stray_character_reported_before_a_grammar_error(self):
+        assert "expected a token" in cli.run_line(":st ) + $", cli.Session())[0]["value"]
+
+    def test_operator_tables_resolve_names_at_call_time(self, monkeypatch):
+        calls = []
+        for module, name, line in ((field, "nf_sub", "alpha - 1"), (ordinals, "cantor_mul", "w *. 2"),
+                                   (sets, "Diff", "N \\ mod(2,0)")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        new.parse_num("alpha - 1")
+        new.parse_ordinal("w *. 2")
+        new.parse_set("N \\ mod(2,0)")
+        assert calls == ["nf_sub", "cantor_mul", "Diff"]

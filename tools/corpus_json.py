@@ -14,10 +14,11 @@ script mode prints it.  Tail lines are skipped, since they may not end
 does not (linear exponents of 2, rational powers of an alpha-monomial,
 `w`-powers read back as ordinals, `:mode_bb on`, dense powers, declared
 order, rational gammas, integer powers and modulus factor searches at their
-budgets, rational roots of an alpha-monomial's coefficient), then
+budgets, rational roots of an alpha-monomial's coefficient) and parse errors
+from every production, so the diff covers each error text and column; then
 `:labelcheck` in both modes on every instance file: the corpus files plus
 `EXTRA_INSTANCES`, whose label-tree, table and directedness checks fail, so
-the diff reaches the witness paths.  The instance files are written to a
+the diff reaches the witness paths, or whose elements do not parse.  The instance files are written to a
 temporary directory, which is the working directory while the lines run.  The
 library is imported from the `src/` of the checkout this script lives in, so
 running it in two checkouts and diffing the outputs shows every changed answer.
@@ -49,6 +50,42 @@ EXTRA = [
     ":st (2*alpha)^(1/2)", ":st (2*alpha)^(1/10000000)",
     ":num mod(1099505336329,0)", ":num mod(10000000000037,0)",
 ]
+# Parse errors from every production, so the diff covers each error text and
+# column: the malformed lines of tests/test_cli.py, then lines per production.
+EXTRA += [
+    ":num mod(-3,1)", ":num pow(x)", ":num maps(k, N)", ":sur 1/2^", ":num mod(3,",
+    ":sur 3/ + +", ":sur +- + 1/", ":sur 1 +- 1", ":sur 1 -* 1",
+    ":simplest {0} {1} junk", ":simplest {0} {1} {5}",
+    *[f"{verb} {'(' * n}{atom}{')' * n}"
+      for n in (2000, 250) for verb, atom in ((":num", "N"), (":st", "alpha"), (":ord", "w"))],
+    ":num " + "shift(0, " * 200 + "N" + ")" * 200,
+    ":ord " + "^".join(["2"] * 1200),
+    ":assert_order beta^(1/2) < X", ":assert_order X^(1/2) < beta",
+    ":assert_order beta^(-1) < X", ":assert_order w^(0) < X", ":assert_order w^(3) < X",
+    ":assert_order w^(w+1) < X", ":assert_order alpha^k*beta < X",
+    ":assert_order beta*alpha^k < X", ":assert_order alpha^k*alpha^2 < X",
+    # set atoms and set operators
+    ":num M", ":num N+ +", ":num Q(1,2", ":num Q(1/0,1]", ":num R[1,2]", ":num R [0,1)",
+    ":num fin{1,}", ":num fin 1", ":num mod(3)", ":num pow(1,2)", ":num Pfin(Q)",
+    ":num shift(1/2 N)", ":num maps(2 N)", ":num [0,2]", ":num (N", ":num N |",
+    ":num N >< ", ":num N $", ":measure N", ":measure N+ alpha beta",
+    # numerosity and ordinal expressions
+    ":st alpha +", ":st (alpha", ":st num(N", ":st w^", ":st alpha^", ":st 1 2", ":st -",
+    ":st alpha*-1", ":st alpha + - 1", ":cmp alpha", ":cmp 1 +. alpha", ":cmp w +. 1 2 3",
+    ":ord w +", ":ord (w", ":ord w ^<>", ":ord alpha", ":ord w +. +. w",
+    # :simplest sets
+    ":simplest {1/3} {}", ":simplest {0 {1}", ":simplest {0}", ":simplest {a} {}",
+    ":simplest {0,} {1}", ":simplest 0 1",
+    # :assert_order monomials
+    ":assert_order alpha <", ":assert_order alpha beta", ":assert_order alpha^k < alpha^k",
+    ":assert_order w < X", ":assert_order w^w < X", ":assert_order w^(w < X",
+    ":assert_order X < beta junk", ":assert_order < X", ":assert_order alpha^(1/0) < X",
+    # :sur operand words and sign words in :cmp
+    ":sur", ":sur 1 +", ":sur x + 1", ":sur plus(w) + 1", ":sur plus(w", ":sur 1/ + 1",
+    ":sur 1/2^ + 1", ":sur () + (", ":sur +-x + +", ":cmp ++ plus(", ":cmp () x",
+    # command words
+    ":mode_bb maybe", ":labelcheck", ":labelcheck a b c", ":frobnicate 1", "num 1",
+]
 EXTRA_INSTANCES = {
     # Pivotal, but the labels of 2 and 3 share 1 and neither holds the other,
     # so meet trichotomy fails.
@@ -59,6 +96,10 @@ EXTRA_INSTANCES = {
     "outside.txt": "elem {} 1 2\nle 7 1\nle 2 8\nsucc 1 2\n",
     # No common upper bound for 2 and the others.
     "undirected.txt": "elem {} 1 2 {1}\nle 1 {1}\nsucc 1 {1}\n",
+    # Label-tree elements that do not parse.
+    "badelem.txt": "elem {} 1 {1,,2}\n",
+    "badpair.txt": "elem {} 1 {1}\nle 1 {1\n",
+    "badsucc.txt": "elem {} 1 {1}\nsucc 1 -{1}\n",
 }
 
 
