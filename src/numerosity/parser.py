@@ -420,13 +420,15 @@ _SUR_OPS = {"+": "s_add", "-": "s_sub", "*": "s_mul"}
 
 
 def _dyadic_literal(p: _Line) -> Fraction:
-    """`n`, `-n`, `p/q` or `p/q^k`."""
+    """`n`, `-n`, `p/q` or `p/q^k`; q^k has the budget MAX_POWER_BITS."""
     neg = _accept(p, "-")
     value = Fraction(_natural(p))
     if _accept(p, "/"):
         den = _natural(p)
         if _accept(p, "^"):
-            den **= _natural(p)
+            k = _natural(p)
+            ordinals.check_power_bits(den, k)
+            den **= k
         value /= den
     return -value if neg else value
 
@@ -541,7 +543,8 @@ def _parse_monomial(p: _Line) -> tuple[Optional[Monomial], bool]:
     """One monomial; returns (monomial, saw_universal_alpha_power).
 
     alpha^k with an identifier k, for every alpha power, stands alone.
-    Otherwise alpha takes a rational exponent; beta, beth1 and X take natural
+    Otherwise a product of generators, one at the start and one after every
+    `*`: alpha takes a rational exponent; beta, beth1 and X take natural
     exponents; either may be parenthesised.  w takes an infinite ordinal
     exponent with no finite part, in parentheses.
     """
@@ -557,7 +560,7 @@ def _parse_monomial(p: _Line) -> tuple[Optional[Monomial], bool]:
     while True:
         tok = toks[p.i]
         if tok not in ("alpha", "beta", "beth1", "X", "w"):
-            break
+            _fail(p, "a generator")
         p.i += 1
         if tok == "w":
             for want in ("^", "("):

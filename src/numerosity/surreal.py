@@ -6,6 +6,9 @@ the first alternation halves the step.  The earliest-born number between two
 separated sets is computed by integer selection plus binary refinement, and
 the arithmetic is the genetic recursion on options: its states are the pairs
 (prefix of x, prefix of y), one table of integers over a power-of-two scale.
+Each cell reads only the nearest options of its two prefixes (the longest
+lower and the longest upper prefix), which give the same bounds as every
+option, since the table holds exact values and the others are dominated.
 """
 
 from __future__ import annotations
@@ -221,31 +224,62 @@ def _check_cap(x: SignExpansion, y: SignExpansion, cap: int, what: str) -> None:
         )
 
 
-def _add_bounds(t, i, j, xl, xr, yl, yr):
-    """Options of x_i + y_j: x^L + y and x + y^L below, x^R + y and x + y^R above."""
-    return ([t[a][j] for a in xl] + [t[i][b] for b in yl],
-            [t[a][j] for a in xr] + [t[i][b] for b in yr])
+def _nearest_options(signs: tuple[Sign, ...]) -> list[tuple[Optional[int], Optional[int]]]:
+    """For each prefix length i, the lengths of its nearest options: the longest
+    lower prefix (its largest left option) and the longest upper prefix (its
+    smallest right option), None where the side is empty."""
+    return [(left[-1] if left else None, right[-1] if right else None)
+            for left, right in _prefix_options(signs)]
 
 
-def _mul_bounds(t, i, j, xl, xr, yl, yr):
-    """Options of x_i * y_j: x^L y + x y^L - x^L y^L over the four pairings."""
-    def pieces(*pairings):
-        return [t[a][j] + t[i][b] - t[a][b] for xo, yo in pairings for a in xo for b in yo]
-    return pieces((xl, yl), (xr, yr)), pieces((xl, yr), (xr, yl))
+def _add_row(row, lrow, rrow, yopts, unit):
+    """Fill row i of a sum: x^L + y and x + y^L below, x^R + y and x + y^R above.
+    Each rises with its option, so the nearest options give max(left), min(right)."""
+    for j, (yl, yr) in enumerate(yopts):
+        lo = None if lrow is None else lrow[j]
+        if yl is not None and (lo is None or row[yl] > lo):
+            lo = row[yl]
+        hi = None if rrow is None else rrow[j]
+        if yr is not None and (hi is None or row[yr] < hi):
+            hi = row[yr]
+        row.append(_simplest(lo, hi, unit))
 
 
-def _genetic(x: SignExpansion, y: SignExpansion, bounds) -> Fraction:
+def _mul_row(row, lrow, rrow, yopts, unit):
+    """Fill row i of a product: the piece x^L y + x y^L - x^L y^L of a pairing is
+    xy - (x - x^L)(y - y^L), both factors of fixed sign, so the nearest options
+    give each pairing's extreme piece; (L, L) and (R, R) lie below, (L, R) and
+    (R, L) above.  A prefix with options on both sides is the midpoint of its
+    nearest two, so where both pairings of a side exist their pieces are equal."""
+    for j, (yl, yr) in enumerate(yopts):
+        if lrow is not None and yl is not None:
+            lo = lrow[j] + row[yl] - lrow[yl]
+        elif rrow is not None and yr is not None:
+            lo = rrow[j] + row[yr] - rrow[yr]
+        else:
+            lo = None
+        if lrow is not None and yr is not None:
+            hi = lrow[j] + row[yr] - lrow[yr]
+        elif rrow is not None and yl is not None:
+            hi = rrow[j] + row[yl] - rrow[yl]
+        else:
+            hi = None
+        row.append(_simplest(lo, hi, unit))
+
+
+def _genetic(x: SignExpansion, y: SignExpansion, fill_row) -> Fraction:
     """The genetic recursion on x and y, filled bottom-up over prefix pairs: cell
     (i, j) holds the value for the i-sign prefix of x and the j-sign prefix of y
     times 2^S, S = len(x) + len(y) + 1, a grid on which every sum and product of
-    prefixes lies."""
+    prefixes lies.  Cells hold exact values, and a value does not depend on the
+    form chosen, so only the nearest options count: every other one is dominated."""
     unit = 1 << (len(x.signs) + len(y.signs) + 1)
-    yopts = _prefix_options(y.signs)
-    t = [[0] * len(yopts) for _ in range(len(x.signs) + 1)]
-    for i, (xl, xr) in enumerate(_prefix_options(x.signs)):
-        for j, (yl, yr) in enumerate(yopts):
-            left, right = bounds(t, i, j, xl, xr, yl, yr)
-            t[i][j] = _simplest(max(left, default=None), min(right, default=None), unit)
+    yopts = _nearest_options(y.signs)
+    t: list[list[int]] = []
+    for xl, xr in _nearest_options(x.signs):
+        row: list[int] = []
+        fill_row(row, None if xl is None else t[xl], None if xr is None else t[xr], yopts, unit)
+        t.append(row)
     return Fraction(t[-1][-1], unit)
 
 
@@ -257,7 +291,7 @@ def s_neg(x: SignExpansion) -> SignExpansion:
 
 def s_add(x: SignExpansion, y: SignExpansion, cap: int = ADD_CAP) -> SignExpansion:
     _check_cap(x, y, cap, "addition")
-    return se_from_dyadic(_genetic(x, y, _add_bounds))
+    return se_from_dyadic(_genetic(x, y, _add_row))
 
 
 def s_sub(x: SignExpansion, y: SignExpansion, cap: int = ADD_CAP) -> SignExpansion:
@@ -266,7 +300,7 @@ def s_sub(x: SignExpansion, y: SignExpansion, cap: int = ADD_CAP) -> SignExpansi
 
 def s_mul(x: SignExpansion, y: SignExpansion, cap: int = MUL_CAP) -> SignExpansion:
     _check_cap(x, y, cap, "multiplication")
-    return se_from_dyadic(_genetic(x, y, _mul_bounds))
+    return se_from_dyadic(_genetic(x, y, _mul_row))
 
 
 def all_expansions(max_len: int) -> list[SignExpansion]:

@@ -285,6 +285,8 @@ MALFORMED_LINES = [
     # a universal alpha^k stands alone
     ":assert_order alpha^k*beta < X", ":assert_order beta*alpha^k < X",
     ":assert_order alpha^k*alpha^2 < X",
+    # every factor of a monomial is a generator: no empty side, no trailing *
+    ":assert_order < X", ":assert_order alpha <", ":assert_order alpha* < X",
 ]
 
 
@@ -335,6 +337,23 @@ class TestMalformedLines:
         assert value_of(":ord 2^2^2^2") == "65536"
         half = ordinals.MAX_POWER_BITS // 2
         assert value_of(f":ord 2^{half}") == str(2**half)
+
+    @pytest.mark.parametrize("line", [":sur 1/2^10000000 + 1", ":sur 1/3^10000000 + 1",
+                                      ":sur 1/2^7001", ":sur 3/4^10000000 + 1"])
+    def test_dyadic_power_over_budget(self, line):
+        start = time.perf_counter()
+        record, err = run_line(line, Session())
+        assert time.perf_counter() - start < 0.01
+        assert err == "eval"
+        assert record["value"] == ("BudgetExceeded: integer power over the budget "
+                                   "MAX_POWER_BITS = 14000 bits")
+
+    def test_dyadic_power_under_budget(self):
+        start = time.perf_counter()
+        assert value_of(":sur 1/2^7000") == "+" + "-" * 7000
+        assert time.perf_counter() - start < 0.5
+        assert value_of(":sur 3/3^1 + 1") == "++"
+        assert value_of(":sur 1/1^10000000 + 1") == "++"
 
     def test_rational_root_of_large_order_ends(self):
         start = time.perf_counter()

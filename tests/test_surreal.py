@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numerosity import ordinals as o
+from numerosity import surreal
 from numerosity.surreal import (
     ADD_CAP,
     MUL_CAP,
@@ -19,6 +20,8 @@ from numerosity.surreal import (
     RecursionCapExceeded,
     SignExpansion,
     ZERO_SE,
+    _prefix_options,
+    _simplest,
     all_expansions,
     birthday,
     finite,
@@ -135,6 +138,55 @@ def reference_add(x: SignExpansion, y: SignExpansion, memo: dict) -> SignExpansi
 
 def reference_mul(x: SignExpansion, y: SignExpansion, memo: dict) -> SignExpansion:
     return se_from_dyadic(_gen_mul(se_value(x), se_value(y), memo))
+
+
+# Reference table: the prefix-pair table as the library filled it before it
+# read only the nearest options, each cell's bounds taken over every option.
+
+def ref_add_bounds(t, i, j, xl, xr, yl, yr):
+    """Options of x_i + y_j: x^L + y and x + y^L below, x^R + y and x + y^R above."""
+    return ([t[a][j] for a in xl] + [t[i][b] for b in yl],
+            [t[a][j] for a in xr] + [t[i][b] for b in yr])
+
+
+def ref_mul_bounds(t, i, j, xl, xr, yl, yr):
+    """Options of x_i * y_j: x^L y + x y^L - x^L y^L over the four pairings."""
+    def pieces(*pairings):
+        return [t[a][j] + t[i][b] - t[a][b] for xo, yo in pairings for a in xo for b in yo]
+    return pieces((xl, yl), (xr, yr)), pieces((xl, yr), (xr, yl))
+
+
+def ref_genetic(x: SignExpansion, y: SignExpansion, bounds) -> Fraction:
+    """The genetic recursion on x and y, filled bottom-up over prefix pairs: cell
+    (i, j) holds the value for the i-sign prefix of x and the j-sign prefix of y
+    times 2^S, S = len(x) + len(y) + 1, a grid on which every sum and product of
+    prefixes lies."""
+    unit = 1 << (len(x.signs) + len(y.signs) + 1)
+    yopts = _prefix_options(y.signs)
+    t = [[0] * len(yopts) for _ in range(len(x.signs) + 1)]
+    for i, (xl, xr) in enumerate(_prefix_options(x.signs)):
+        for j, (yl, yr) in enumerate(yopts):
+            left, right = bounds(t, i, j, xl, xr, yl, yr)
+            t[i][j] = _simplest(max(left, default=None), min(right, default=None), unit)
+    return Fraction(t[-1][-1], unit)
+
+
+def assert_table_matches(x: SignExpansion, y: SignExpansion, mul: bool) -> None:
+    """s_add and s_sub, or s_mul, on x and y against the full-option table.  Each
+    cell of a table is the result for a pair of prefixes, so small operand pairs
+    check, as whole results, the cells of larger tables."""
+    if mul:
+        assert s_mul(x, y) == se_from_dyadic(ref_genetic(x, y, ref_mul_bounds))
+    else:
+        assert s_add(x, y) == se_from_dyadic(ref_genetic(x, y, ref_add_bounds))
+        assert s_sub(x, y) == se_from_dyadic(ref_genetic(x, s_neg(y), ref_add_bounds))
+
+
+def splits_within(cap: int):
+    """A sign list of length up to cap, the length drawn uniformly so that lists at
+    the cap are common; tests split it at every position into two operands."""
+    return st.integers(0, cap).flatmap(
+        lambda n: st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
 
 
 def pairs_within(cap: int):
@@ -278,6 +330,14 @@ class TestOptionsAndSimplest:
                 if (lo is None or lo < y) and (hi is None or y < hi):
                     assert day > len(x.signs)
 
+    def test_two_sided_expansion_is_the_midpoint_of_its_nearest_options(self):
+        # Why a product cell reads one pairing per side: with options on both
+        # sides, x - x^L = x^R - x for the nearest x^L and x^R.
+        for x in all_expansions(8):
+            l, r = options(x)
+            if l and r:
+                assert 2 * se_value(x) == se_value(l[-1]) + se_value(r[-1])
+
     def test_prefix_options_match_full_born_before_sets(self):
         # Prefix options are cofinal in the born-before option sets: both give
         # the same reconstruction for every number up to day 5.
@@ -350,6 +410,53 @@ class TestArithmetic:
     def test_multiplication_matches_reference_to_cap(self, pair):
         x, y = pair
         assert s_mul(x, y) == reference_mul(x, y, {})
+
+    def test_matches_full_option_table_to_day_5(self):
+        xs = all_expansions(5)
+        for x in xs:
+            for y in xs:
+                assert_table_matches(x, y, mul=False)
+                assert_table_matches(x, y, mul=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(splits_within(ADD_CAP))
+    def test_addition_matches_full_option_table_to_cap(self, signs):
+        for k in range(len(signs) + 1):
+            assert_table_matches(finite(signs[:k]), finite(signs[k:]), mul=False)
+
+    @settings(max_examples=30, deadline=None)
+    @given(splits_within(MUL_CAP))
+    def test_multiplication_matches_full_option_table_to_cap(self, signs):
+        for k in range(len(signs) + 1):
+            assert_table_matches(finite(signs[:k]), finite(signs[k:]), mul=True)
+
+    def test_every_cell_has_the_full_option_bounds(self, monkeypatch):
+        # Not only the values: each cell's lo and hi, as handed to _simplest,
+        # equal the full-option table's, cell by cell in the same order.  The
+        # alternating operands at the caps give every prefix options on both
+        # sides, the largest tables the caps allow.
+        calls = []
+
+        def record(lo, hi, unit, real=_simplest):
+            calls.append((lo, hi, unit))
+            return real(lo, hi, unit)
+
+        monkeypatch.setattr(surreal, "_simplest", record)
+        monkeypatch.setitem(globals(), "_simplest", record)
+        pairs = [(x, y) for x in all_expansions(4) for y in all_expansions(4)]
+        for cap in (ADD_CAP, MUL_CAP):
+            signs = ([1, -1] * cap)[:cap]
+            pairs += [(finite(signs[:k]), finite(signs[k:])) for k in range(cap + 1)]
+        for x, y in pairs:
+            for op, bounds in ((s_add, ref_add_bounds), (s_mul, ref_mul_bounds)):
+                if op is s_mul and len(x.signs) + len(y.signs) > MUL_CAP:
+                    continue
+                calls.clear()
+                op(x, y)
+                got = calls[:]
+                calls.clear()
+                ref_genetic(x, y, bounds)
+                assert got == calls, (str(x), str(y), op.__name__)
 
     def test_every_split_over_the_caps_raises(self):
         for cap, ops in ((ADD_CAP, (s_add, s_sub)), (MUL_CAP, (s_mul,))):

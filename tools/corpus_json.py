@@ -14,7 +14,8 @@ script mode prints it.  Tail lines are skipped, since they may not end
 does not (linear exponents of 2, rational powers of an alpha-monomial,
 `w`-powers read back as ordinals, `:mode_bb on`, dense powers, declared
 order, rational gammas, integer powers and modulus factor searches at their
-budgets, rational roots of an alpha-monomial's coefficient) and parse errors
+budgets, rational roots of an alpha-monomial's coefficient, dyadic powers at
+their budget, genetic `:sur` sums and products at the caps) and parse errors
 from every production, so the diff covers each error text and column; then
 `:labelcheck` in both modes on every instance file: the corpus files plus
 `EXTRA_INSTANCES`, whose label-tree, table and directedness checks fail, so
@@ -49,7 +50,14 @@ EXTRA = [
     ":st (2*beth1+alpha)/(3*beth1+beta)", ":cmp (alpha^2+1)/(3*beta) 1/2",
     ":st (2*alpha)^(1/2)", ":st (2*alpha)^(1/10000000)",
     ":num mod(1099505336329,0)", ":num mod(10000000000037,0)",
+    ":sur 1/2^10000000 + 1", ":sur 1/3^10000000 + 1", ":sur 1/2^7000", ":sur 1/2^7001",
+    ":assert_order alpha* < X",
 ]
+# Genetic sums and products at the combined-birthday caps (24 and 16), on
+# alternating signs, so the diff reaches the largest tables.
+_ALT = "+-" * 12
+EXTRA += [f":sur {_ALT[:k] or '()'} {op} {_ALT[k:cap][::-1] or '()'}"
+          for cap, ops in ((24, "+-"), (16, "*")) for op in ops for k in range(0, cap + 1, 4)]
 # Parse errors from every production, so the diff covers each error text and
 # column: the malformed lines of tests/test_cli.py, then lines per production.
 EXTRA += [
