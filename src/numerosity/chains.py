@@ -5,7 +5,8 @@ n(m) = m!^(m!): initial segments of the naturals, the rational grids
 s(n) = {s/n : -n^2 <= s < n^2}, and the real grids built from a finite seed
 whose size enters counting only as the formal variable x.  A counting
 function is an exact closed form for |A ∩ label_m|, a signed combination of
-terms c * n^q * x^j * (2^n)^i, valid from an explicit threshold index m0.
+terms c * n^q * x^j * (2^n)^i, valid from an explicit threshold index m0 and
+kept as its chain limit, one field value, from which the terms are read back.
 
 Eventual comparison replaces ultrafilter membership: a comparison is decided
 by the basis grading 2^n over rational powers of n, with the concrete
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional
 
 from . import field
@@ -110,83 +111,76 @@ def threshold_card_at_least(bound: Fraction, lower: int = 1) -> int:
 CTerm = tuple[Fraction, Fraction, int, int]
 
 
+def _term_limit(c: Fraction | int, q: Fraction | int, xj: int, ei: int) -> NumExpr:
+    """Chain limit of the term c*n^q*x^j*(2^n)^i (j, i >= 0): (c/2^i)*alpha^(q-j)*beta^j*X^i.
+
+    One numerator and one denominator term, coprime coefficients and no
+    joint monomial content: already the field's normal form.
+    """
+    c, a = Fraction(c) / (1 << ei), Fraction(q) - xj
+    up, down = field.Monomial(max(a, 0), xj, 0, ei), field.Monomial(max(-a, 0))
+    return NumExpr(((c.numerator, up),), ((c.denominator, down),)) if c else field.ZERO
+
+
 @dataclass(frozen=True, slots=True)
 class CountingFn:
-    """Exact closed form of a counting net along a canonical chain."""
+    """Exact closed form of a counting net along a canonical chain, stored as its
+    chain limit (see `lambda_limit`); `terms` reads the closed form back."""
 
-    terms: tuple[CTerm, ...]
+    limit: NumExpr
     m0: int = 1
 
     @staticmethod
     def make(terms: list[CTerm] | tuple[CTerm, ...], m0: int = 1) -> "CountingFn":
-        acc: dict[tuple[Fraction, int, int], Fraction] = {}
-        for c, q, xj, ei in terms:
-            key = (Fraction(q), xj, ei)
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(c)
-        cleaned = tuple(
-            (c, q, xj, ei)
-            for (q, xj, ei), c in sorted(acc.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1]), reverse=True)
-            if c != 0
-        )
-        return CountingFn(cleaned, m0)
+        return CountingFn(reduce(field.nf_add, (_term_limit(*t) for t in terms), field.ZERO), m0)
 
     @staticmethod
     def constant(c: Fraction | int, m0: int = 1) -> "CountingFn":
-        return CountingFn.make([(Fraction(c), Fraction(0), 0, 0)], m0)
+        return CountingFn(_term_limit(c, 0, 0, 0), m0)
 
     @staticmethod
     def monomial(coeff: Fraction | int, n_exp: Fraction | int = 0,
                  x_deg: int = 0, e_deg: int = 0, m0: int = 1) -> "CountingFn":
-        return CountingFn.make([(Fraction(coeff), Fraction(n_exp), x_deg, e_deg)], m0)
+        return CountingFn(_term_limit(coeff, n_exp, x_deg, e_deg), m0)
+
+    @property
+    def terms(self) -> tuple[CTerm, ...]:
+        """The terms c*n^q*x^j*(2^n)^i, by decreasing (i, q, j).
+
+        The limit's denominator is lead*alpha^k, so a numerator term
+        c'*alpha^a*beta^j*X^i decodes to c = c'*2^i/lead and q = a - k + j;
+        the map (q, j, i) -> (q - j, j, i) is one-to-one, so terms never merge.
+        """
+        ((lead, down),) = self.limit.den
+        terms = ((Fraction(c << m.x2w, lead), Fraction(m.alpha - down.alpha + m.beta), m.beta, m.x2w)
+                 for c, m in self.limit.num)
+        return tuple(sorted(terms, key=lambda t: (t[3], t[1], t[2]), reverse=True))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.limit.is_zero()
 
     def x_free(self) -> bool:
-        return all(xj == 0 for _, _, xj, _ in self.terms)
+        return all(m.beta == 0 for _, m in self.limit.num)
 
     def __add__(self, other: "CountingFn") -> "CountingFn":
-        return CountingFn.make(self.terms + other.terms, max(self.m0, other.m0))
+        return CountingFn(field.nf_add(self.limit, other.limit), max(self.m0, other.m0))
 
     def __sub__(self, other: "CountingFn") -> "CountingFn":
-        neg = tuple((-c, q, xj, ei) for c, q, xj, ei in other.terms)
-        return CountingFn.make(self.terms + neg, max(self.m0, other.m0))
+        return CountingFn(field.nf_sub(self.limit, other.limit), max(self.m0, other.m0))
 
     def __mul__(self, other: "CountingFn") -> "CountingFn":
-        out = []
-        for c1, q1, x1, e1 in self.terms:
-            for c2, q2, x2, e2 in other.terms:
-                out.append((c1 * c2, q1 + q2, x1 + x2, e1 + e2))
-        return CountingFn.make(out, max(self.m0, other.m0))
+        return CountingFn(field.nf_mul(self.limit, other.limit), max(self.m0, other.m0))
 
     def pow(self, k: int) -> "CountingFn":
         if k < 0:
             raise ValueError("negative powers of counting functions")
-        out = CountingFn.constant(1, self.m0)
-        for _ in range(k):
-            out = out * self
-        return out
+        return CountingFn(field.nf_pow(self.limit, field.from_rational(k)), self.m0)
 
     def with_m0(self, m0: int) -> "CountingFn":
-        return CountingFn(self.terms, max(self.m0, m0))
+        return CountingFn(self.limit, max(self.m0, m0))
 
     def __str__(self) -> str:
         return format_counting_fn(self)
-
-
-def _nth_root_exact(value: int, k: int) -> int:
-    if value < 0:
-        raise NonIntegral("negative radicand")
-    lo, hi = 0, 1 << (value.bit_length() // k + 2)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**k < value:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo**k != value:
-        raise NonIntegral(f"{value} has no exact {k}-th root")
-    return lo
 
 
 def cf_eval(f: CountingFn, m: int) -> int:
@@ -195,22 +189,16 @@ def cf_eval(f: CountingFn, m: int) -> int:
         raise IndexTooLarge(f"index {m} is below the validity threshold {f.m0}")
     if not f.x_free():
         raise XFreeRequired("counting function involves the formal seed size x")
-    if any(ei > 0 for _, _, _, ei in f.terms) and m > 3:
+    terms = f.terms
+    if any(ei > 0 for _, _, _, ei in terms) and m > 3:
         raise IndexTooLarge("2^n(m) is astronomically large beyond m = 3")
-    fact = math.factorial(m)
-    n = fact**fact
+    n = chain_card(m)
     total = Fraction(0)
-    for c, q, _, ei in f.terms:
-        e = Fraction(fact) * q
-        if e.denominator == 1:
-            power = Fraction(fact) ** int(e)
-        else:
-            root = _nth_root_exact(fact ** abs(e.numerator), e.denominator)
-            power = Fraction(root) if e.numerator >= 0 else Fraction(1, root)
-        term = c * power
-        if ei:
-            term *= Fraction(2) ** (n * ei)
-        total += term
+    for c, q, _, ei in terms:
+        root = field.int_root(n, q.denominator)
+        if root is None:
+            raise NonIntegral(f"n({m}) has no exact {q.denominator}-th root")
+        total += c * Fraction(root) ** q.numerator * 2 ** (n * ei)
     if total.denominator != 1 or total < 0:
         raise NonIntegral(f"value {total} at m={m} is not a natural number")
     return int(total)
@@ -310,23 +298,14 @@ def cf_compare(f: CountingFn, g: CountingFn) -> CfComparison:
 
 
 def lambda_limit(f: CountingFn) -> NumExpr:
-    """Evaluate the chain limit: n -> alpha, x -> beta/alpha, 2^n -> X/2.
+    """The chain limit: n -> alpha, x -> beta/alpha, 2^n -> X/2.
 
     The finite-subset generator satisfies X = 2^(alpha+1), so the atom 2^n
     maps to X/2; with that choice the limit is a ring morphism and the
-    power-set counts land exactly on X.
+    power-set counts land exactly on X.  A counting function is stored as
+    its limit, so this is a read.
     """
-    out = field.ZERO
-    for c, q, xj, ei in f.terms:
-        piece = field.from_rational(c)
-        piece = field.nf_mul(piece, field.alpha_power(q - xj))
-        if xj:
-            piece = field.nf_mul(piece, field.nf_pow(field.BETA, field.from_rational(xj)))
-        if ei:
-            half_x = field.nf_div(field.X2W, field.from_rational(2))
-            piece = field.nf_mul(piece, field.nf_pow(half_x, field.from_rational(ei)))
-        out = field.nf_add(out, piece)
-    return out
+    return f.limit
 
 
 def format_counting_fn(f: CountingFn) -> str:

@@ -314,9 +314,7 @@ def omega_power(exp: Ord) -> NumExpr:
     if exp.is_zero():
         return ONE
     r = exp.finite_part()
-    finite_power = ONE
-    for _ in range(r):
-        finite_power = nf_mul(finite_power, OMEGA_NF)
+    finite_power = nf_pow(OMEGA_NF, from_rational(r))
     if exp.is_finite():
         return finite_power
     limit_part = exp.terms[:-1] if r else exp.terms
@@ -363,30 +361,25 @@ class UnsupportedPowerPair(UnsupportedPower):
     pass
 
 
+def int_root(n: int, k: int) -> Optional[int]:
+    """The exact k-th root of the natural n, or None; Newton's method from above."""
+    if k == 1 or n in (0, 1):
+        return n
+    if k >= n.bit_length():  # 1 < n < 2**k: no integer root
+        return None
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x if x**k == n else None
+        x = y
+
+
 def _rational_root(q: Fraction, k: int) -> Optional[Fraction]:
-    if k == 1:
-        return q
-    if q < 0:
+    if q < 0 and k > 1:
         return None
-
-    def iroot(n: int) -> Optional[int]:
-        if n in (0, 1):
-            return n
-        if k >= n.bit_length():  # 1 < n < 2**k: no integer root
-            return None
-        lo, hi = 0, 1 << ((n.bit_length() + k - 1) // k + 1)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid**k < n:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo if lo**k == n else None
-
-    p, d = iroot(q.numerator), iroot(q.denominator)
-    if p is None or d is None:
-        return None
-    return Fraction(p, d)
+    p, d = int_root(q.numerator, k), int_root(q.denominator, k)
+    return None if p is None or d is None else Fraction(p, d)
 
 
 def _alpha_affine(x: NumExpr) -> Optional[tuple[int, int]]:
@@ -535,9 +528,7 @@ def apply_bb(x: NumExpr, table: AxiomTable) -> NumExpr:
         for c, m in terms:
             stripped = Monomial(m.alpha, m.beta, 0, m.x2w, m.omega)
             piece = nf_mul(from_rational(c), _atom(stripped) if stripped != UNIT else ONE)
-            for _ in range(m.beth1):
-                piece = nf_mul(piece, bx)
-            out = nf_add(out, piece)
+            out = nf_add(out, nf_mul(piece, nf_pow(bx, from_rational(m.beth1))))
         return out
 
     return nf_div(subst(x.num), subst(x.den))

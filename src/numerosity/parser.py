@@ -433,7 +433,7 @@ def _dyadic_literal(p: _Line) -> Fraction:
     return -value if neg else value
 
 
-def _sur_operand(p: _Line) -> surreal.SignExpansion:
+def _sur_operand(p: _Line) -> surreal.SignExpansion | Fraction:
     toks = p.toks
     tok = toks[p.i]
     if tok == "plus":
@@ -441,7 +441,10 @@ def _sur_operand(p: _Line) -> surreal.SignExpansion:
         _expect(p, "(")
         return surreal.ordinal_plus(_nested(p, _ord_expr, ")"))
     if tok.isdecimal() or (tok == "-" and toks[p.i + 1].isdecimal()):
-        return surreal.se_from_dyadic(_dyadic_literal(p))
+        d = _dyadic_literal(p)
+        # Too long to build: the genetic cap counts it unbuilt (a non-dyadic d fails below).
+        too_long = surreal.is_dyadic(d) and surreal.dyadic_length(d) > surreal.MAX_SIGNS
+        return d if too_long else surreal.se_from_dyadic(d)
     if tok == "(":
         p.i += 1
         _expect(p, ")")
@@ -455,7 +458,7 @@ def _sur_operand(p: _Line) -> surreal.SignExpansion:
     return surreal.finite(signs)
 
 
-def parse_surreal_operand(word: str) -> surreal.SignExpansion:
+def parse_surreal_operand(word: str) -> surreal.SignExpansion | Fraction:
     """A sign string, `()`, `plus(ORD)`, or a dyadic `n`, `-n`, `p/q`, `p/2^k`."""
     return _whole(_sur_operand, word, "surreal operand")
 
@@ -471,7 +474,7 @@ def parse_surreal(text: str) -> surreal.SignExpansion:
     acc, *operands = map(parse_surreal_operand, words[::2])
     for op, operand in zip(ops, operands):
         acc = getattr(surreal, _SUR_OPS[op])(acc, operand)
-    return acc
+    return surreal.se_within_budget(acc) if acc.__class__ is Fraction else acc
 
 
 def _dyadic(p: _Line) -> Fraction:

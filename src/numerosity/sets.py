@@ -374,8 +374,7 @@ def _threshold_interval(p: Fraction, q: Fraction, slack: int) -> int:
 def counting_fn(e: SetExpr) -> CountingFn:
     """Compile e to its exact chain count; raises Uncompilable otherwise."""
     if isinstance(e, NatAll):
-        return CountingFn.make([(Fraction(1), Fraction(1), 0, 0),
-                                (Fraction(1), Fraction(0), 0, 0)], 1)
+        return CountingFn.monomial(1, 1) + CountingFn.constant(1)
     if isinstance(e, NatPos):
         return CountingFn.monomial(1, 1)
     if isinstance(e, FinSet):
@@ -424,32 +423,14 @@ def counting_fn(e: SetExpr) -> CountingFn:
     if isinstance(e, Prod):
         return counting_fn(e.left) * counting_fn(e.right)
     if isinstance(e, FinMapsInto):
-        k = e.k
-        if k == 1:
+        if e.k == 1:
             return CountingFn.constant(1)
-        j = k.bit_length() - 1
-        if k == 1 << j:
+        if e.k & (e.k - 1) == 0:
             inner = counting_fn(e.child)
-            aff = _affine_integer(inner)
-            if aff is not None:
-                a, c = aff
-                return CountingFn.monomial(Fraction(2) ** (j * c), 0, 0, j * a, m0=inner.m0)
+            if field._alpha_affine(inner.limit) is not None:
+                return CountingFn(field.nf_pow(field.from_rational(e.k), inner.limit), inner.m0)
         raise Uncompilable(e, "colorings compile only for power-of-two k over affine counts")
     raise Uncompilable(e, "no chain form")
-
-
-def _affine_integer(f: CountingFn) -> Optional[tuple[int, int]]:
-    a = c = 0
-    for coeff, q, xj, ei in f.terms:
-        if xj or ei or coeff.denominator != 1:
-            return None
-        if q == 0:
-            c = int(coeff)
-        elif q == 1:
-            a = int(coeff)
-        else:
-            return None
-    return (a, c) if a >= 0 else None
 
 
 def _bound_radius(e: SetExpr) -> Fraction:

@@ -18,8 +18,10 @@ from fractions import Fraction
 from math import ceil, floor, prod
 from typing import Iterable, Optional
 
-from .ordinals import Ord, ord_cmp
-from .ordinals import format_ordinal
+from .ordinals import BudgetExceeded, Ord, format_ordinal, ord_cmp
+
+# Most signs of an expansion built from a dyadic or a finite ordinal (se_within_budget).
+MAX_SIGNS = 14_000
 
 
 class RecursionCapExceeded(ValueError):
@@ -45,8 +47,8 @@ class SignExpansion:
             if self.signs:
                 raise ValueError("ordinal expansions carry no explicit signs")
             if self.plus_length.is_finite():
-                # Normalize finite all-plus expansions to the explicit form.
-                object.__setattr__(self, "signs", (1,) * self.plus_length.as_int())
+                # Normalize finite all-plus expansions to the explicit form, that of their length.
+                object.__setattr__(self, "signs", se_within_budget(self.plus_length.as_int()).signs)
                 object.__setattr__(self, "plus_length", None)
         elif any(s not in (1, -1) for s in self.signs):
             raise ValueError("signs are +1 or -1")
@@ -144,6 +146,21 @@ def se_from_dyadic(d: Fraction | int) -> SignExpansion:
     return finite(signs)
 
 
+def dyadic_length(d: Fraction | int) -> int:
+    """Signs in the expansion of the dyadic d, counted unbuilt: one per unit of
+    its integer part, then one per binary digit of its denominator."""
+    n, r = divmod(abs(d.numerator), d.denominator)
+    return n + d.denominator.bit_length() if r else n
+
+
+def se_within_budget(d: Fraction | int) -> SignExpansion:
+    """se_from_dyadic(d), once its length is known to fit MAX_SIGNS, far above the caps."""
+    n = dyadic_length(d)
+    if n > MAX_SIGNS:
+        raise BudgetExceeded(f"an expansion of {n} signs is over the budget MAX_SIGNS = {MAX_SIGNS}")
+    return se_from_dyadic(d)
+
+
 def _prefix_options(signs: tuple[Sign, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """For each prefix length i, the lengths a < i of its lower and upper prefixes:
     prefix a lies below every longer prefix exactly when signs[a] is +."""
@@ -202,7 +219,7 @@ def simplest(left: Iterable[Fraction], right: Iterable[Fraction]) -> SignExpansi
     # inside too and wins outright; assert the tie never surfaces.
     if value != 0 and lo is not None and hi is not None:
         assert not (lo < -abs(value) and abs(value) < hi), "unreachable magnitude tie"
-    return se_from_dyadic(value)
+    return se_within_budget(value)
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +230,17 @@ ADD_CAP = 24
 MUL_CAP = 16
 
 
-def _check_cap(x: SignExpansion, y: SignExpansion, cap: int, what: str) -> None:
-    if x.plus_length is not None or y.plus_length is not None:
-        raise RecursionCapExceeded(
-            f"{what} is not offered on ordinal expansions; use the ordinal operations"
-        )
-    if len(x.signs) + len(y.signs) > cap:
-        raise RecursionCapExceeded(
-            f"{what}: combined birthday {len(x.signs) + len(y.signs)} exceeds {cap}"
-        )
+def _capped_operands(x: SignExpansion | Fraction, y: SignExpansion | Fraction,
+                     what: str) -> tuple[SignExpansion, SignExpansion]:
+    """Both as expansions, once within the cap: a dyadic is counted before it is built."""
+    cap = MUL_CAP if what == "multiplication" else ADD_CAP
+    dx, dy = x.__class__ is Fraction, y.__class__ is Fraction
+    if (not dx and x.plus_length is not None) or (not dy and y.plus_length is not None):
+        raise RecursionCapExceeded(f"{what} is not offered on ordinal expansions; use the ordinal operations")
+    n = (dyadic_length(x) if dx else len(x.signs)) + (dyadic_length(y) if dy else len(y.signs))
+    if n > cap:
+        raise RecursionCapExceeded(f"{what}: combined birthday {n} exceeds {cap}")
+    return se_from_dyadic(x) if dx else x, se_from_dyadic(y) if dy else y
 
 
 def _nearest_options(signs: tuple[Sign, ...]) -> list[tuple[Optional[int], Optional[int]]]:
@@ -283,24 +302,24 @@ def _genetic(x: SignExpansion, y: SignExpansion, fill_row) -> Fraction:
     return Fraction(t[-1][-1], unit)
 
 
-def s_neg(x: SignExpansion) -> SignExpansion:
+def s_neg(x: SignExpansion | Fraction) -> SignExpansion | Fraction:
+    if x.__class__ is Fraction:
+        return -x
     if x.plus_length is not None:
         raise RecursionCapExceeded("negation is not offered on ordinal expansions")
     return SignExpansion(tuple(-s for s in x.signs))
 
 
-def s_add(x: SignExpansion, y: SignExpansion, cap: int = ADD_CAP) -> SignExpansion:
-    _check_cap(x, y, cap, "addition")
-    return se_from_dyadic(_genetic(x, y, _add_row))
+def s_add(x: SignExpansion | Fraction, y: SignExpansion | Fraction) -> SignExpansion:
+    return se_from_dyadic(_genetic(*_capped_operands(x, y, "addition"), _add_row))
 
 
-def s_sub(x: SignExpansion, y: SignExpansion, cap: int = ADD_CAP) -> SignExpansion:
-    return s_add(x, s_neg(y), cap)
+def s_sub(x: SignExpansion | Fraction, y: SignExpansion | Fraction) -> SignExpansion:
+    return s_add(x, s_neg(y))
 
 
-def s_mul(x: SignExpansion, y: SignExpansion, cap: int = MUL_CAP) -> SignExpansion:
-    _check_cap(x, y, cap, "multiplication")
-    return se_from_dyadic(_genetic(x, y, _mul_row))
+def s_mul(x: SignExpansion | Fraction, y: SignExpansion | Fraction) -> SignExpansion:
+    return se_from_dyadic(_genetic(*_capped_operands(x, y, "multiplication"), _mul_row))
 
 
 def all_expansions(max_len: int) -> list[SignExpansion]:

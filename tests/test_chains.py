@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import time
@@ -285,3 +286,202 @@ class TestCompareWithoutChainSizes:
         c = cf_compare(CountingFn.monomial(1, 1, m0=m0), CountingFn.monomial(1, 0, m0=1))
         assert time.perf_counter() - start < 0.1
         assert (c.kind, c.m0) == (Eventually.GREATER, m0)
+
+
+# -- reference: the counting function as a list of terms ----------------------
+# The term-list CountingFn, its formatter, cf_eval with its root and the
+# per-term lambda_limit, kept verbatim (renamed) from before counting
+# functions were stored as their chain limit.
+
+
+@dataclass(frozen=True, slots=True)
+class RefCountingFn:
+    """Exact closed form of a counting net along a canonical chain."""
+
+    terms: tuple
+    m0: int = 1
+
+    @staticmethod
+    def make(terms, m0: int = 1) -> "RefCountingFn":
+        acc = {}
+        for c, q, xj, ei in terms:
+            key = (F(q), xj, ei)
+            acc[key] = acc.get(key, F(0)) + F(c)
+        cleaned = tuple(
+            (c, q, xj, ei)
+            for (q, xj, ei), c in sorted(acc.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1]), reverse=True)
+            if c != 0
+        )
+        return RefCountingFn(cleaned, m0)
+
+    @staticmethod
+    def constant(c, m0: int = 1) -> "RefCountingFn":
+        return RefCountingFn.make([(F(c), F(0), 0, 0)], m0)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def x_free(self) -> bool:
+        return all(xj == 0 for _, _, xj, _ in self.terms)
+
+    def __add__(self, other):
+        return RefCountingFn.make(self.terms + other.terms, max(self.m0, other.m0))
+
+    def __sub__(self, other):
+        neg = tuple((-c, q, xj, ei) for c, q, xj, ei in other.terms)
+        return RefCountingFn.make(self.terms + neg, max(self.m0, other.m0))
+
+    def __mul__(self, other):
+        out = []
+        for c1, q1, x1, e1 in self.terms:
+            for c2, q2, x2, e2 in other.terms:
+                out.append((c1 * c2, q1 + q2, x1 + x2, e1 + e2))
+        return RefCountingFn.make(out, max(self.m0, other.m0))
+
+    def pow(self, k: int):
+        if k < 0:
+            raise ValueError("negative powers of counting functions")
+        out = RefCountingFn.constant(1, self.m0)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __str__(self) -> str:
+        return ref_format_counting_fn(self)
+
+
+def ref_nth_root_exact(value: int, k: int) -> int:
+    if value < 0:
+        raise NonIntegral("negative radicand")
+    lo, hi = 0, 1 << (value.bit_length() // k + 2)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**k < value:
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo**k != value:
+        raise NonIntegral(f"{value} has no exact {k}-th root")
+    return lo
+
+
+def ref_cf_eval(f, m: int) -> int:
+    if m < f.m0:
+        raise IndexTooLarge(f"index {m} is below the validity threshold {f.m0}")
+    if not f.x_free():
+        raise XFreeRequired("counting function involves the formal seed size x")
+    if any(ei > 0 for _, _, _, ei in f.terms) and m > 3:
+        raise IndexTooLarge("2^n(m) is astronomically large beyond m = 3")
+    fact = math.factorial(m)
+    n = fact**fact
+    total = F(0)
+    for c, q, _, ei in f.terms:
+        e = F(fact) * q
+        if e.denominator == 1:
+            power = F(fact) ** int(e)
+        else:
+            root = ref_nth_root_exact(fact ** abs(e.numerator), e.denominator)
+            power = F(root) if e.numerator >= 0 else F(1, root)
+        term = c * power
+        if ei:
+            term *= F(2) ** (n * ei)
+        total += term
+    if total.denominator != 1 or total < 0:
+        raise NonIntegral(f"value {total} at m={m} is not a natural number")
+    return int(total)
+
+
+def ref_lambda_limit(f):
+    out = field.ZERO
+    for c, q, xj, ei in f.terms:
+        piece = field.from_rational(c)
+        piece = field.nf_mul(piece, field.alpha_power(q - xj))
+        if xj:
+            piece = field.nf_mul(piece, field.nf_pow(field.BETA, field.from_rational(xj)))
+        if ei:
+            half_x = field.nf_div(field.X2W, field.from_rational(2))
+            piece = field.nf_mul(piece, field.nf_pow(half_x, field.from_rational(ei)))
+        out = field.nf_add(out, piece)
+    return out
+
+
+def ref_format_counting_fn(f) -> str:
+    if not f.terms:
+        return "0"
+    parts = []
+    for i, (c, q, xj, ei) in enumerate(f.terms):
+        factors = []
+        if ei:
+            factors.append("2^n" if ei == 1 else f"(2^n)^{ei}")
+        if q:
+            exp = str(q) if q.denominator == 1 else f"({q})"
+            factors.append("n" if q == 1 else f"n^{exp}")
+        if xj:
+            factors.append("x" if xj == 1 else f"x^{xj}")
+        mag = abs(c)
+        coeff = "" if (mag == 1 and factors) else str(mag)
+        body = "*".join(([coeff] if coeff else []) + factors)
+        if i == 0:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def _outcome(fn, *args):
+    # Plain ValueError too: both raise it when the text of a non-natural value
+    # would pass Python's 4300-digit limit for int-to-str conversion.
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def assert_agrees(new: CountingFn, ref: RefCountingFn) -> None:
+    """The stored-limit form against the term list, on every read."""
+    assert new.terms == ref.terms
+    assert [tuple(map(type, t)) for t in new.terms] == [(F, F, int, int)] * len(ref.terms)
+    assert (str(new), new.is_zero(), new.x_free(), new.m0) == (
+        str(ref), ref.is_zero(), ref.x_free(), ref.m0)
+    assert lambda_limit(new) == ref_lambda_limit(ref)
+    for m in range(1, 6):
+        assert _outcome(cf_eval, new, m) == _outcome(ref_cf_eval, ref, m), m
+
+
+# Terms c*n^q*x^j*(2^n)^i: q below j gives a negative alpha exponent in the limit.
+_term_lists = st.tuples(
+    st.lists(st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                       st.fractions(min_value=-2, max_value=3, max_denominator=3),
+                       st.integers(0, 2), st.integers(0, 2)), max_size=4),
+    st.integers(1, 8),
+)
+
+
+class TestStoredLimit:
+    @settings(max_examples=150, deadline=None)
+    @given(_term_lists, _term_lists, st.integers(0, 3))
+    def test_matches_term_lists(self, a, b, k):
+        f, rf = CountingFn.make(*a), RefCountingFn.make(*a)
+        g, rg = CountingFn.make(*b), RefCountingFn.make(*b)
+        for new, ref in ((f, rf), (g, rg), (f + g, rf + rg), (f - g, rf - rg),
+                         (f * g, rf * rg), (f.pow(k), rf.pow(k))):
+            assert_agrees(new, ref)
+        assert cf_compare(f, g) == cf_compare(rf, rg)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+           st.fractions(min_value=-2, max_value=3, max_denominator=3),
+           st.integers(0, 2), st.integers(0, 2), st.integers(1, 8))
+    def test_constructors(self, c, q, x, e, m0):
+        assert_agrees(CountingFn.monomial(c, q, x, e, m0), RefCountingFn.make([(c, q, x, e)], m0))
+        assert_agrees(CountingFn.constant(c, m0), RefCountingFn.constant(c, m0))
+
+    def test_negative_alpha_exponents_decode(self):
+        f = CountingFn.make([(F(3), F(1, 2), 2, 1), (F(-1, 2), F(0), 1, 0), (F(5), F(2), 0, 0)], 4)
+        assert f.limit.den == ((2, field.Monomial(alpha=F(3, 2))),)
+        assert f.terms == ((F(3), F(1, 2), 2, 1), (F(5), F(2), 0, 0), (F(-1, 2), F(0), 1, 0))
+        assert str(f) == "3*2^n*n^(1/2)*x^2 + 5*n^2 - 1/2*x"
+
+    def test_lambda_limit_is_the_stored_limit(self):
+        f = mono(F(1, 2), 1) * mono(1, 0, 0, 1)
+        assert lambda_limit(f) is f.limit

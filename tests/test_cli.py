@@ -355,6 +355,30 @@ class TestMalformedLines:
         assert value_of(":sur 3/3^1 + 1") == "++"
         assert value_of(":sur 1/1^10000000 + 1") == "++"
 
+    @pytest.mark.parametrize("line, want", [
+        (":sur 1000000000000", "BudgetExceeded: an expansion of 1000000000000 signs"),
+        (":simplest {1000000000000} {}", "BudgetExceeded: an expansion of 1000000000001 signs"),
+        (":cmp plus(2^<>40) ++", "BudgetExceeded: an expansion of 1099511627776 signs"),
+        # An operand is counted unbuilt, so the cap rejects it as it would the built one.
+        (":sur 1000000000000 + 1", "RecursionCapExceeded: addition: combined birthday 1000000000001"),
+        (":sur ++ - -1099511627776", "RecursionCapExceeded: addition: combined birthday 1099511627778"),
+        (":sur 1/4 * 1000000000000", "RecursionCapExceeded: multiplication: combined birthday 1000000000003"),
+        (":sur plus(w) - 1000000000000", "RecursionCapExceeded: addition is not offered on ordinal"),
+    ])
+    def test_surreal_sign_budget(self, line, want):
+        start = time.perf_counter()
+        record, err = run_line(line, Session())
+        assert time.perf_counter() - start < 0.01
+        assert err == "eval"
+        assert record["value"].startswith(want)
+        assert want.startswith("Rec") or record["value"].endswith(" over the budget MAX_SIGNS = 14000")
+
+    def test_surreal_sign_budget_edge(self):
+        assert value_of(":sur 14000") == "+" * 14000
+        assert value_of(":cmp plus(14000) -") == "greater"
+        assert value_of(":sur -13999/2") == "-" * 7000 + "+"
+        assert run_line(":sur 14001", Session())[0]["value"].startswith("BudgetExceeded")
+
     def test_rational_root_of_large_order_ends(self):
         start = time.perf_counter()
         record, err = run_line(":st (2*alpha)^(1/10000000)", Session())

@@ -621,6 +621,23 @@ class TestPowerBudget:
                 nf_pow(base, exp)
 
 
+class TestOnePowerRoutine:
+    @pytest.mark.parametrize("k", range(13))
+    def test_finite_w_powers_and_bb_beth1_powers(self, k):
+        w_k = bx_k = ONE
+        for _ in range(k):
+            w_k, bx_k = nf_mul(w_k, nf_add(ALPHA, ONE)), nf_mul(bx_k, nf_add(BETA, X2W))
+        assert field.omega_power(o.Ord.from_int(k)) == w_k
+        assert apply_bb(nf_pow(BETH1, q(k)), AxiomTable(bb_mode=True)) == bx_k
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**200), st.integers(1, 40))
+    def test_int_root(self, r, k):
+        assert field.int_root(r**k, k) == r
+        if r > 1 and k > 1:
+            assert field.int_root(r**k + 1, k) is None and field.int_root(r**k - 1, k) is None
+
+
 class TestJsonEncoding:
     def test_shape(self):
         x = nf_div(nf_add(nf_mul(q(2), ALPHA2), ONE), nf_add(BETA, ONE))

@@ -70,6 +70,20 @@ class TestCountingFns:
         assert cf.m0 == 3
         assert cf_eval(cf, 3) == 46656 // 3
 
+    def test_colorings_compile_through_the_field_power(self):
+        cf = counting_fn(FinMapsInto(4, NatAll()))
+        assert (cf.terms, cf.m0) == (((F(4), F(0), 0, 2),), 1)
+        assert counting_fn(FinMapsInto(8, FinSet(frozenset({1, 2})))).terms == ((F(64), F(0), 0, 0),)
+        for e, why in [
+            (FinMapsInto(3, QPos()), "colorings compile only for power-of-two k over affine counts"),
+            (FinMapsInto(2, QPos()), "determined by comparison-map rewrite, not the grid chain"),
+            (FinMapsInto(2, Pow(2)), "colorings compile only for power-of-two k over affine counts"),
+            (FinMapsInto(4, Mod(2, 0)), "colorings compile only for power-of-two k over affine counts"),
+        ]:
+            with pytest.raises(Uncompilable) as info:
+                counting_fn(e)
+            assert info.value.why == why
+
     def test_mod_threshold_computed(self):
         assert counting_fn(Mod(4, 0)).m0 == 2
         assert counting_fn(Mod(5, 0)).m0 == 5

@@ -469,6 +469,21 @@ class TestArithmetic:
         with pytest.raises(RecursionCapExceeded):
             s_mul(se_from_dyadic(10**6), ZERO_SE)
 
+    def test_dyadic_operands_count_before_they_are_built(self):
+        for x in all_expansions(4):
+            for y in (F(3), F(-5, 4), F(1, 8)):
+                for op in (s_add, s_sub, s_mul):
+                    assert op(x, y) == op(x, se_from_dyadic(y)) and op(y, x) == op(se_from_dyadic(y), x)
+        for d in (F(0), F(5), F(-7, 2), F(3, 16), F(-1, 1024), F(1000001, 64)):
+            assert surreal.dyadic_length(d) == len(se_from_dyadic(d).signs)
+        with pytest.raises(RecursionCapExceeded, match="combined birthday 1000000000003 exceeds 16"):
+            s_mul(parse_signs("+-+"), F(10**12))
+        with pytest.raises(RecursionCapExceeded, match="not offered on ordinal"):
+            s_sub(ordinal_plus(o.OMEGA), F(10**12))
+        with pytest.raises(o.BudgetExceeded, match="14001 signs"):
+            ordinal_plus(o.Ord.from_int(surreal.MAX_SIGNS + 1))
+        assert ordinal_plus(o.Ord.from_int(surreal.MAX_SIGNS)).signs == (1,) * surreal.MAX_SIGNS
+
     def test_cap_enforced(self):
         long = finite([1] * 13)
         with pytest.raises(RecursionCapExceeded):

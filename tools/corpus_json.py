@@ -14,8 +14,9 @@ script mode prints it.  Tail lines are skipped, since they may not end
 does not (linear exponents of 2, rational powers of an alpha-monomial,
 `w`-powers read back as ordinals, `:mode_bb on`, dense powers, declared
 order, rational gammas, integer powers and modulus factor searches at their
-budgets, rational roots of an alpha-monomial's coefficient, dyadic powers at
-their budget, genetic `:sur` sums and products at the caps) and parse errors
+budgets, rational roots of an alpha-monomial's coefficient, dyadic powers and
+surreal sign counts at their budgets, finite `w`-powers and `beth1`-powers
+under `:mode_bb on`, genetic `:sur` sums and products at the caps) and parse errors
 from every production, so the diff covers each error text and column; then
 `:labelcheck` in both modes on every instance file: the corpus files plus
 `EXTRA_INSTANCES`, whose label-tree, table and directedness checks fail, so
@@ -52,6 +53,8 @@ EXTRA = [
     ":num mod(1099505336329,0)", ":num mod(10000000000037,0)",
     ":sur 1/2^10000000 + 1", ":sur 1/3^10000000 + 1", ":sur 1/2^7000", ":sur 1/2^7001",
     ":assert_order alpha* < X",
+    ":sur 20000 + 1", ":simplest {20000} {}", ":cmp plus(20000) +", ":sur 14000",
+    ":st w^40", ":cmp w^30 alpha^30", ":mode_bb on", ":st beth1^5/X^5", ":mode_bb off",
 ]
 # Genetic sums and products at the combined-birthday caps (24 and 16), on
 # alternating signs, so the diff reaches the largest tables.
