@@ -24,11 +24,14 @@ from typing import Optional
 
 from . import field
 from .field import NumExpr
-from .ordinals import BudgetExceeded
+from .ordinals import MAX_POWER_BITS, BudgetExceeded
 
 # Largest trial divisor in the factor search of a modulus: every modulus below
 # 2^40 still factors exactly, and the search stays around 0.25 s at most.
 MAX_TRIAL_DIVISOR = 1 << 20
+# Largest index cf_eval evaluates at: n(6) = 720^720 has 6,835 bits, while
+# n(7) has 61,989 and n(8) 616,865, each kept by chain_card's cache.
+MAX_EVAL_INDEX = 6
 
 
 class ChainKind(Enum):
@@ -187,6 +190,8 @@ def cf_eval(f: CountingFn, m: int) -> int:
     """Exact value at index m (x-free only); errors if not a natural number."""
     if m < f.m0:
         raise IndexTooLarge(f"index {m} is below the validity threshold {f.m0}")
+    if m > MAX_EVAL_INDEX:
+        raise IndexTooLarge(f"index {m} over the budget MAX_EVAL_INDEX = {MAX_EVAL_INDEX}")
     if not f.x_free():
         raise XFreeRequired("counting function involves the formal seed size x")
     terms = f.terms
@@ -200,7 +205,11 @@ def cf_eval(f: CountingFn, m: int) -> int:
             raise NonIntegral(f"n({m}) has no exact {q.denominator}-th root")
         total += c * Fraction(root) ** q.numerator * 2 ** (n * ei)
     if total.denominator != 1 or total < 0:
-        raise NonIntegral(f"value {total} at m={m} is not a natural number")
+        # Past the power budget a value is described: str() stops at 4300 digits.
+        bits = max(abs(total.numerator), total.denominator).bit_length()
+        sign = "negative" if total < 0 else "positive"
+        shown = total if bits <= MAX_POWER_BITS else f"({sign}, {bits} bits)"
+        raise NonIntegral(f"value {shown} at m={m} is not a natural number")
     return int(total)
 
 

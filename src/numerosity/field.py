@@ -15,15 +15,16 @@ entry points.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import Callable, Iterable, Optional
+from functools import partial
+from operator import itemgetter
+from typing import Iterable, Optional
 
-from .ordinals import Ord, UnsupportedPower, cantor_add, check_power_bits, format_ordinal, ord_cmp
+from .ordinals import (Ord, UnsupportedPower, cantor_add, check_power_bits, format_ordinal, ord_cmp,
+                       ord_from_key)
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -47,83 +48,64 @@ class MeasureInternalError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
-    """Product of generator powers, stored as one exponent vector.
+class Monomial(namedtuple("Monomial", "omega x2w beth1 beta alpha")):
+    """Product of generator powers, stored as its own order key: one exponent tuple.
 
-    alpha carries a rational exponent, stored as an int when it is integral
-    (an equal int and Fraction hash alike, so keys and order do not see it);
-    beta, beth1 and X = 2^w carry integer ones.  The w-powers form a free
-    commutative monoid with one generator w^(w^e) per CNF term: omega holds
-    (e, k) pairs with e a non-zero ordinal, sorted by decreasing e, and k a
-    non-zero integer, so w^g for an infinite g with no finite part is g.terms
-    (finite powers expand via w = alpha+1).
-    Exponents may be negative, so a quotient of monomials is a monomial; in a
-    NumExpr they are all non-negative.  The unit monomial is the zero vector.
-    The order key and the hash are built once, at construction.
+    alpha carries a rational exponent, an int when it is integral (an equal
+    int and Fraction compare and hash alike); beta, beth1 and X = 2^w carry
+    integer ones.  The w-powers form a free commutative monoid with one
+    generator w^(w^e) per CNF term: omega holds (key of e, k) pairs, e a
+    non-zero ordinal, by decreasing e, and k a non-zero integer, so w^g for
+    an infinite g with no finite part has g's order key as omega.  Exponents
+    may be negative, so a quotient of monomials is a monomial; in a NumExpr
+    they are non-negative.  The constructor takes omega as (Ord, k) pairs;
+    the operations below build the tuple directly through `_mono`.
     """
 
-    alpha: Fraction | int = 0
-    beta: int = 0
-    beth1: int = 0
-    x2w: int = 0
-    omega: tuple[tuple[Ord, int], ...] = ()
-    _k: tuple = dataclasses.field(init=False, repr=False, compare=False)
-    _h: int = dataclasses.field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.alpha.__class__ is not int and self.alpha.denominator == 1:
-            object.__setattr__(self, "alpha", self.alpha.numerator)
-        key = (tuple((e._k, k) for e, k in self.omega), self.x2w, self.beth1, self.beta, self.alpha)
-        object.__setattr__(self, "_k", key)
-        object.__setattr__(self, "_h", hash(key))
+    def __new__(cls, alpha: Fraction | int = 0, beta: int = 0, beth1: int = 0, x2w: int = 0,
+                omega: tuple[tuple[Ord, int], ...] = ()) -> "Monomial":
+        if alpha.__class__ is not int and alpha.denominator == 1:
+            alpha = alpha.numerator
+        return tuple.__new__(cls, (tuple((e._k, k) for e, k in omega), x2w, beth1, beta, alpha))
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, Monomial) and self._h == other._h and self._k == other._k)
-
-    def __hash__(self) -> int:
-        return self._h
-
-    def key(self) -> tuple:
-        return self._k
+    def __reduce__(self) -> tuple:
+        return _mono, (tuple(self),)
 
     def __str__(self) -> str:
         return format_monomial(self)
 
 
+_mono = partial(tuple.__new__, Monomial)
 UNIT = Monomial()
 
 
-def _componentwise(a: Monomial, b: Monomial, op: Callable) -> Monomial:
-    """Apply op to each pair of exponents; a generator absent from a side has exponent 0.
-
-    The omega lists are merged in one walk by decreasing ordinal exponent.
-    """
-    omega = []
-    ao, bo = a.omega, b.omega
-    i = j = 0
-    while i < len(ao) or j < len(bo):
-        c = 1 if j == len(bo) else -1 if i == len(ao) else ord_cmp(ao[i][0], bo[j][0])
-        e = ao[i][0] if c >= 0 else bo[j][0]
-        k = op(ao[i][1] if c >= 0 else 0, bo[j][1] if c <= 0 else 0)
-        i += c >= 0
-        j += c <= 0
-        if k:
-            omega.append((e, k))
-    return Monomial(op(a.alpha, b.alpha), op(a.beta, b.beta), op(a.beth1, b.beth1),
-                    op(a.x2w, b.x2w), tuple(omega))
+def _omega_sum(ao: tuple, bo: tuple, sign: int) -> tuple:
+    """ao + sign*bo on w-parts, sorted by decreasing ordinal key, zero entries dropped."""
+    d = dict(ao)
+    for e, k in bo:
+        d[e] = d.get(e, 0) + sign * k
+    return tuple(sorted([t for t in d.items() if t[1]], reverse=True))
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """The exponents add; the omega lists are merged only when both sides have one."""
-    if a.omega and b.omega:
-        return _componentwise(a, b, operator.add)
-    return Monomial(a.alpha + b.alpha, a.beta + b.beta, a.beth1 + b.beth1, a.x2w + b.x2w,
-                    a.omega or b.omega)
+    """The exponents add; the omega parts are merged only when both sides have one."""
+    ao, ax, ah, ab, aa = a
+    bo, bx, bh, bb, ba = b
+    alpha = aa + ba
+    if alpha.__class__ is not int and alpha.denominator == 1:
+        alpha = alpha.numerator
+    return _mono((_omega_sum(ao, bo, 1) if ao and bo else ao or bo, ax + bx, ah + bh, ab + bb, alpha))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return _componentwise(a, b, operator.sub)
+    ao, ax, ah, ab, aa = a
+    bo, bx, bh, bb, ba = b
+    alpha = aa - ba
+    if alpha.__class__ is not int and alpha.denominator == 1:
+        alpha = alpha.numerator
+    return _mono((_omega_sum(ao, bo, -1) if bo else ao, ax - bx, ah - bh, ab - bb, alpha))
 
 
 def _omega_sign(r: Monomial) -> int:
@@ -138,7 +120,7 @@ Terms = tuple[tuple[int, Monomial], ...]
 
 def _sort_terms(d: dict[Monomial, int]) -> Terms:
     items = [(c, m) for m, c in d.items() if c]
-    items.sort(key=lambda t: t[1]._k, reverse=True)
+    items.sort(key=itemgetter(1), reverse=True)
     return tuple(items)
 
 
@@ -181,7 +163,7 @@ def _poly_mul(a: Terms, b: Terms) -> Terms:
 class NumExpr:
     """Canonical quotient of two generalized polynomials.
 
-    Invariants: term lists are sorted by monomial key and duplicate-free;
+    Invariants: term lists are sorted by decreasing monomial and duplicate-free;
     every coefficient is a non-zero int, the gcd of all numerator and
     denominator coefficients is 1 and the denominator's leading coefficient
     is positive (one-to-one with the monic form, whose coefficients are these
@@ -219,7 +201,12 @@ def _constant_den(x: NumExpr) -> Optional[int]:
 
 
 def _content(terms: Iterable[tuple[int, Monomial]]) -> Monomial:
-    return reduce(lambda a, b: _componentwise(a, b, min), (m for _, m in terms))
+    """Componentwise minimum of the exponents, in one pass; an absent w-entry counts as 0."""
+    omegas, x2w, beth1, beta, alpha = zip(*(m for _, m in terms))
+    ds = [dict(o) for o in omegas]
+    omega = tuple((e, k) for e in sorted(set().union(*ds), reverse=True)
+                  if (k := min(d.get(e, 0) for d in ds)))
+    return _mono((omega, min(x2w), min(beth1), min(beta), min(alpha)))
 
 
 def _make(num: Terms, den: Terms) -> NumExpr:
@@ -317,8 +304,7 @@ def omega_power(exp: Ord) -> NumExpr:
     finite_power = nf_pow(OMEGA_NF, from_rational(r))
     if exp.is_finite():
         return finite_power
-    limit_part = exp.terms[:-1] if r else exp.terms
-    return nf_mul(_atom(Monomial(omega=limit_part)), finite_power)
+    return nf_mul(_atom(_mono((exp._k[:-1] if r else exp._k, 0, 0, 0, 0))), finite_power)
 
 
 def embed(o: Ord) -> NumExpr:
@@ -346,7 +332,7 @@ def unembed(x: NumExpr) -> Optional[Ord]:
         # A w^g * alpha^r monomial is the split image of exponent g + r.
         e = Ord.from_int(int(m.alpha))
         if m.omega:
-            e = cantor_add(Ord(m.omega), e)
+            e = cantor_add(ord_from_key(m.omega), e)
         if c % d or c <= 0:
             return None
         if prev is not None and ord_cmp(e, prev) >= 0:
@@ -526,7 +512,7 @@ def apply_bb(x: NumExpr, table: AxiomTable) -> NumExpr:
         out = ZERO
         bx = nf_add(BETA, X2W)
         for c, m in terms:
-            stripped = Monomial(m.alpha, m.beta, 0, m.x2w, m.omega)
+            stripped = m._replace(beth1=0)
             piece = nf_mul(from_rational(c), _atom(stripped) if stripped != UNIT else ONE)
             out = nf_add(out, nf_mul(piece, nf_pow(bx, from_rational(m.beth1))))
         return out
@@ -744,7 +730,7 @@ def format_monomial(m: Monomial) -> str:
         return "1"
     parts = []
     if m.omega:
-        parts.append(f"w^({format_ordinal(Ord(m.omega))})")
+        parts.append(f"w^({format_ordinal(ord_from_key(m.omega))})")
     if m.x2w:
         parts.append("X" if m.x2w == 1 else f"X^{m.x2w}")
     if m.beth1:

@@ -50,6 +50,7 @@ class Ord:
     Terms are sorted by strictly decreasing exponent; coefficients are >= 1;
     the empty tuple is 0; a natural number n is the single term (0, n).
     The order key and the hash are built once, from the exponents' own.
+    `Ord(...)` checks this; the operations below build through the unchecked `_ord`.
     """
 
     terms: tuple[tuple["Ord", int], ...] = ()
@@ -79,9 +80,7 @@ class Ord:
     def from_int(n: int) -> "Ord":
         if n < 0:
             raise ValueError("ordinals are non-negative")
-        if n == 0:
-            return ZERO
-        return Ord(((ZERO, n),))
+        return ZERO if n == 0 else _ord(((ZERO, n),))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -139,6 +138,24 @@ class Ord:
         return format_ordinal(self)
 
 
+def _ord(terms: tuple, key: tuple | None = None) -> Ord:
+    """An Ord from terms with strictly decreasing exponents and coefficients >= 1, unchecked."""
+    o = object.__new__(Ord)
+    if key is None:
+        key = tuple([(e._k, c) for e, c in terms])
+    _set_terms(o, terms)
+    _set_key(o, key)
+    _set_hash(o, hash(key))
+    return o
+
+
+def ord_from_key(key: tuple) -> Ord:
+    """The ordinal whose order key is key."""
+    return _ord(tuple((ord_from_key(e), c) for e, c in key), key)
+
+
+# The frozen Ord's slot setters, which `_ord` writes through.
+_set_terms, _set_key, _set_hash = (Ord.__dict__[name].__set__ for name in ("terms", "_k", "_h"))
 ZERO = Ord()
 ONE = Ord.from_int(1)
 OMEGA = Ord(((ONE, 1),))
@@ -148,7 +165,7 @@ def omega_pow(exp: Ord, coeff: int = 1) -> Ord:
     """The monomial w^exp * coeff."""
     if coeff < 1:
         raise ValueError("coefficient must be >= 1")
-    return Ord(((exp, coeff),))
+    return _ord(((exp, coeff),))
 
 
 def ord_cmp(a: Ord, b: Ord) -> int:
@@ -165,14 +182,11 @@ def cantor_add(a: Ord, b: Ord) -> Ord:
         return a
     if a.is_zero():
         return b
-    eb = b.lead_exp()
-    kept = [t for t in a.terms if ord_cmp(t[0], eb) > 0]
-    merged = list(b.terms)
-    for exp, coeff in a.terms:
-        if ord_cmp(exp, eb) == 0:
-            merged[0] = (eb, coeff + b.terms[0][1])
-            break
-    return Ord(tuple(kept) + tuple(merged))
+    (eb, cb), kb = b.terms[0], b.terms[0][0]._k
+    i = next((i for i, (e, _) in enumerate(a.terms) if e._k <= kb), len(a.terms))
+    if i < len(a.terms) and a.terms[i][0]._k == kb:
+        return _ord(a.terms[:i] + ((eb, a.terms[i][1] + cb),) + b.terms[1:])
+    return _ord(a.terms[:i] + b.terms)
 
 
 def cantor_mul(a: Ord, b: Ord) -> Ord:
@@ -184,7 +198,7 @@ def cantor_mul(a: Ord, b: Ord) -> Ord:
     for exp, coeff in b.terms:
         if exp.is_zero():
             # a * n multiplies only the leading coefficient of a.
-            piece = Ord(((ea, a.terms[0][1] * coeff),) + a.terms[1:])
+            piece = _ord(((ea, a.terms[0][1] * coeff),) + a.terms[1:])
         else:
             piece = omega_pow(cantor_add(ea, exp), coeff)
         out = cantor_add(out, piece)
@@ -195,21 +209,20 @@ def natural_add(a: Ord, b: Ord) -> Ord:
     """Hessenberg sum: coefficient-wise merge over the union of exponents."""
     if not (a.terms and b.terms):
         return a if a.terms else b
-    coeffs: dict[Ord, int] = {}
-    for exp, coeff in a.terms + b.terms:
+    coeffs = dict(a.terms)
+    for exp, coeff in b.terms:
         coeffs[exp] = coeffs.get(exp, 0) + coeff
-    return Ord(tuple(sorted(coeffs.items(), key=lambda t: t[0]._k, reverse=True)))
+    return _ord(tuple(sorted(coeffs.items(), key=lambda t: t[0]._k, reverse=True)))
 
 
 def natural_mul(a: Ord, b: Ord) -> Ord:
-    """Hessenberg product: convolution with natural sums of exponents."""
-    if a.is_zero() or b.is_zero():
-        return ZERO
-    out = ZERO
+    """Hessenberg product: convolution with natural sums of exponents, collected in one dict."""
+    coeffs: dict[Ord, int] = {}
     for ea, ca in a.terms:
         for eb, cb in b.terms:
-            out = natural_add(out, omega_pow(natural_add(ea, eb), ca * cb))
-    return out
+            e = natural_add(ea, eb)
+            coeffs[e] = coeffs.get(e, 0) + ca * cb
+    return _ord(tuple(sorted(coeffs.items(), key=lambda t: t[0]._k, reverse=True)))
 
 
 def _finite_pow(base: Ord, n: int) -> Ord:

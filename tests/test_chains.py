@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from numerosity import field
 from numerosity.cli import Session, run_line
 from numerosity.chains import (
+    MAX_EVAL_INDEX,
     CfComparison,
     ChainKind,
     CountingFn,
@@ -121,6 +122,18 @@ class TestEval:
     def test_exponential_beyond_m3_rejected(self):
         with pytest.raises(IndexTooLarge):
             cf_eval(mono(1, 0, 0, 1), 4)
+
+    def test_huge_non_natural_value_is_described(self):
+        # -2^n(3) has 46,657 bits: past Python's 4300-digit limit for str().
+        with pytest.raises(NonIntegral, match=r"^value \(negative, 46657 bits\) at m=3 is not"):
+            cf_eval(CountingFn.monomial(-1, 0, 0, 1), 3)
+        with pytest.raises(NonIntegral, match=r"^value -1/2 at m=2 is not"):
+            cf_eval(mono(F(-1, 2)), 2)
+
+    def test_index_budget(self):
+        assert cf_eval(mono(1), MAX_EVAL_INDEX) == 1
+        with pytest.raises(IndexTooLarge, match="MAX_EVAL_INDEX"):
+            cf_eval(mono(1), MAX_EVAL_INDEX + 1)
 
 
 class TestCompare:
@@ -387,7 +400,9 @@ def ref_cf_eval(f, m: int) -> int:
             term *= F(2) ** (n * ei)
         total += term
     if total.denominator != 1 or total < 0:
-        raise NonIntegral(f"value {total} at m={m} is not a natural number")
+        bits = max(abs(total.numerator), total.denominator).bit_length()
+        raise NonIntegral(f"value at m={m} is not a natural number: sign {(total > 0) - (total < 0)}, "
+                          f"{bits} bits")
     return int(total)
 
 
@@ -429,11 +444,9 @@ def ref_format_counting_fn(f) -> str:
 
 
 def _outcome(fn, *args):
-    # Plain ValueError too: both raise it when the text of a non-natural value
-    # would pass Python's 4300-digit limit for int-to-str conversion.
     try:
         return fn(*args)
-    except ValueError as exc:
+    except (IndexTooLarge, NonIntegral, XFreeRequired) as exc:
         return type(exc)
 
 

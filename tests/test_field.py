@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
-import operator
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -47,6 +48,7 @@ from numerosity.field import (
     unembed,
 )
 from conftest import random_numexpr, random_ord
+from ref_field import ref_content, ref_key, ref_mono_div, ref_mono_mul, to_field, to_ref
 
 
 def q(n, d=1):
@@ -356,6 +358,41 @@ class TestMonomialVectors:
         assert nf_eq(nf_mul(nf_div(x, omega_power(g)), omega_power(g)), x)
 
 
+class TestKeyTupleMonomials:
+    """The key-tuple monomials against the frozen-dataclass reference (tests/ref_field.py)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(monomials(), monomials())
+    def test_product_and_quotient(self, a, b):
+        ra, rb = to_ref(a), to_ref(b)
+        for got, want in ((field.mono_mul(a, b), ref_mono_mul(ra, rb)),
+                          (field.mono_div(a, b), ref_mono_div(ra, rb))):
+            assert got == to_field(want) and to_ref(got) == want
+            assert type(got.alpha) is type(want.alpha)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(monomials(), min_size=1, max_size=5))
+    def test_content(self, monos):
+        want = ref_content((1, to_ref(m)) for m in monos)
+        assert to_ref(field._content((1, m) for m in monos)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(monomials(), max_size=8))
+    def test_order_hash_and_equality(self, monos):
+        monos += [to_field(to_ref(m)) for m in monos]  # equal copies, built apart
+        assert sorted(monos) == sorted(monos, key=ref_key)
+        for a in monos:
+            assert tuple(a) == ref_key(a) and hash(a) == hash(to_ref(a))
+            for b in monos:
+                assert (a == b) == (to_ref(a) == to_ref(b))
+
+    @settings(max_examples=50, deadline=None)
+    @given(monomials())
+    def test_copies_keep_the_value(self, m):
+        assert pickle.loads(pickle.dumps(m)) == m == copy.copy(m)
+        assert type(copy.deepcopy(m)) is Monomial
+
+
 def _check_stored_terms(x: field.NumExpr) -> None:
     """Sorted, non-negative exponents, the unit monomial last, content cancelled;
     int coefficients with joint gcd 1 and a positive denominator lead; an
@@ -364,7 +401,7 @@ def _check_stored_terms(x: field.NumExpr) -> None:
     assert x.den[0][0] > 0
     assert math.gcd(*(c for c, _ in x.num + x.den)) == 1
     for terms in (x.num, x.den):
-        keys = [m.key() for _, m in terms]
+        keys = [ref_key(m) for _, m in terms]
         assert keys == sorted(set(keys), reverse=True)
         for i, (c, m) in enumerate(terms):
             assert type(c) is int and c != 0
@@ -399,7 +436,7 @@ class TestStoredTerms:
 
 def ref_sort_terms(d):
     items = [(c, m) for m, c in d.items() if c != 0]
-    items.sort(key=lambda t: t[1].key(), reverse=True)
+    items.sort(key=lambda t: ref_key(t[1]), reverse=True)
     return tuple(items)
 
 
@@ -422,7 +459,7 @@ def ref_poly_mul(a, b):
     d = {}
     for ca, ma in a:
         for cb, mb in b:
-            m = field._componentwise(ma, mb, operator.add)  # the old mono_mul
+            m = to_field(ref_mono_mul(to_ref(ma), to_ref(mb)))
             d[m] = d[m] + ca * cb if m in d else ca * cb
     return ref_sort_terms(d)
 
@@ -441,10 +478,11 @@ def ref_make(num, den):
         return ((), ((F(1), UNIT),))
     if num == den:
         return (((F(1), UNIT),), ((F(1), UNIT),))
-    content = UNIT if UNIT in (num[-1][1], den[-1][1]) else field._content(num + den)
+    content = UNIT if UNIT in (num[-1][1], den[-1][1]) else to_field(ref_content(
+        (c, to_ref(m)) for c, m in num + den))
     if content != UNIT:
-        num = tuple((c, field.mono_div(m, content)) for c, m in num)
-        den = tuple((c, field.mono_div(m, content)) for c, m in den)
+        num = tuple((c, to_field(ref_mono_div(to_ref(m), to_ref(content)))) for c, m in num)
+        den = tuple((c, to_field(ref_mono_div(to_ref(m), to_ref(content)))) for c, m in den)
     lead = den[0][0]
     if lead != 1:
         num = ref_poly_scale(num, 1 / lead)

@@ -32,9 +32,10 @@ from numerosity.ordinals import (
     omega_pow,
     ord_cmp,
     ord_exp,
+    ord_from_key,
 )
-from numerosity.field import Monomial
 from conftest import random_ord
+from ref_field import RefMonomial, to_field
 
 
 # -- oracle: ordinals below w^w as coefficient lists [c0, c1, ...] ----------
@@ -368,7 +369,7 @@ def ref_key(o: Ord) -> tuple:
     return tuple((ref_key(exp), coeff) for exp, coeff in o.terms)
 
 
-def ref_mono_key(m: Monomial) -> tuple:
+def ref_mono_key(m: RefMonomial) -> tuple:
     ok = tuple((ref_key(e), k) for e, k in m.omega)
     return (ok, m.x2w, m.beth1, m.beta, m.alpha)
 
@@ -392,12 +393,34 @@ class TestStoredKeys:
             assert x._key() == ref_key(x)
             if want == 0:
                 assert hash(x) == hash(y)
-        m = Monomial(F(rng.randint(0, 3), rng.randint(1, 3)), rng.randint(0, 2), rng.randint(0, 2),
-                     rng.randint(0, 2), tuple(t for t in a.terms if not t[0].is_zero()))
-        assert m.key() == ref_mono_key(m)
-        assert m == Monomial(m.alpha, m.beta, m.beth1, m.x2w, rebuilt(Ord(m.omega)).terms)
-        assert hash(m) == hash(Monomial(m.alpha, m.beta, m.beth1, m.x2w, rebuilt(Ord(m.omega)).terms))
+        r = RefMonomial(F(rng.randint(0, 3), rng.randint(1, 3)), rng.randint(0, 2), rng.randint(0, 2),
+                        rng.randint(0, 2), tuple(t for t in a.terms if not t[0].is_zero()))
+        m = to_field(r)
+        assert tuple(m) == r.key() == ref_mono_key(r)
+        apart = to_field(RefMonomial(r.alpha, r.beta, r.beth1, r.x2w, rebuilt(Ord(r.omega)).terms))
+        assert m == apart and hash(m) == hash(apart)
 
     def test_sorting_matches_the_recursive_order(self, rng):
         ords = [random_ord(rng, depth=rng.randint(0, 3)) for _ in range(300)]
         assert sorted(ords, key=Ord._key) == sorted(ords, key=cmp_to_key(ref_cmp))
+
+
+# -- the unchecked internal constructor ---------------------------------------
+
+
+def checked(o: Ord) -> Ord:
+    """o rebuilt through the checked public constructor at every level."""
+    return Ord(tuple((checked(e), c) for e, c in o.terms))
+
+
+class TestUncheckedResults:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 3), st.integers(0, 3))
+    def test_results_pass_the_checked_constructor(self, seed, da, db):
+        rng = random.Random(seed)
+        a, b = random_ord(rng, depth=da), random_ord(rng, depth=db)
+        n = rng.randint(0, 5)
+        for r in (natural_add(a, b), natural_mul(a, b), cantor_add(a, b), cantor_mul(a, b),
+                  omega_pow(a, n + 1), Ord.from_int(n), Ord.from_int(n + 62), ord_from_key(a._key())):
+            c = checked(r)
+            assert c._key() == r._key() and c == r and hash(c) == hash(r)

@@ -1,0 +1,86 @@
+"""Alternated-pair comparison of two checkouts on the repository benchmark.
+
+Usage, from the root of a checkout:
+
+    python3 tools/ab_bench.py PARENT --seeds 50,51,52,53,54,55,56,57,58,59
+                              [--workloads algebra-deep,session-mix]
+
+PARENT is another checkout, typically of the parent commit
+(`git clone . /tmp/parent && git -C /tmp/parent checkout HEAD~1`).  For each
+workload (by default every workload of `BENCHMARK.json`) and seed, the
+benchmark command runs for the benchmark's `run_seconds` once in PARENT and
+once in this checkout, back to back; the side that runs first alternates from
+pair to pair.  A pair's two runs share the machine's speed of the moment, so
+their ratio cancels slow drift in CPU speed that separate series of runs would
+pick up; a claim of a gain needs at least ten pairs, so ten seeds.  For each
+end-to-end metric the script prints every pair's ratio (this checkout over
+PARENT) and the median ratio, marked `better` or `worse` by the metric's
+direction in `BENCHMARK.json`.  A run whose answers fail the benchmark's
+checks is reported with `correct: false`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run(checkout: str, command: list[str], workload: str, seed: int, seconds: int) -> dict:
+    args = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+                      "--trace", "0"]
+    proc = subprocess.run(args, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(args)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def ratio(new: float, old: float) -> float:
+    if old == 0:
+        return 1.0 if new == 0 else float("inf")
+    return new / old
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", help="root of the checkout to compare against")
+    ap.add_argument("--seeds", required=True, help="comma-separated, one pair per seed")
+    ap.add_argument("--workloads", help="comma-separated; default: all of BENCHMARK.json")
+    args = ap.parse_args(argv)
+
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    workloads = (args.workloads.split(",") if args.workloads
+                 else [w["name"] for w in bench["workloads"]])
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    sides = {"parent": os.path.abspath(args.parent), "this": ROOT}
+    for workload in workloads:
+        ratios: dict[str, list[float]] = {name: [] for name in better}
+        for i, seed in enumerate(int(s) for s in args.seeds.split(",")):
+            order = ("parent", "this") if i % 2 == 0 else ("this", "parent")
+            out = {side: run(sides[side], bench["command"], workload, seed, bench["run_seconds"])
+                   for side in order}
+            cells = []
+            for name in better:
+                old, new = (out[s]["metrics"][name]["value"] for s in ("parent", "this"))
+                ratios[name].append(ratio(new, old))
+                cells.append(f"{name} {old:.4g} -> {new:.4g} ({ratios[name][-1]:.3f}x)")
+            print(f"{workload} seed {seed} ({order[0]} first; correct: "
+                  f"{out['parent']['correct']}/{out['this']['correct']}): " + "; ".join(cells),
+                  flush=True)
+        for name, rs in ratios.items():
+            med = statistics.median(rs)
+            verdict = "same" if med == 1 else (
+                "better" if (med > 1) == (better[name] == "higher") else "worse")
+            print(f"{workload} {name}: median ratio {med:.3f} ({verdict}); pairs "
+                  + " ".join(f"{r:.3f}" for r in rs), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,6 +3,10 @@
 Usage, from the root of a checkout:
 
     python3 tools/corpus_json.py > corpus.txt
+    python3 tools/corpus_json.py --write
+
+The second form rewrites the golden file `tests/golden_corpus.txt.gz`, which
+`tests/test_golden.py` compares against fresh records.
 
 For each workload of `perfbench/corpus.py` (seed 1, 12 blocks) every body line
 runs through `numerosity.cli.run_line` on one `Session`, and one output line
@@ -28,6 +32,7 @@ running it in two checkouts and diffing the outputs shows every changed answer.
 
 from __future__ import annotations
 
+import gzip
 import json
 import os
 import sys
@@ -35,6 +40,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED, BLOCKS = 1, 12
+GOLDEN = os.path.join(ROOT, "tests", "golden_corpus.txt.gz")
 EXTRA = [
     ":st 2^(3*alpha+1)/X^3", ":st 4^(alpha-2)/X^2", ":num maps(4, N+)",
     ":st (4*alpha^2)^(1/2)/alpha", ":st (1/9*alpha)^(-1/2)*alpha^(1/2)",
@@ -114,12 +120,17 @@ EXTRA_INSTANCES = {
 }
 
 
-def main() -> int:
+def records() -> list[str]:
+    """Every output line, newline included, in corpus order."""
+    saved = sys.path[:]
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
-    import corpus
-    from numerosity import cli, labtree
+    try:
+        import corpus
+        from numerosity import cli, labtree
+    finally:
+        sys.path[:] = saved  # the caller may be a test session
 
-    out = sys.stdout
+    out: list[str] = []
 
     def replay(workload: str, texts: list[str]) -> None:
         session = cli.Session()
@@ -130,8 +141,8 @@ def main() -> int:
                 record = {"input": text, "status": "error",
                           "value": f"{type(exc).__name__}: {exc}"}
                 err = "raised"
-            out.write(f"{workload}\t{i}\t{err or '-'}\t"
-                      f"{json.dumps(record, sort_keys=True)}\n")
+            out.append(f"{workload}\t{i}\t{err or '-'}\t"
+                       f"{json.dumps(record, sort_keys=True)}\n")
 
     with tempfile.TemporaryDirectory() as work:
         with open(os.path.join(work, "standard.txt"), "w", encoding="utf-8") as fh:
@@ -151,8 +162,21 @@ def main() -> int:
             replay("extra", EXTRA + labelchecks)
         finally:
             os.chdir(here)
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--write"]:
+        # mtime 0 keeps the file's bytes a function of the records alone.
+        with open(GOLDEN, "wb") as raw, gzip.GzipFile("", "wb", fileobj=raw, mtime=0) as fh:
+            fh.write("".join(records()).encode("utf-8"))
+        return 0
+    if argv:
+        print("usage: corpus_json.py [--write]", file=sys.stderr)
+        return 2
+    sys.stdout.writelines(records())
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
