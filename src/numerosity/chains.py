@@ -44,6 +44,10 @@ class IndexTooLarge(ValueError):
     pass
 
 
+class BelowThreshold(ValueError):
+    """An index below a counting function's validity threshold m0."""
+
+
 class NonIntegral(ValueError):
     pass
 
@@ -189,7 +193,7 @@ class CountingFn:
 def cf_eval(f: CountingFn, m: int) -> int:
     """Exact value at index m (x-free only); errors if not a natural number."""
     if m < f.m0:
-        raise IndexTooLarge(f"index {m} is below the validity threshold {f.m0}")
+        raise BelowThreshold(f"index {m} is below the validity threshold {f.m0}")
     if m > MAX_EVAL_INDEX:
         raise IndexTooLarge(f"index {m} over the budget MAX_EVAL_INDEX = {MAX_EVAL_INDEX}")
     if not f.x_free():

@@ -23,8 +23,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .ordinals import (Ord, UnsupportedPower, cantor_add, check_power_bits, format_ordinal, ord_cmp,
-                       ord_from_key)
+from .ordinals import Ord, UnsupportedPower, _ord, cantor_add, check_power_bits, format_ordinal
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -54,12 +53,11 @@ class Monomial(namedtuple("Monomial", "omega x2w beth1 beta alpha")):
     alpha carries a rational exponent, an int when it is integral (an equal
     int and Fraction compare and hash alike); beta, beth1 and X = 2^w carry
     integer ones.  The w-powers form a free commutative monoid with one
-    generator w^(w^e) per CNF term: omega holds (key of e, k) pairs, e a
-    non-zero ordinal, by decreasing e, and k a non-zero integer, so w^g for
-    an infinite g with no finite part has g's order key as omega.  Exponents
-    may be negative, so a quotient of monomials is a monomial; in a NumExpr
-    they are non-negative.  The constructor takes omega as (Ord, k) pairs;
-    the operations below build the tuple directly through `_mono`.
+    generator w^(w^e) per CNF term: omega holds (e, k) pairs, e a non-zero
+    Ord, by decreasing e, and k a non-zero integer, so w^g for an infinite g
+    with no finite part has g's own terms as omega.  Exponents may be
+    negative, so a quotient of monomials is a monomial; in a NumExpr they are
+    non-negative.  The operations below build the tuple directly through `_mono`.
     """
 
     __slots__ = ()
@@ -68,7 +66,7 @@ class Monomial(namedtuple("Monomial", "omega x2w beth1 beta alpha")):
                 omega: tuple[tuple[Ord, int], ...] = ()) -> "Monomial":
         if alpha.__class__ is not int and alpha.denominator == 1:
             alpha = alpha.numerator
-        return tuple.__new__(cls, (tuple((e._k, k) for e, k in omega), x2w, beth1, beta, alpha))
+        return tuple.__new__(cls, (tuple(omega), x2w, beth1, beta, alpha))
 
     def __reduce__(self) -> tuple:
         return _mono, (tuple(self),)
@@ -304,13 +302,13 @@ def omega_power(exp: Ord) -> NumExpr:
     finite_power = nf_pow(OMEGA_NF, from_rational(r))
     if exp.is_finite():
         return finite_power
-    return nf_mul(_atom(_mono((exp._k[:-1] if r else exp._k, 0, 0, 0, 0))), finite_power)
+    return nf_mul(_atom(_mono((exp[:-1] if r else tuple(exp), 0, 0, 0, 0))), finite_power)
 
 
 def embed(o: Ord) -> NumExpr:
     """Order-embedding of the ordinals below epsilon_0 into expressions."""
     out = ZERO
-    for e, c in o.terms:
+    for e, c in o:
         out = nf_add(out, nf_mul(from_rational(c), omega_power(e)))
     return out
 
@@ -332,10 +330,10 @@ def unembed(x: NumExpr) -> Optional[Ord]:
         # A w^g * alpha^r monomial is the split image of exponent g + r.
         e = Ord.from_int(int(m.alpha))
         if m.omega:
-            e = cantor_add(ord_from_key(m.omega), e)
+            e = cantor_add(_ord(m.omega), e)
         if c % d or c <= 0:
             return None
-        if prev is not None and ord_cmp(e, prev) >= 0:
+        if prev is not None and e >= prev:
             return None
         cnf.append((e, c // d))
         prev = e
@@ -730,7 +728,7 @@ def format_monomial(m: Monomial) -> str:
         return "1"
     parts = []
     if m.omega:
-        parts.append(f"w^({format_ordinal(ord_from_key(m.omega))})")
+        parts.append(f"w^({format_ordinal(_ord(m.omega))})")
     if m.x2w:
         parts.append("X" if m.x2w == 1 else f"X^{m.x2w}")
     if m.beth1:

@@ -2,7 +2,9 @@
 
 An ordinal is a descending sum of terms w^e * c with ordinal exponents e and
 positive integer coefficients c; exponents recursively carry the same shape,
-so every representable ordinal lies strictly below epsilon_0.  Two arithmetics
+so every representable ordinal lies strictly below epsilon_0.  `Ord` is that
+tuple of (exponent, coefficient) pairs itself, so Python's tuple order is the
+ordinal order and equal ordinals hash alike.  Two arithmetics
 live on this representation: the Cantor operations (left-absorbing sum,
 left-distributing product) and the natural (Hessenberg) operations, which are
 commutative and coefficient-wise/convolution-wise on the normal form.
@@ -10,7 +12,7 @@ commutative and coefficient-wise/convolution-wise on the normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import partial
 from numbers import Rational
 from typing import Iterable
 
@@ -43,36 +45,29 @@ class ZeroArgument(ValueError):
     """Raised where zero is excluded (e.g. indecomposability of 0)."""
 
 
-@dataclass(frozen=True, slots=True)
-class Ord:
-    """An ordinal < epsilon_0: tuple of (exponent, coefficient) terms.
+class Ord(tuple):
+    """An ordinal < epsilon_0: a tuple of (exponent, coefficient) terms.
 
     Terms are sorted by strictly decreasing exponent; coefficients are >= 1;
-    the empty tuple is 0; a natural number n is the single term (0, n).
-    The order key and the hash are built once, from the exponents' own.
-    `Ord(...)` checks this; the operations below build through the unchecked `_ord`.
+    the empty tuple is 0; a natural number n is the single term (0, n).  An
+    exponent is itself an Ord, so native tuple order, equality and hash are the
+    ordinal's: comparing two ordinals compares their CNF terms lexicographically.
+    `Ord(...)` checks the shape; the operations below build through the unchecked `_ord`.
     """
 
-    terms: tuple[tuple["Ord", int], ...] = ()
-    _k: tuple = field(init=False, repr=False, compare=False)
-    _h: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        prev = None
-        for exp, coeff in self.terms:
+    def __new__(cls, terms: Iterable[tuple["Ord", int]] = ()) -> "Ord":
+        pairs = []
+        for exp, coeff in terms:
+            if not isinstance(exp, Ord):
+                raise TypeError(f"exponent {exp!r} is not an Ord")
             if coeff < 1:
                 raise ValueError(f"coefficient {coeff} must be >= 1")
-            if prev is not None and ord_cmp(exp, prev) >= 0:
+            if pairs and exp >= pairs[-1][0]:
                 raise ValueError("exponents must strictly decrease")
-            prev = exp
-        object.__setattr__(self, "_k", tuple((e._k, c) for e, c in self.terms))
-        object.__setattr__(self, "_h", hash(self._k))
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, Ord) and self._h == other._h and self._k == other._k)
-
-    def __hash__(self) -> int:
-        return self._h
+            pairs.append((exp, coeff))
+        return tuple.__new__(cls, pairs)
 
     # -- structure helpers ------------------------------------------------
 
@@ -83,53 +78,43 @@ class Ord:
         return ZERO if n == 0 else _ord(((ZERO, n),))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     def is_finite(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0].is_zero())
+        return not self or (len(self) == 1 and not self[0][0])
 
     def as_int(self) -> int:
-        if self.is_zero():
+        if not self:
             return 0
         if not self.is_finite():
             raise ValueError(f"{self} is infinite")
-        return self.terms[0][1]
+        return self[0][1]
 
     def lead_exp(self) -> "Ord":
-        if self.is_zero():
+        if not self:
             raise ValueError("0 has no leading term")
-        return self.terms[0][0]
+        return self[0][0]
 
     def finite_part(self) -> int:
         """Coefficient of the w^0 term (0 if absent)."""
-        if self.terms and self.terms[-1][0].is_zero():
-            return self.terms[-1][1]
+        if self and not self[-1][0]:
+            return self[-1][1]
         return 0
 
-    def _key(self) -> tuple:
-        return self._k
-
-    # -- order ------------------------------------------------------------
-
-    def __lt__(self, other: "Ord") -> bool:
-        return ord_cmp(self, other) < 0
-
-    def __le__(self, other: "Ord") -> bool:
-        return ord_cmp(self, other) <= 0
-
-    def __gt__(self, other: "Ord") -> bool:
-        return ord_cmp(self, other) > 0
-
-    def __ge__(self, other: "Ord") -> bool:
-        return ord_cmp(self, other) >= 0
-
-    # -- arithmetic dunders use the natural operations --------------------
+    # -- arithmetic dunders use the natural operations; a tuple operand is an
+    # error, not a tuple concatenation or repetition ------------------------
 
     def __add__(self, other: "Ord") -> "Ord":
-        return natural_add(self, other)
+        return natural_add(self, other) if isinstance(other, Ord) else _mixed("+", self, other)
 
     def __mul__(self, other: "Ord") -> "Ord":
-        return natural_mul(self, other)
+        return natural_mul(self, other) if isinstance(other, Ord) else _mixed("*", self, other)
+
+    def __radd__(self, other: object) -> "Ord":
+        return _mixed("+", other, self)
+
+    def __rmul__(self, other: object) -> "Ord":
+        return _mixed("*", other, self)
 
     def __repr__(self) -> str:
         return f"Ord[{format_ordinal(self)}]"
@@ -138,24 +123,12 @@ class Ord:
         return format_ordinal(self)
 
 
-def _ord(terms: tuple, key: tuple | None = None) -> Ord:
-    """An Ord from terms with strictly decreasing exponents and coefficients >= 1, unchecked."""
-    o = object.__new__(Ord)
-    if key is None:
-        key = tuple([(e._k, c) for e, c in terms])
-    _set_terms(o, terms)
-    _set_key(o, key)
-    _set_hash(o, hash(key))
-    return o
+def _mixed(op: str, a: object, b: object):
+    raise TypeError(f"unsupported operand type(s) for {op}: '{type(a).__name__}' and '{type(b).__name__}'")
 
 
-def ord_from_key(key: tuple) -> Ord:
-    """The ordinal whose order key is key."""
-    return _ord(tuple((ord_from_key(e), c) for e, c in key), key)
-
-
-# The frozen Ord's slot setters, which `_ord` writes through.
-_set_terms, _set_key, _set_hash = (Ord.__dict__[name].__set__ for name in ("terms", "_k", "_h"))
+# An Ord from terms with strictly decreasing exponents and coefficients >= 1, unchecked.
+_ord = partial(tuple.__new__, Ord)
 ZERO = Ord()
 ONE = Ord.from_int(1)
 OMEGA = Ord(((ONE, 1),))
@@ -170,35 +143,32 @@ def omega_pow(exp: Ord, coeff: int = 1) -> Ord:
 
 def ord_cmp(a: Ord, b: Ord) -> int:
     """Total order: -1, 0, or 1.  Lexicographic on (exponent, coefficient)."""
-    if a is b:
-        return 0
-    ka, kb = a._k, b._k
-    return -1 if ka < kb else int(ka != kb)
+    return -1 if a < b else int(a != b)
 
 
 def cantor_add(a: Ord, b: Ord) -> Ord:
     """Cantor sum: a's terms below b's leading exponent are absorbed."""
-    if b.is_zero():
+    if not b:
         return a
-    if a.is_zero():
+    if not a:
         return b
-    (eb, cb), kb = b.terms[0], b.terms[0][0]._k
-    i = next((i for i, (e, _) in enumerate(a.terms) if e._k <= kb), len(a.terms))
-    if i < len(a.terms) and a.terms[i][0]._k == kb:
-        return _ord(a.terms[:i] + ((eb, a.terms[i][1] + cb),) + b.terms[1:])
-    return _ord(a.terms[:i] + b.terms)
+    eb, cb = b[0]
+    i = next((i for i, (e, _) in enumerate(a) if e <= eb), len(a))
+    if i < len(a) and a[i][0] == eb:
+        return _ord(a[:i] + ((eb, a[i][1] + cb),) + b[1:])
+    return _ord((*a[:i], *b))
 
 
 def cantor_mul(a: Ord, b: Ord) -> Ord:
     """Cantor product, distributing a over b's terms from the left."""
-    if a.is_zero() or b.is_zero():
+    if not (a and b):
         return ZERO
     out = ZERO
-    ea = a.lead_exp()
-    for exp, coeff in b.terms:
-        if exp.is_zero():
+    ea = a[0][0]
+    for exp, coeff in b:
+        if not exp:
             # a * n multiplies only the leading coefficient of a.
-            piece = _ord(((ea, a.terms[0][1] * coeff),) + a.terms[1:])
+            piece = _ord(((ea, a[0][1] * coeff),) + a[1:])
         else:
             piece = omega_pow(cantor_add(ea, exp), coeff)
         out = cantor_add(out, piece)
@@ -207,22 +177,22 @@ def cantor_mul(a: Ord, b: Ord) -> Ord:
 
 def natural_add(a: Ord, b: Ord) -> Ord:
     """Hessenberg sum: coefficient-wise merge over the union of exponents."""
-    if not (a.terms and b.terms):
-        return a if a.terms else b
-    coeffs = dict(a.terms)
-    for exp, coeff in b.terms:
+    if not (a and b):
+        return a or b
+    coeffs = dict(a)
+    for exp, coeff in b:
         coeffs[exp] = coeffs.get(exp, 0) + coeff
-    return _ord(tuple(sorted(coeffs.items(), key=lambda t: t[0]._k, reverse=True)))
+    return _ord(sorted(coeffs.items(), reverse=True))
 
 
 def natural_mul(a: Ord, b: Ord) -> Ord:
     """Hessenberg product: convolution with natural sums of exponents, collected in one dict."""
     coeffs: dict[Ord, int] = {}
-    for ea, ca in a.terms:
-        for eb, cb in b.terms:
+    for ea, ca in a:
+        for eb, cb in b:
             e = natural_add(ea, eb)
             coeffs[e] = coeffs.get(e, 0) + ca * cb
-    return _ord(tuple(sorted(coeffs.items(), key=lambda t: t[0]._k, reverse=True)))
+    return _ord(sorted(coeffs.items(), reverse=True))
 
 
 def _finite_pow(base: Ord, n: int) -> Ord:
@@ -251,9 +221,9 @@ def ord_exp(base: Ord, exp: Ord) -> Ord:
         return ONE
     if base.is_zero():
         return ZERO
-    if ord_cmp(base, ONE) == 0:
+    if base == ONE:
         return ONE
-    if ord_cmp(base, OMEGA) == 0:
+    if base == OMEGA:
         return omega_pow(exp)
     if exp.is_finite():
         return _finite_pow(base, exp.as_int())
@@ -264,7 +234,7 @@ def ord_exp(base: Ord, exp: Ord) -> Ord:
         n = base.as_int()
         shifted = []
         r = 0
-        for e, c in exp.terms:
+        for e, c in exp:
             if e.is_zero():
                 r = c
                 continue
@@ -289,12 +259,12 @@ def is_indecomposable(t: Ord) -> bool:
     """
     if t.is_zero():
         raise ZeroArgument("0 is neither decomposable nor indecomposable")
-    if ord_cmp(t, ONE) == 0:
+    if t == ONE:
         return True
-    if len(t.terms) != 1 or t.terms[0][1] != 1:
+    if len(t) != 1 or t[0][1] != 1:
         return False
-    e = t.terms[0][0]
-    return len(e.terms) == 1 and e.terms[0][1] == 1
+    e = t[0][0]
+    return len(e) == 1 and e[0][1] == 1
 
 
 def format_ordinal(o: Ord) -> str:
@@ -306,11 +276,11 @@ def format_ordinal(o: Ord) -> str:
     if o.is_zero():
         return "0"
     parts = []
-    for exp, coeff in o.terms:
+    for exp, coeff in o:
         if exp.is_zero():
             parts.append(str(coeff))
             continue
-        if ord_cmp(exp, ONE) == 0:
+        if exp == ONE:
             head = "w"
         else:
             inner = format_ordinal(exp)

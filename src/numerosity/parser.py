@@ -580,7 +580,7 @@ def _parse_monomial(p: _Line) -> tuple[Optional[Monomial], bool]:
             naturals[tok] += _exponent(p, _natural) if _accept(p, "^") else 1
         if not _accept(p, "*"):
             break
-    m = Monomial(alpha, naturals["beta"], naturals["beth1"], naturals["X"], omega.terms)
+    m = Monomial(alpha, naturals["beta"], naturals["beth1"], naturals["X"], omega)
     return m, False
 
 

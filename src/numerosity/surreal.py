@@ -161,23 +161,14 @@ def se_within_budget(d: Fraction | int) -> SignExpansion:
     return se_from_dyadic(d)
 
 
-def _prefix_options(signs: tuple[Sign, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """For each prefix length i, the lengths a < i of its lower and upper prefixes:
-    prefix a lies below every longer prefix exactly when signs[a] is +."""
-    out = [((), ())]
-    for a, s in enumerate(signs):
-        left, right = out[-1]
-        out.append((left + (a,), right) if s > 0 else (left, right + (a,)))
-    return out
-
-
 def options(x: SignExpansion) -> tuple[tuple[SignExpansion, ...], tuple[SignExpansion, ...]]:
-    """Canonical options: proper prefixes split into lower and upper."""
+    """Canonical options: proper prefixes split into lower and upper.  The
+    prefix of length a lies below every longer prefix exactly when signs[a] is +."""
     if x.plus_length is not None:
         raise ValueError("options are computed for finite expansions")
-    left, right = _prefix_options(x.signs)[-1]
-    return (tuple(SignExpansion(x.signs[:a]) for a in left),
-            tuple(SignExpansion(x.signs[:a]) for a in right))
+    signs = x.signs
+    return (tuple(SignExpansion(signs[:a]) for a, s in enumerate(signs) if s > 0),
+            tuple(SignExpansion(signs[:a]) for a, s in enumerate(signs) if s < 0))
 
 
 def _simplest(lo: Optional[int], hi: Optional[int], unit: int) -> int:
@@ -246,9 +237,13 @@ def _capped_operands(x: SignExpansion | Fraction, y: SignExpansion | Fraction,
 def _nearest_options(signs: tuple[Sign, ...]) -> list[tuple[Optional[int], Optional[int]]]:
     """For each prefix length i, the lengths of its nearest options: the longest
     lower prefix (its largest left option) and the longest upper prefix (its
-    smallest right option), None where the side is empty."""
-    return [(left[-1] if left else None, right[-1] if right else None)
-            for left, right in _prefix_options(signs)]
+    smallest right option), None where the side is empty: the last + and
+    the last - before it, as in `options`."""
+    out = [(None, None)]
+    for a, s in enumerate(signs):
+        left, right = out[-1]
+        out.append((a, right) if s > 0 else (left, a))
+    return out
 
 
 def _add_row(row, lrow, rrow, yopts, unit):

@@ -21,10 +21,10 @@ def random_ord(rng: random.Random, depth: int = 3, max_terms: int = 4,
     seen = set()
     for _ in range(n_terms):
         e = random_ord(rng, depth - 1, max_terms=2, max_coeff=3)
-        if e._key() not in seen:
-            seen.add(e._key())
+        if e not in seen:
+            seen.add(e)
             exps.append(e)
-    exps.sort(key=lambda o: o._key(), reverse=True)
+    exps.sort(reverse=True)
     return Ord(tuple((e, rng.randint(1, max_coeff)) for e in exps))
 
 

@@ -18,7 +18,7 @@ from functools import reduce
 from typing import Callable, Iterable
 
 from numerosity import field
-from numerosity.ordinals import Ord, ord_cmp, ord_from_key
+from numerosity.ordinals import Ord, ord_cmp
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,7 +34,7 @@ class RefMonomial:
     def __post_init__(self) -> None:
         if self.alpha.__class__ is not int and self.alpha.denominator == 1:
             object.__setattr__(self, "alpha", self.alpha.numerator)
-        key = (tuple((e._k, k) for e, k in self.omega), self.x2w, self.beth1, self.beta, self.alpha)
+        key = (tuple(self.omega), self.x2w, self.beth1, self.beta, self.alpha)
         object.__setattr__(self, "_k", key)
         object.__setattr__(self, "_h", hash(key))
 
@@ -85,8 +85,7 @@ def ref_content(terms: Iterable[tuple[int, RefMonomial]]) -> RefMonomial:
 
 
 def to_ref(m: field.Monomial) -> RefMonomial:
-    return RefMonomial(m.alpha, m.beta, m.beth1, m.x2w,
-                       tuple((ord_from_key(e), k) for e, k in m.omega))
+    return RefMonomial(m.alpha, m.beta, m.beth1, m.x2w, m.omega)
 
 
 def to_field(r: RefMonomial) -> field.Monomial:

@@ -596,7 +596,7 @@ def _parse_monomial(ts: TokenStream) -> tuple[Optional[Monomial], bool]:
             naturals[t.text] += _exponent(ts, parse_natural) if ts.accept("^") else 1
         if not ts.accept("*"):
             break
-    m = Monomial(alpha, naturals["beta"], naturals["beth1"], naturals["X"], omega.terms)
+    m = Monomial(alpha, naturals["beta"], naturals["beth1"], naturals["X"], omega)
     return m, False
 
 

@@ -150,7 +150,7 @@ def test_criterion_4_ordinals():
 
     for _ in range(200):
         o = random_ord(rng)
-        monos = [ordinals.omega_pow(e, c) for e, c in o.terms]
+        monos = [ordinals.omega_pow(e, c) for e, c in o]
         assert ordinals.fold_cantor(monos) == ordinals.fold_natural(monos) == o
 
     assert ordinals.ord_exp(ordinals.Ord.from_int(2), ordinals.OMEGA) == ordinals.OMEGA

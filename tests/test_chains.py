@@ -16,6 +16,7 @@ from numerosity import field
 from numerosity.cli import Session, run_line
 from numerosity.chains import (
     MAX_EVAL_INDEX,
+    BelowThreshold,
     CfComparison,
     ChainKind,
     CountingFn,
@@ -108,7 +109,7 @@ class TestEval:
         assert cf_eval(mono(1, F(1, 3)), 3) == 36
 
     def test_below_threshold_rejected(self):
-        with pytest.raises(IndexTooLarge):
+        with pytest.raises(BelowThreshold, match="below the validity threshold 3"):
             cf_eval(mono(1, 1, m0=3), 2)
 
     def test_x_rejected(self):
@@ -380,7 +381,7 @@ def ref_nth_root_exact(value: int, k: int) -> int:
 
 def ref_cf_eval(f, m: int) -> int:
     if m < f.m0:
-        raise IndexTooLarge(f"index {m} is below the validity threshold {f.m0}")
+        raise BelowThreshold(f"index {m} is below the validity threshold {f.m0}")
     if not f.x_free():
         raise XFreeRequired("counting function involves the formal seed size x")
     if any(ei > 0 for _, _, _, ei in f.terms) and m > 3:
@@ -446,7 +447,7 @@ def ref_format_counting_fn(f) -> str:
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (IndexTooLarge, NonIntegral, XFreeRequired) as exc:
+    except (BelowThreshold, IndexTooLarge, NonIntegral, XFreeRequired) as exc:
         return type(exc)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from functools import cmp_to_key
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numerosity import ordinals
+from numerosity.field import Monomial
 from numerosity.ordinals import (
     MAX_POWER_BITS,
     OMEGA,
@@ -32,7 +35,6 @@ from numerosity.ordinals import (
     omega_pow,
     ord_cmp,
     ord_exp,
-    ord_from_key,
 )
 from conftest import random_ord
 from ref_field import RefMonomial, to_field
@@ -44,7 +46,7 @@ from ref_field import RefMonomial, to_field
 
 def to_coeffs(o: Ord) -> list[int]:
     out: list[int] = []
-    for e, c in o.terms:
+    for e, c in o:
         assert e.is_finite(), "oracle covers exponents below w^w only"
         k = e.as_int()
         out.extend(0 for _ in range(k + 1 - len(out)))
@@ -219,7 +221,7 @@ class TestNaturalOps:
         # Folding normal-form terms with either sum gives the same ordinal.
         for _ in range(250):
             o = random_ord(rng)
-            monomials = [omega_pow(e, c) for e, c in o.terms]
+            monomials = [omega_pow(e, c) for e, c in o]
             assert fold_cantor(monomials) == fold_natural(monomials) == o
 
     def test_agreement_with_polynomial_oracle(self):
@@ -349,24 +351,24 @@ class TestFormat:
         assert format_ordinal(big) == "w^(w + 1)*2 + w + 1"
 
 
-# -- reference: the recursive order before keys were stored ------------------
+# -- reference: the recursive order, independent of tuple comparison ---------
 
 
 def ref_cmp(a: Ord, b: Ord) -> int:
     """Total order: -1, 0, or 1.  Lexicographic on (exponent, coefficient)."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+    for (ea, ca), (eb, cb) in zip(a, b):
         c = ref_cmp(ea, eb)
         if c:
             return c
         if ca != cb:
             return -1 if ca < cb else 1
-    if len(a.terms) != len(b.terms):
-        return -1 if len(a.terms) < len(b.terms) else 1
+    if len(a) != len(b):
+        return -1 if len(a) < len(b) else 1
     return 0
 
 
 def ref_key(o: Ord) -> tuple:
-    return tuple((ref_key(exp), coeff) for exp, coeff in o.terms)
+    return tuple((ref_key(exp), coeff) for exp, coeff in o)
 
 
 def ref_mono_key(m: RefMonomial) -> tuple:
@@ -376,7 +378,7 @@ def ref_mono_key(m: RefMonomial) -> tuple:
 
 def rebuilt(o: Ord) -> Ord:
     """A structurally equal copy that shares no Ord object with o."""
-    return Ord(tuple((rebuilt(e), c) for e, c in o.terms))
+    return Ord(tuple((rebuilt(e), c) for e, c in o))
 
 
 class TestStoredKeys:
@@ -390,19 +392,19 @@ class TestStoredKeys:
             assert ord_cmp(x, y) == want
             assert (x == y) == (want == 0)
             assert (x < y, x <= y, x > y, x >= y) == (want < 0, want <= 0, want > 0, want >= 0)
-            assert x._key() == ref_key(x)
+            assert x == ref_key(x) and hash(x) == hash(ref_key(x))
             if want == 0:
                 assert hash(x) == hash(y)
         r = RefMonomial(F(rng.randint(0, 3), rng.randint(1, 3)), rng.randint(0, 2), rng.randint(0, 2),
-                        rng.randint(0, 2), tuple(t for t in a.terms if not t[0].is_zero()))
+                        rng.randint(0, 2), tuple(t for t in a if not t[0].is_zero()))
         m = to_field(r)
         assert tuple(m) == r.key() == ref_mono_key(r)
-        apart = to_field(RefMonomial(r.alpha, r.beta, r.beth1, r.x2w, rebuilt(Ord(r.omega)).terms))
+        apart = to_field(RefMonomial(r.alpha, r.beta, r.beth1, r.x2w, rebuilt(Ord(r.omega))))
         assert m == apart and hash(m) == hash(apart)
 
     def test_sorting_matches_the_recursive_order(self, rng):
         ords = [random_ord(rng, depth=rng.randint(0, 3)) for _ in range(300)]
-        assert sorted(ords, key=Ord._key) == sorted(ords, key=cmp_to_key(ref_cmp))
+        assert sorted(ords) == sorted(ords, key=cmp_to_key(ref_cmp))
 
 
 # -- the unchecked internal constructor ---------------------------------------
@@ -410,7 +412,7 @@ class TestStoredKeys:
 
 def checked(o: Ord) -> Ord:
     """o rebuilt through the checked public constructor at every level."""
-    return Ord(tuple((checked(e), c) for e, c in o.terms))
+    return Ord(tuple((checked(e), c) for e, c in o))
 
 
 class TestUncheckedResults:
@@ -421,6 +423,50 @@ class TestUncheckedResults:
         a, b = random_ord(rng, depth=da), random_ord(rng, depth=db)
         n = rng.randint(0, 5)
         for r in (natural_add(a, b), natural_mul(a, b), cantor_add(a, b), cantor_mul(a, b),
-                  omega_pow(a, n + 1), Ord.from_int(n), Ord.from_int(n + 62), ord_from_key(a._key())):
+                  omega_pow(a, n + 1), Ord.from_int(n), Ord.from_int(n + 62), ordinals._ord(tuple(a))):
             c = checked(r)
-            assert c._key() == r._key() and c == r and hash(c) == hash(r)
+            assert ref_key(c) == ref_key(r) and c == r and hash(c) == hash(r)
+
+
+# -- the ordinal is its own order key ------------------------------------------
+
+
+class TestTupleOrdinals:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 3))
+    def test_equal_to_the_reference_key_and_hashed_alike(self, seed, depth):
+        x = random_ord(random.Random(seed), depth=depth)
+        assert x == ref_key(x) and hash(x) == hash(ref_key(x))
+        assert type(x) is Ord and all(type(e) is Ord for e, _ in x)
+
+    def test_pickle_and_copy_round_trips(self, rng):
+        for _ in range(50):
+            a = random_ord(rng)
+            g = Ord(t for t in a if not t[0].is_zero())
+            m = Monomial(F(rng.randint(0, 3), rng.randint(1, 3)), 1, 0, 2, g)
+            for x in (a, m):
+                for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+                    assert y == x and hash(y) == hash(x) and type(y) is type(x)
+                    assert str(y) == str(x)
+            if g:
+                assert type(pickle.loads(pickle.dumps(m)).omega[0][0]) is Ord
+
+    def test_mixed_operands_raise(self):
+        # A tuple-backed Ord must not fall back to tuple repetition or concatenation.
+        for fn in (lambda: 2 * OMEGA, lambda: OMEGA * 2, lambda: () + OMEGA, lambda: OMEGA + (),
+                   lambda: OMEGA * (), lambda: OMEGA + 2, lambda: sum([OMEGA])):
+            with pytest.raises(TypeError):
+                fn()
+        assert OMEGA + ONE == natural_add(OMEGA, ONE) and OMEGA * OMEGA == natural_mul(OMEGA, OMEGA)
+
+    def test_constructor_checks(self):
+        with pytest.raises(ValueError, match="strictly decrease"):
+            Ord(((ONE, 1), (OMEGA, 1)))
+        with pytest.raises(ValueError, match="strictly decrease"):
+            Ord(((ONE, 1), (ONE, 2)))
+        with pytest.raises(ValueError, match="must be >= 1"):
+            Ord(((ONE, 0),))
+        with pytest.raises(TypeError, match="not an Ord"):
+            Ord((((), 1),))
+        assert Ord([[OMEGA, 2], [ZERO, 1]]) == Ord(((OMEGA, 2), (ZERO, 1)))
+        assert not ZERO and ZERO.is_zero() and Ord() == ZERO

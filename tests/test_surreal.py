@@ -20,7 +20,7 @@ from numerosity.surreal import (
     RecursionCapExceeded,
     SignExpansion,
     ZERO_SE,
-    _prefix_options,
+    _nearest_options,
     _simplest,
     all_expansions,
     birthday,
@@ -143,6 +143,13 @@ def reference_mul(x: SignExpansion, y: SignExpansion, memo: dict) -> SignExpansi
 # Reference table: the prefix-pair table as the library filled it before it
 # read only the nearest options, each cell's bounds taken over every option.
 
+def ref_prefix_options(signs: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """For each prefix length i, the lengths a < i of its lower and upper prefixes:
+    prefix a lies below every longer prefix exactly when signs[a] is +."""
+    return [(tuple(a for a in range(i) if signs[a] > 0), tuple(a for a in range(i) if signs[a] < 0))
+            for i in range(len(signs) + 1)]
+
+
 def ref_add_bounds(t, i, j, xl, xr, yl, yr):
     """Options of x_i + y_j: x^L + y and x + y^L below, x^R + y and x + y^R above."""
     return ([t[a][j] for a in xl] + [t[i][b] for b in yl],
@@ -162,9 +169,9 @@ def ref_genetic(x: SignExpansion, y: SignExpansion, bounds) -> Fraction:
     times 2^S, S = len(x) + len(y) + 1, a grid on which every sum and product of
     prefixes lies."""
     unit = 1 << (len(x.signs) + len(y.signs) + 1)
-    yopts = _prefix_options(y.signs)
+    yopts = ref_prefix_options(y.signs)
     t = [[0] * len(yopts) for _ in range(len(x.signs) + 1)]
-    for i, (xl, xr) in enumerate(_prefix_options(x.signs)):
+    for i, (xl, xr) in enumerate(ref_prefix_options(x.signs)):
         for j, (yl, yr) in enumerate(yopts):
             left, right = bounds(t, i, j, xl, xr, yl, yr)
             t[i][j] = _simplest(max(left, default=None), min(right, default=None), unit)
@@ -329,6 +336,14 @@ class TestOptionsAndSimplest:
                     continue
                 if (lo is None or lo < y) and (hi is None or y < hi):
                     assert day > len(x.signs)
+
+    def test_options_and_nearest_options_match_the_prefix_reference(self):
+        for x in all_expansions(8):
+            ref = ref_prefix_options(x.signs)
+            l, r = options(x)
+            assert (l, r) == tuple(tuple(SignExpansion(x.signs[:a]) for a in side) for side in ref[-1])
+            assert _nearest_options(x.signs) == [(xl[-1] if xl else None, xr[-1] if xr else None)
+                                                 for xl, xr in ref]
 
     def test_two_sided_expansion_is_the_midpoint_of_its_nearest_options(self):
         # Why a product cell reads one pairing per side: with options on both

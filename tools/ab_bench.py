@@ -14,9 +14,14 @@ pair to pair.  A pair's two runs share the machine's speed of the moment, so
 their ratio cancels slow drift in CPU speed that separate series of runs would
 pick up; a claim of a gain needs at least ten pairs, so ten seeds.  For each
 end-to-end metric the script prints every pair's ratio (this checkout over
-PARENT) and the median ratio, marked `better` or `worse` by the metric's
-direction in `BENCHMARK.json`.  A run whose answers fail the benchmark's
-checks is reported with `correct: false`.
+PARENT) and the median ratio, then each side's median, the relative change
+between them (`better` or `worse` by the metric's direction in
+`BENCHMARK.json`), PARENT's spread (its interquartile range over its median)
+and the metric's `bound`.  The metric is marked `worse` when this checkout's
+median is worse than PARENT's by more than the bound, `unresolved` when
+PARENT's own spread is wider than the bound (or there are fewer than two
+pairs), and `within bound` otherwise.  A run whose answers fail the
+benchmark's checks is reported with `correct: false`.
 """
 
 from __future__ import annotations
@@ -46,6 +51,22 @@ def ratio(new: float, old: float) -> float:
     return new / old
 
 
+def judge(parent: list[float], this: list[float], higher_better: bool, bound: float) -> str:
+    """Each side's median, the change between them, PARENT's spread and the verdict."""
+    old, new = statistics.median(parent), statistics.median(this)
+    change = ratio(new, old) - 1
+    worse_by = -change if higher_better else change
+    if len(parent) < 2:
+        spread = float("inf")
+    else:
+        q1, _, q3 = statistics.quantiles(parent, n=4)
+        spread = (q3 - q1) / old if old else 0.0 if q3 == q1 else float("inf")
+    verdict = "worse" if worse_by > bound else "unresolved" if spread > bound else "within bound"
+    direction = "same" if change == 0 else "worse" if worse_by > 0 else "better"
+    return (f"medians {old:.4g} -> {new:.4g} ({direction} by {abs(change):.1%}); "
+            f"parent spread {spread:.3f}; bound {bound}: {verdict}")
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="root of the checkout to compare against")
@@ -58,9 +79,12 @@ def main(argv: list[str] | None = None) -> int:
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in bench["workloads"]])
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     sides = {"parent": os.path.abspath(args.parent), "this": ROOT}
     for workload in workloads:
         ratios: dict[str, list[float]] = {name: [] for name in better}
+        values: dict[str, dict[str, list[float]]] = {
+            name: {"parent": [], "this": []} for name in better}
         for i, seed in enumerate(int(s) for s in args.seeds.split(",")):
             order = ("parent", "this") if i % 2 == 0 else ("this", "parent")
             out = {side: run(sides[side], bench["command"], workload, seed, bench["run_seconds"])
@@ -69,16 +93,17 @@ def main(argv: list[str] | None = None) -> int:
             for name in better:
                 old, new = (out[s]["metrics"][name]["value"] for s in ("parent", "this"))
                 ratios[name].append(ratio(new, old))
+                values[name]["parent"].append(old)
+                values[name]["this"].append(new)
                 cells.append(f"{name} {old:.4g} -> {new:.4g} ({ratios[name][-1]:.3f}x)")
             print(f"{workload} seed {seed} ({order[0]} first; correct: "
                   f"{out['parent']['correct']}/{out['this']['correct']}): " + "; ".join(cells),
                   flush=True)
         for name, rs in ratios.items():
-            med = statistics.median(rs)
-            verdict = "same" if med == 1 else (
-                "better" if (med > 1) == (better[name] == "higher") else "worse")
-            print(f"{workload} {name}: median ratio {med:.3f} ({verdict}); pairs "
-                  + " ".join(f"{r:.3f}" for r in rs), flush=True)
+            print(f"{workload} {name}: median ratio {statistics.median(rs):.3f}; pairs "
+                  + " ".join(f"{r:.3f}" for r in rs) + "; "
+                  + judge(values[name]["parent"], values[name]["this"], better[name] == "higher",
+                          bounds[name]), flush=True)
     return 0
 
 
