@@ -459,7 +459,11 @@ def _sur_operand(p: _Line) -> surreal.SignExpansion | Fraction:
 
 
 def parse_surreal_operand(word: str) -> surreal.SignExpansion | Fraction:
-    """A sign string, `()`, `plus(ORD)`, or a dyadic `n`, `-n`, `p/q`, `p/2^k`."""
+    """A sign string, `()`, `plus(ORD)`, or a dyadic `n`, `-n`, `p/q`, `p/2^k`.
+    A word of signs alone is read directly; every other word, errors included,
+    goes through the grammar."""
+    if word and not word.strip("+-"):
+        return surreal._se(tuple([1 if c == "+" else -1 for c in word]))
     return _whole(_sur_operand, word, "surreal operand")
 
 
@@ -478,9 +482,10 @@ def parse_surreal(text: str) -> surreal.SignExpansion:
 
 
 def _dyadic(p: _Line) -> Fraction:
+    start = p.i
     q = _rational(p)
     if not surreal.is_dyadic(q):
-        raise ParseError(0, f"a dyadic rational (got {q})", str(q))
+        _fail(p, f"a dyadic rational (got {q})", start)
     return q
 
 

@@ -3,8 +3,9 @@
 A finite surreal is a string over {+,-}; its length is the birthday and its
 value a dyadic rational: the leading run steps by one, and every sign after
 the first alternation halves the step.  The earliest-born number between two
-separated sets is computed by integer selection plus binary refinement, and
-the arithmetic is the genetic recursion on options: its states are the pairs
+separated sets is the integer nearest zero between them, or else the point
+with the most trailing zero bits on a power-of-two grid, in closed form.  The
+arithmetic is the genetic recursion on options: its states are the pairs
 (prefix of x, prefix of y), one table of integers over a power-of-two scale.
 Each cell reads only the nearest options of its two prefixes (the longest
 lower and the longest upper prefix), which give the same bounds as every
@@ -65,6 +66,19 @@ class SignExpansion:
 
     def __repr__(self) -> str:
         return f"SignExpansion[{self}]"
+
+
+_new = object.__new__
+_set_signs = SignExpansion.signs.__set__
+_set_plus_length = SignExpansion.plus_length.__set__
+
+
+def _se(signs: tuple[Sign, ...]) -> SignExpansion:
+    """SignExpansion(signs) unchecked, for sign tuples the library built of +1 and -1."""
+    x = _new(SignExpansion)
+    _set_signs(x, signs)
+    _set_plus_length(x, None)
+    return x
 
 
 def finite(signs: Iterable[Sign]) -> SignExpansion:
@@ -142,8 +156,8 @@ def se_from_dyadic(d: Fraction | int) -> SignExpansion:
     if r:
         # The denominator is 2^k, so bin(r + 2^k) is "0b1" then b1...bk.
         signs.append(-s)
-        signs.extend(s if b == "1" else -s for b in bin(r + d.denominator)[3:-1])
-    return finite(signs)
+        signs += [s if b == "1" else -s for b in bin(r + d.denominator)[3:-1]]
+    return _se(tuple(signs))
 
 
 def dyadic_length(d: Fraction | int) -> int:
@@ -167,13 +181,22 @@ def options(x: SignExpansion) -> tuple[tuple[SignExpansion, ...], tuple[SignExpa
     if x.plus_length is not None:
         raise ValueError("options are computed for finite expansions")
     signs = x.signs
-    return (tuple(SignExpansion(signs[:a]) for a, s in enumerate(signs) if s > 0),
-            tuple(SignExpansion(signs[:a]) for a, s in enumerate(signs) if s < 0))
+    return (tuple([_se(signs[:a]) for a, s in enumerate(signs) if s > 0]),
+            tuple([_se(signs[:a]) for a, s in enumerate(signs) if s < 0]))
 
 
 def _simplest(lo: Optional[int], hi: Optional[int], unit: int) -> int:
     """Simplest value strictly between lo/unit and hi/unit, times unit (a power of
-    two); raises, never rounds, if no multiple of 1/unit lies between them."""
+    two); raises, never rounds, if no multiple of 1/unit lies between them.
+
+    With no integer inside, the interval lies between two consecutive integers
+    on one side of 0.  There a value n + f (or its negative), 0 < f < 1 with
+    denominator 2^k, is born on day n + k + 1, so the earliest-born point is
+    the grid point with the most trailing zero bits; it is unique, as between
+    two points with equally many lies one with more.  On the grid points
+    [a, b] = [lo+1, hi-1] (mirrored below 0) that point is b with its bits
+    cleared below the highest bit where a-1 and b differ: the bits above that
+    one are common to all of [a-1, b]."""
     if (lo is None or lo < 0) and (hi is None or hi > 0):
         return 0
     if lo is None or (hi is not None and hi <= 0):
@@ -184,15 +207,14 @@ def _simplest(lo: Optional[int], hi: Optional[int], unit: int) -> int:
         n = lo // unit + 1  # nearest integer strictly over lo
         if hi is None or n * unit < hi:
             return n * unit
-    # No integer inside: binary refinement between the bracketing integers.
-    step = unit >> 1
-    x = lo // unit * unit + step
-    while not lo < x < hi:
-        step >>= 1
-        if not step:
-            raise ValueError(f"the simplest value needs a step finer than 1/{unit}")
-        x += step if x <= lo else -step
-    return x
+    # No integer inside, so both bounds are set: the simplest grid point.
+    neg = hi <= 0
+    a, b = (1 - hi, -1 - lo) if neg else (lo + 1, hi - 1)
+    if a > b:
+        raise ValueError(f"the simplest value needs a step finer than 1/{unit}")
+    k = ((a - 1) ^ b).bit_length() - 1
+    x = b >> k << k
+    return -x if neg else x
 
 
 def simplest(left: Iterable[Fraction], right: Iterable[Fraction]) -> SignExpansion:
@@ -302,7 +324,7 @@ def s_neg(x: SignExpansion | Fraction) -> SignExpansion | Fraction:
         return -x
     if x.plus_length is not None:
         raise RecursionCapExceeded("negation is not offered on ordinal expansions")
-    return SignExpansion(tuple(-s for s in x.signs))
+    return _se(tuple([-s for s in x.signs]))
 
 
 def s_add(x: SignExpansion | Fraction, y: SignExpansion | Fraction) -> SignExpansion:
@@ -323,5 +345,5 @@ def all_expansions(max_len: int) -> list[SignExpansion]:
     frontier = [()]
     for _ in range(max_len):
         frontier = [p + (s,) for p in frontier for s in (1, -1)]
-        out.extend(SignExpansion(p) for p in frontier)
+        out += [_se(p) for p in frontier]
     return out

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from numerosity import ordinals as o
 from numerosity import surreal
+from numerosity.cli import Session, run_line
 from numerosity.surreal import (
     ADD_CAP,
     MUL_CAP,
@@ -21,6 +22,7 @@ from numerosity.surreal import (
     SignExpansion,
     ZERO_SE,
     _nearest_options,
+    _se,
     _simplest,
     all_expansions,
     birthday,
@@ -140,6 +142,51 @@ def reference_mul(x: SignExpansion, y: SignExpansion, memo: dict) -> SignExpansi
     return se_from_dyadic(_gen_mul(se_value(x), se_value(y), memo))
 
 
+# Reference cell: the simplest grid point by binary refinement, as the library
+# computed it before the closed form.
+
+def ref_simplest(lo: Optional[int], hi: Optional[int], unit: int) -> int:
+    """Simplest value strictly between lo/unit and hi/unit, times unit (a power of
+    two); raises, never rounds, if no multiple of 1/unit lies between them."""
+    if (lo is None or lo < 0) and (hi is None or hi > 0):
+        return 0
+    if lo is None or (hi is not None and hi <= 0):
+        n = -(-hi // unit) - 1  # nearest integer strictly under hi <= 0
+        if lo is None or n * unit > lo:
+            return n * unit
+    if hi is None or (lo is not None and lo >= 0):
+        n = lo // unit + 1  # nearest integer strictly over lo
+        if hi is None or n * unit < hi:
+            return n * unit
+    # No integer inside: binary refinement between the bracketing integers.
+    step = unit >> 1
+    x = lo // unit * unit + step
+    while not lo < x < hi:
+        step >>= 1
+        if not step:
+            raise ValueError(f"the simplest value needs a step finer than 1/{unit}")
+        x += step if x <= lo else -step
+    return x
+
+
+def simplest_outcome(f, lo, hi, unit):
+    try:
+        return f(lo, hi, unit)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def simplest_triples(draw):
+    """(lo, hi, unit) with unit = 2^0 ... 2^64: lo within 64 of 0 and hi within 2
+    of lo, both of either sign and either one possibly None."""
+    unit = 1 << draw(st.integers(0, 64))
+    lo = draw(st.integers(-64 * unit, 64 * unit))
+    hi = lo + draw(st.integers(-2 * unit, 2 * unit))
+    absent = st.sampled_from((False, False, False, True))
+    return None if draw(absent) else lo, None if draw(absent) else hi, unit
+
+
 # Reference table: the prefix-pair table as the library filled it before it
 # read only the nearest options, each cell's bounds taken over every option.
 
@@ -174,7 +221,7 @@ def ref_genetic(x: SignExpansion, y: SignExpansion, bounds) -> Fraction:
     for i, (xl, xr) in enumerate(ref_prefix_options(x.signs)):
         for j, (yl, yr) in enumerate(yopts):
             left, right = bounds(t, i, j, xl, xr, yl, yr)
-            t[i][j] = _simplest(max(left, default=None), min(right, default=None), unit)
+            t[i][j] = ref_simplest(max(left, default=None), min(right, default=None), unit)
     return Fraction(t[-1][-1], unit)
 
 
@@ -337,6 +384,30 @@ class TestOptionsAndSimplest:
                 if (lo is None or lo < y) and (hi is None or y < hi):
                     assert day > len(x.signs)
 
+    @settings(max_examples=2000, deadline=None)
+    @given(simplest_triples())
+    def test_closed_form_matches_refinement(self, triple):
+        # The same value, or the same ValueError, on both sides; unseparated
+        # bounds included, as the refinement's error is part of the contract.
+        assert simplest_outcome(_simplest, *triple) == simplest_outcome(ref_simplest, *triple)
+
+    def test_closed_form_matches_refinement_exhaustively(self):
+        bounds = [None, *range(-64, 65)]
+        for unit in (1, 2, 4, 8, 16):
+            for lo in bounds:
+                for hi in bounds:
+                    assert (simplest_outcome(_simplest, lo, hi, unit)
+                            == simplest_outcome(ref_simplest, lo, hi, unit)), (lo, hi, unit)
+
+    def test_simplest_between_twelve_thousand_bit_bounds(self):
+        # 2^-11999 is the one point of the interval born on day 12000; the
+        # refinement took one step per bit to find it.
+        den = str(2**12000)
+        record, err = run_line(f":simplest {{1/{den}}} {{3/{den}}}", Session())
+        assert err is None
+        assert record["value"] == "+" + "-" * 11999
+        assert simplest([F(-3, 2**12000)], [F(-1, 2**12000)]) == se_from_dyadic(F(-1, 2**11999))
+
     def test_options_and_nearest_options_match_the_prefix_reference(self):
         for x in all_expansions(8):
             ref = ref_prefix_options(x.signs)
@@ -364,6 +435,27 @@ class TestOptionsAndSimplest:
             full_l = [se_value(y) for d in range(len(x.signs)) for y in born[d] if se_value(y) < v]
             full_r = [se_value(y) for d in range(len(x.signs)) for y in born[d] if se_value(y) > v]
             assert simplest(full_l, full_r) == x
+
+
+class TestUncheckedExpansions:
+    def test_equal_to_the_checked_constructor(self):
+        for x in all_expansions(8):
+            y = _se(x.signs)
+            assert y == x and hash(y) == hash(x) and str(y) == str(x) and y.plus_length is None
+            assert se_cmp(y, x) == 0
+        for d in (F(0), F(7), F(-5, 8), F(1, 2**40), F(2001, 4)):
+            x = se_from_dyadic(d)
+            assert x == SignExpansion(x.signs) and hash(x) == hash(SignExpansion(x.signs))
+            assert s_neg(x) == SignExpansion(tuple(-s for s in x.signs))
+
+    def test_public_constructors_keep_their_checks(self):
+        for bad in ((2,), (1, 0), (-1, 1, 3)):
+            with pytest.raises(ValueError, match="signs are"):
+                SignExpansion(bad)
+        with pytest.raises(ValueError, match="signs are"):
+            finite([0])
+        with pytest.raises(ValueError, match="no explicit signs"):
+            SignExpansion((1,), o.OMEGA)
 
 
 class TestArithmetic:
@@ -452,12 +544,14 @@ class TestArithmetic:
         # sides, the largest tables the caps allow.
         calls = []
 
-        def record(lo, hi, unit, real=_simplest):
-            calls.append((lo, hi, unit))
-            return real(lo, hi, unit)
+        def recording(real):
+            def record(lo, hi, unit):
+                calls.append((lo, hi, unit))
+                return real(lo, hi, unit)
+            return record
 
-        monkeypatch.setattr(surreal, "_simplest", record)
-        monkeypatch.setitem(globals(), "_simplest", record)
+        monkeypatch.setattr(surreal, "_simplest", recording(_simplest))
+        monkeypatch.setitem(globals(), "ref_simplest", recording(ref_simplest))
         pairs = [(x, y) for x in all_expansions(4) for y in all_expansions(4)]
         for cap in (ADD_CAP, MUL_CAP):
             signs = ([1, -1] * cap)[:cap]

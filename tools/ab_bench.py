@@ -20,8 +20,12 @@ between them (`better` or `worse` by the metric's direction in
 and the metric's `bound`.  The metric is marked `worse` when this checkout's
 median is worse than PARENT's by more than the bound, `unresolved` when
 PARENT's own spread is wider than the bound (or there are fewer than two
-pairs), and `within bound` otherwise.  A run whose answers fail the
-benchmark's checks is reported with `correct: false`.
+pairs), and `within bound` otherwise.  It also prints how many pairs this
+checkout wins (a tie counts for neither side) and, last, `gain` when it wins
+at least 9 of every 10 pairs and its median is better than PARENT's by more
+than PARENT's interquartile range, `no gain` otherwise: the rule a claimed
+speedup must pass.  A run whose answers fail the benchmark's checks is
+reported with `correct: false`.
 """
 
 from __future__ import annotations
@@ -52,19 +56,24 @@ def ratio(new: float, old: float) -> float:
 
 
 def judge(parent: list[float], this: list[float], higher_better: bool, bound: float) -> str:
-    """Each side's median, the change between them, PARENT's spread and the verdict."""
+    """Each side's median, the change between them, PARENT's spread, the verdict,
+    the pairs this checkout wins and whether that makes a gain."""
     old, new = statistics.median(parent), statistics.median(this)
     change = ratio(new, old) - 1
     worse_by = -change if higher_better else change
     if len(parent) < 2:
-        spread = float("inf")
+        iqr = spread = float("inf")
     else:
         q1, _, q3 = statistics.quantiles(parent, n=4)
-        spread = (q3 - q1) / old if old else 0.0 if q3 == q1 else float("inf")
+        iqr = q3 - q1
+        spread = iqr / old if old else 0.0 if iqr == 0 else float("inf")
     verdict = "worse" if worse_by > bound else "unresolved" if spread > bound else "within bound"
     direction = "same" if change == 0 else "worse" if worse_by > 0 else "better"
+    wins = sum(n > o if higher_better else n < o for o, n in zip(parent, this))
+    gain = 10 * wins >= 9 * len(parent) and worse_by < 0 and abs(new - old) > iqr
     return (f"medians {old:.4g} -> {new:.4g} ({direction} by {abs(change):.1%}); "
-            f"parent spread {spread:.3f}; bound {bound}: {verdict}")
+            f"parent spread {spread:.3f}; bound {bound}: {verdict}; "
+            f"wins {wins}/{len(parent)}: {'gain' if gain else 'no gain'}")
 
 
 def main(argv: list[str] | None = None) -> int:
