@@ -6,7 +6,8 @@ expressions (with distinct spellings for the Cantor operations), and set
 expressions.  Surreal operands, dyadic sets, label-tree elements and order
 assertions are small productions on the same tokens; `:sur` operands and
 `:labelcheck` paths are whitespace-separated words.  Every error carries the
-offending position, and recursion stops at MAX_NESTING levels.
+offending position, recursion stops at MAX_NESTING levels, and a natural-number
+literal has at most MAX_LITERAL_DIGITS digits.
 
 A line is tokenized whole, by one regex split, into a flat list of token texts
 and the whitespace before each; a column is computed from those only when an
@@ -44,6 +45,10 @@ class ParseError(ValueError):
 # ^ chains each count one level; the limit keeps every accepted line far
 # below the interpreter's recursion limit, parsing and evaluation together.
 MAX_NESTING = 64
+
+# Most digits of a natural-number literal: Python's default limit on converting
+# a decimal string to an int (sys.int_info.default_max_str_digits).
+MAX_LITERAL_DIGITS = 4_300
 
 # One match per token: a natural number, an identifier or an operator
 # (longest spelling first), captured in group 1, or any other visible
@@ -144,6 +149,8 @@ def _natural(p: _Line) -> int:
     tok = p.toks[p.i]
     if not tok.isdecimal():
         _fail(p, "a natural number")
+    if len(tok) > MAX_LITERAL_DIGITS:
+        _fail(p, f"a natural number of at most MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits")
     p.i += 1
     return int(tok)
 
@@ -219,8 +226,7 @@ def _ord_atom(p: _Line) -> Ord:
         p.i += 1
         return ordinals.OMEGA
     if tok.isdecimal():
-        p.i += 1
-        return Ord.from_int(int(tok))
+        return Ord.from_int(_natural(p))
     if tok == "(":
         p.i += 1
         return _nested(p, _ord_expr, ")")
@@ -261,8 +267,7 @@ def _nf_power(p: _Line) -> NumExpr:
 def _nf_atom(p: _Line) -> NumExpr:
     tok = p.toks[p.i]
     if tok.isdecimal():
-        p.i += 1
-        return field.from_rational(int(tok))
+        return field.from_rational(_natural(p))
     if tok in _NF_GENERATORS:
         p.i += 1
         return getattr(field, _NF_GENERATORS[tok])
@@ -433,7 +438,7 @@ def _dyadic_literal(p: _Line) -> Fraction:
     return -value if neg else value
 
 
-def _sur_operand(p: _Line) -> surreal.SignExpansion | Fraction:
+def _sur_operand(p: _Line) -> surreal.SignExpansion | surreal.PlusExpansion | Fraction:
     toks = p.toks
     tok = toks[p.i]
     if tok == "plus":
@@ -455,19 +460,19 @@ def _sur_operand(p: _Line) -> surreal.SignExpansion | Fraction:
         p.i += 1
     if not signs:
         _fail(p, "a surreal operand")
-    return surreal.finite(signs)
+    return surreal.SignExpansion(signs)
 
 
-def parse_surreal_operand(word: str) -> surreal.SignExpansion | Fraction:
+def parse_surreal_operand(word: str) -> surreal.SignExpansion | surreal.PlusExpansion | Fraction:
     """A sign string, `()`, `plus(ORD)`, or a dyadic `n`, `-n`, `p/q`, `p/2^k`.
     A word of signs alone is read directly; every other word, errors included,
     goes through the grammar."""
     if word and not word.strip("+-"):
-        return surreal._se(tuple([1 if c == "+" else -1 for c in word]))
+        return surreal._se([1 if c == "+" else -1 for c in word])
     return _whole(_sur_operand, word, "surreal operand")
 
 
-def parse_surreal(text: str) -> surreal.SignExpansion:
+def parse_surreal(text: str) -> surreal.SignExpansion | surreal.PlusExpansion:
     """`a (+|-|*) b ...` over operand words, evaluated left to right."""
     words = text.split()
     if not words:

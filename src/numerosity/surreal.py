@@ -1,25 +1,28 @@
 """Finite sign expansions (dyadic rationals) and all-plus ordinal expansions.
 
-A finite surreal is a string over {+,-}; its length is the birthday and its
-value a dyadic rational: the leading run steps by one, and every sign after
-the first alternation halves the step.  The earliest-born number between two
-separated sets is the integer nearest zero between them, or else the point
-with the most trailing zero bits on a power-of-two grid, in closed form.  The
-arithmetic is the genetic recursion on options: its states are the pairs
-(prefix of x, prefix of y), one table of integers over a power-of-two scale.
-Each cell reads only the nearest options of its two prefixes (the longest
-lower and the longest upper prefix), which give the same bounds as every
-option, since the table holds exact values and the others are dominated.
+A finite surreal is its sign sequence: `SignExpansion` is that tuple of +1
+and -1, its length the birthday; the all-plus expansion of an infinite ordinal
+length is a `PlusExpansion`.  A finite value is a dyadic rational: the leading
+run steps by one, and every sign after the first alternation halves the step.
+The earliest-born number between two separated sets is the integer nearest
+zero between them, or else the point with the most trailing zero bits on a
+power-of-two grid, in closed form.  The arithmetic is the genetic recursion on
+options: its states are the pairs (prefix of x, prefix of y), one table of
+integers over a power-of-two scale.  Each cell reads only the nearest options
+of its two prefixes (the longest lower and the longest upper prefix), which
+give the same bounds as every option, since the table holds exact values and
+the others are dominated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import ceil, floor, prod
 from typing import Iterable, Optional
 
-from .ordinals import BudgetExceeded, Ord, format_ordinal, ord_cmp
+from .ordinals import BudgetExceeded, Ord, _mixed, format_ordinal, ord_cmp
 
 # Most signs of an expansion built from a dyadic or a finite ordinal (se_within_budget).
 MAX_SIGNS = 14_000
@@ -36,57 +39,59 @@ class NotSeparated(ValueError):
 Sign = int  # +1 or -1
 
 
-@dataclass(frozen=True, slots=True)
-class SignExpansion:
-    """Either a finite sign sequence or an all-plus sequence of ordinal length."""
+class SignExpansion(tuple):
+    """A finite sign sequence, the tuple of its signs: native tuple equality and
+    hash are the expansion's.  `SignExpansion(...)` checks every sign; the
+    operations below build through the unchecked `_se`.  + and * raise TypeError."""
 
-    signs: tuple[Sign, ...] = ()
-    plus_length: Optional[Ord] = None  # set => all-plus expansion of that length
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.plus_length is not None:
-            if self.signs:
-                raise ValueError("ordinal expansions carry no explicit signs")
-            if self.plus_length.is_finite():
-                # Normalize finite all-plus expansions to the explicit form, that of their length.
-                object.__setattr__(self, "signs", se_within_budget(self.plus_length.as_int()).signs)
-                object.__setattr__(self, "plus_length", None)
-        elif any(s not in (1, -1) for s in self.signs):
+    def __new__(cls, signs: Iterable[Sign] = ()) -> "SignExpansion":
+        x = tuple.__new__(cls, signs)
+        if not {1, -1}.issuperset(x):
             raise ValueError("signs are +1 or -1")
+        return x
 
-    def is_finite(self) -> bool:
-        return self.plus_length is None
+    def __add__(self, other: object):
+        return _mixed("+", self, other)
+
+    def __mul__(self, other: object):
+        return _mixed("*", self, other)
+
+    def __radd__(self, other: object):
+        return _mixed("+", other, self)
+
+    def __rmul__(self, other: object):
+        return _mixed("*", other, self)
 
     def __str__(self) -> str:
-        if self.plus_length is not None:
-            return f"plus({format_ordinal(self.plus_length)})"
-        if not self.signs:
-            return "()"
-        return "".join("+" if s > 0 else "-" for s in self.signs)
+        return "".join(["+" if s > 0 else "-" for s in self]) or "()"
 
     def __repr__(self) -> str:
         return f"SignExpansion[{self}]"
 
 
-_new = object.__new__
-_set_signs = SignExpansion.signs.__set__
-_set_plus_length = SignExpansion.plus_length.__set__
+@dataclass(frozen=True, slots=True)
+class PlusExpansion:
+    """The all-plus expansion of an infinite ordinal length (ordinal_plus)."""
+
+    length: Ord
+
+    def __post_init__(self):
+        if self.length.is_finite():
+            raise ValueError("a finite all-plus expansion is a SignExpansion; use ordinal_plus")
+
+    def __str__(self) -> str:
+        return f"plus({format_ordinal(self.length)})"
 
 
-def _se(signs: tuple[Sign, ...]) -> SignExpansion:
-    """SignExpansion(signs) unchecked, for sign tuples the library built of +1 and -1."""
-    x = _new(SignExpansion)
-    _set_signs(x, signs)
-    _set_plus_length(x, None)
-    return x
+# A SignExpansion from signs the library built of +1 and -1, unchecked.
+_se = partial(tuple.__new__, SignExpansion)
 
 
-def finite(signs: Iterable[Sign]) -> SignExpansion:
-    return SignExpansion(tuple(signs))
-
-
-def ordinal_plus(length: Ord) -> SignExpansion:
-    return SignExpansion((), length)
+def ordinal_plus(length: Ord) -> SignExpansion | PlusExpansion:
+    """The all-plus expansion of that length: explicit signs when it is finite."""
+    return se_within_budget(length.as_int()) if length.is_finite() else PlusExpansion(length)
 
 
 ZERO_SE = SignExpansion()
@@ -98,33 +103,23 @@ def parse_signs(text: str) -> SignExpansion:
         return ZERO_SE
     if not text or any(ch not in "+-" for ch in text):
         raise ValueError(f"not a sign string: {text!r}")
-    return finite(1 if ch == "+" else -1 for ch in text)
+    return _se([1 if ch == "+" else -1 for ch in text])
 
 
-def birthday(x: SignExpansion) -> Ord:
-    if x.plus_length is not None:
-        return x.plus_length
-    return Ord.from_int(len(x.signs))
+def birthday(x: SignExpansion | PlusExpansion) -> Ord:
+    return x.length if x.__class__ is PlusExpansion else Ord.from_int(len(x))
 
 
-def se_cmp(a: SignExpansion, b: SignExpansion) -> int:
+def se_cmp(a: SignExpansion | PlusExpansion, b: SignExpansion | PlusExpansion) -> int:
     """Lexicographic with the blank convention: missing > '-' and < '+'."""
-    if a.plus_length is not None or b.plus_length is not None:
-        if a.plus_length is not None and b.plus_length is not None:
-            return ord_cmp(a.plus_length, b.plus_length)
-        if a.plus_length is not None:
-            # b is finite: either it has a '-' (then smaller) or it is a
-            # shorter all-plus prefix (then also smaller).
-            return 1
-        return -1
-    for sa, sb in zip(a.signs, b.signs):
-        if sa != sb:
-            return -1 if sa < sb else 1
-    if len(a.signs) == len(b.signs):
-        return 0
-    if len(a.signs) > len(b.signs):
-        return 1 if a.signs[len(b.signs)] > 0 else -1
-    return -1 if b.signs[len(a.signs)] > 0 else 1
+    if a.__class__ is PlusExpansion or b.__class__ is PlusExpansion:
+        if a.__class__ is b.__class__:
+            return ord_cmp(a.length, b.length)
+        # A finite expansion has a '-' or is a shorter all-plus prefix: smaller.
+        return 1 if a.__class__ is PlusExpansion else -1
+    # A blank reads as 0, which lies between -1 and +1.
+    a, b = (*a, 0), (*b, 0)
+    return -1 if a < b else int(a != b)
 
 
 def is_dyadic(q: Fraction) -> bool:
@@ -133,14 +128,14 @@ def is_dyadic(q: Fraction) -> bool:
 
 def se_value(x: SignExpansion) -> Fraction:
     """Dyadic value of a finite expansion."""
-    if x.plus_length is not None:
+    if x.__class__ is PlusExpansion:
         raise ValueError("ordinal expansions have no dyadic value")
     # A leading run of n signs s is worth s*n; the j-th of the k signs after it
     # adds +-2^-j, so over 2^k they are twice their '+' digits in binary, less 2^k - 1.
-    s = x.signs[0] if x.signs else 1
-    n = next((i for i, t in enumerate(x.signs) if t != s), len(x.signs))
-    k = len(x.signs) - n
-    plus = int("".join("1" if t > 0 else "0" for t in x.signs[n:]) or "0", 2)
+    s = x[0] if x else 1
+    n = next((i for i, t in enumerate(x) if t != s), len(x))
+    k = len(x) - n
+    plus = int("".join("1" if t > 0 else "0" for t in x[n:]) or "0", 2)
     return Fraction((s * n << k) + 2 * plus - (1 << k) + 1, 1 << k)
 
 
@@ -157,7 +152,7 @@ def se_from_dyadic(d: Fraction | int) -> SignExpansion:
         # The denominator is 2^k, so bin(r + 2^k) is "0b1" then b1...bk.
         signs.append(-s)
         signs += [s if b == "1" else -s for b in bin(r + d.denominator)[3:-1]]
-    return _se(tuple(signs))
+    return _se(signs)
 
 
 def dyadic_length(d: Fraction | int) -> int:
@@ -177,12 +172,12 @@ def se_within_budget(d: Fraction | int) -> SignExpansion:
 
 def options(x: SignExpansion) -> tuple[tuple[SignExpansion, ...], tuple[SignExpansion, ...]]:
     """Canonical options: proper prefixes split into lower and upper.  The
-    prefix of length a lies below every longer prefix exactly when signs[a] is +."""
-    if x.plus_length is not None:
+    prefix of length a lies below every longer prefix exactly when x[a] is +."""
+    if x.__class__ is PlusExpansion:
         raise ValueError("options are computed for finite expansions")
-    signs = x.signs
-    return (tuple([_se(signs[:a]) for a, s in enumerate(signs) if s > 0]),
-            tuple([_se(signs[:a]) for a, s in enumerate(signs) if s < 0]))
+    # A slice of a tuple subclass is a plain tuple, so each prefix is wrapped.
+    return (tuple([_se(x[:a]) for a, s in enumerate(x) if s > 0]),
+            tuple([_se(x[:a]) for a, s in enumerate(x) if s < 0]))
 
 
 def _simplest(lo: Optional[int], hi: Optional[int], unit: int) -> int:
@@ -248,9 +243,9 @@ def _capped_operands(x: SignExpansion | Fraction, y: SignExpansion | Fraction,
     """Both as expansions, once within the cap: a dyadic is counted before it is built."""
     cap = MUL_CAP if what == "multiplication" else ADD_CAP
     dx, dy = x.__class__ is Fraction, y.__class__ is Fraction
-    if (not dx and x.plus_length is not None) or (not dy and y.plus_length is not None):
+    if x.__class__ is PlusExpansion or y.__class__ is PlusExpansion:
         raise RecursionCapExceeded(f"{what} is not offered on ordinal expansions; use the ordinal operations")
-    n = (dyadic_length(x) if dx else len(x.signs)) + (dyadic_length(y) if dy else len(y.signs))
+    n = (dyadic_length(x) if dx else len(x)) + (dyadic_length(y) if dy else len(y))
     if n > cap:
         raise RecursionCapExceeded(f"{what}: combined birthday {n} exceeds {cap}")
     return se_from_dyadic(x) if dx else x, se_from_dyadic(y) if dy else y
@@ -309,10 +304,10 @@ def _genetic(x: SignExpansion, y: SignExpansion, fill_row) -> Fraction:
     times 2^S, S = len(x) + len(y) + 1, a grid on which every sum and product of
     prefixes lies.  Cells hold exact values, and a value does not depend on the
     form chosen, so only the nearest options count: every other one is dominated."""
-    unit = 1 << (len(x.signs) + len(y.signs) + 1)
-    yopts = _nearest_options(y.signs)
+    unit = 1 << (len(x) + len(y) + 1)
+    yopts = _nearest_options(y)
     t: list[list[int]] = []
-    for xl, xr in _nearest_options(x.signs):
+    for xl, xr in _nearest_options(x):
         row: list[int] = []
         fill_row(row, None if xl is None else t[xl], None if xr is None else t[xr], yopts, unit)
         t.append(row)
@@ -322,9 +317,9 @@ def _genetic(x: SignExpansion, y: SignExpansion, fill_row) -> Fraction:
 def s_neg(x: SignExpansion | Fraction) -> SignExpansion | Fraction:
     if x.__class__ is Fraction:
         return -x
-    if x.plus_length is not None:
+    if x.__class__ is PlusExpansion:
         raise RecursionCapExceeded("negation is not offered on ordinal expansions")
-    return _se(tuple([-s for s in x.signs]))
+    return _se([-s for s in x])
 
 
 def s_add(x: SignExpansion | Fraction, y: SignExpansion | Fraction) -> SignExpansion:

@@ -473,7 +473,7 @@ def _sur_operand(ts: TokenStream) -> surreal.SignExpansion:
         signs.append(1 if ts.next().text == "+" else -1)
     if not signs:
         ts.fail("a surreal operand")
-    return surreal.finite(signs)
+    return surreal.SignExpansion(signs)
 
 
 def parse_surreal_operand(word: str) -> surreal.SignExpansion:

@@ -219,22 +219,22 @@ def test_criterion_6_surreal():
     pool = [x for x in every]
     for _ in range(500):
         x, y = rng.choice(pool), rng.choice(pool)
-        if len(x.signs) + len(y.signs) > surreal.ADD_CAP:
+        if len(x) + len(y) > surreal.ADD_CAP:
             continue
         got = surreal.s_add(x, y)
         assert surreal.se_value(got) == surreal.se_value(x) + surreal.se_value(y)
-    small = [x for x in every if len(x.signs) <= 8]
+    small = [x for x in every if len(x) <= 8]
     done = 0
     while done < 200:
         x, y = rng.choice(small), rng.choice(small)
-        if len(x.signs) + len(y.signs) > surreal.MUL_CAP:
+        if len(x) + len(y) > surreal.MUL_CAP:
             continue
         got = surreal.s_mul(x, y)
         assert surreal.se_value(got) == surreal.se_value(x) * surreal.se_value(y)
         done += 1
 
     # Day-bounded enumeration: 1/2 is the unique earliest number in (0, 1).
-    day4 = [(surreal.se_value(x), len(x.signs)) for x in surreal.all_expansions(4)]
+    day4 = [(surreal.se_value(x), len(x)) for x in surreal.all_expansions(4)]
     inside = [(v, d) for v, d in day4 if F(0) < v < F(1)]
     best_day = min(d for _, d in inside)
     best = [v for v, d in inside if d == best_day]

@@ -12,6 +12,7 @@ import pytest
 from numerosity import chains, field, labtree, ordinals, sets
 from numerosity.cli import Session, eval_line, main, run_line, run_script
 from numerosity.parser import (
+    MAX_LITERAL_DIGITS,
     ParseError,
     parse_num,
     parse_ordinal,
@@ -267,6 +268,7 @@ def _short(line: str) -> str:
     return line if len(line) <= 40 else f"{line[:16]}...[{len(line)} chars]"
 
 
+_OVER = "9" * (MAX_LITERAL_DIGITS + 1)
 MALFORMED_LINES = [
     # integer arguments are natural-number tokens, not int() of any text
     ":num mod(-3,1)", ":num pow(x)", ":num maps(k, N)", ":sur 1/2^", ":num mod(3,",
@@ -287,6 +289,9 @@ MALFORMED_LINES = [
     ":assert_order alpha^k*alpha^2 < X",
     # every factor of a monomial is a generator: no empty side, no trailing *
     ":assert_order < X", ":assert_order alpha <", ":assert_order alpha* < X",
+    # natural-number literals over the digit budget, one per grammar
+    f":st {_OVER}*alpha", f":ord {_OVER}", f":sur {_OVER}", f":num fin{{{_OVER}}}",
+    f":simplest {{{_OVER}}} {{}}",
 ]
 
 
@@ -378,6 +383,16 @@ class TestMalformedLines:
         assert value_of(":cmp plus(14000) -") == "greater"
         assert value_of(":sur -13999/2") == "-" * 7000 + "+"
         assert run_line(":sur 14001", Session())[0]["value"].startswith("BudgetExceeded")
+
+    def test_literal_digit_budget_edge(self):
+        edge = "9" * MAX_LITERAL_DIGITS
+        assert value_of(f":ord {edge}") == edge
+        assert value_of(f":st {edge}*alpha") == "+infinity"
+        assert value_of(f":num fin{{{edge}}}") == "1"
+        record, err = run_line(f":sur {edge}", Session())
+        assert err == "eval" and record["value"].startswith("BudgetExceeded")
+        record, err = run_line(f":ord {edge}9", Session())
+        assert err == "parse" and "MAX_LITERAL_DIGITS = 4300 digits" in record["value"]
 
     def test_rational_root_of_large_order_ends(self):
         start = time.perf_counter()

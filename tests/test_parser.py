@@ -3,12 +3,14 @@
 Both parse the same argument text with the entry point the calculator uses
 for its verb; they must return values with the same repr (NumExpr term lists
 compared exactly) or raise the same exception with the same text, which for
-a ParseError includes the column and the caret line.  There are two
+a ParseError includes the column and the caret line.  There are three
 exceptions: an order-assertion monomial with an empty factor, which the
 reference reads as the unit monomial and the parser rejects (see
-`_empty_monomial`), and a non-dyadic `:simplest` bound, which the reference
+`_empty_monomial`), a non-dyadic `:simplest` bound, which the reference
 reports at column 1 of the reduced rational's text and the parser at the
-rational in the line (see `_non_dyadic_bound`).
+rational in the line (see `_non_dyadic_bound`), and a natural-number literal
+over the digit budget, where the reference's `int()` raises Python's
+ValueError and the parser a ParseError at the literal (see `_long_literal`).
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ def assert_same(line: str) -> None:
     if got != want and verb == ":assert_order" and _empty_monomial(rest, got, want):
         return
     if got != want and verb == ":simplest" and _non_dyadic_bound(rest, got, want):
+        return
+    if got != want and _long_literal(rest, got, want):
         return
     assert got == want, line
 
@@ -211,6 +215,18 @@ def _mutate(line: str, k: int, junk: str, insert: bool) -> str:
     return line[:k] + junk + line[k:] if insert else line[:k] + line[k + 1:]
 
 
+def _long_literal(rest: str, got, want) -> bool:
+    """The third difference: a natural-number literal of over MAX_LITERAL_DIGITS
+    digits.  True if `got` is the parser's rejection of it, at a column where
+    such a literal starts, and the reference raised Python's int-from-str
+    ValueError instead."""
+    if got[0] != "ParseError" or "MAX_LITERAL_DIGITS" not in got[1]:
+        return False
+    written = re.match(r"\d+", rest[_column(got[1]):])
+    return (written is not None and len(written.group()) > new.MAX_LITERAL_DIGITS
+            and want[0] == "ValueError" and "Exceeds the limit" in want[1])
+
+
 class TestAgainstReference:
     @settings(max_examples=500, deadline=None)
     @given(LINES)
@@ -264,6 +280,18 @@ class TestAgainstReference:
         assert got == ("ParseError", str(new.ParseError(col - 1, f"a dyadic rational (got {q})", rest)))
         assert outcome(ref, ":simplest", rest) != got  # the reference's defect
         assert_same(f":simplest {rest}")
+
+    @pytest.mark.parametrize("verb, rest", [
+        (":st", "{}*alpha"), (":ord", "w + {}"), (":sur", "{} + 1"), (":num", "fin{{1, {}}}"),
+        (":simplest", "{{}} {{{}}}"), (":elem", "{{{}}}")])
+    def test_long_literal_rejected_at_its_column(self, verb, rest):
+        rest = rest.format("9" * (new.MAX_LITERAL_DIGITS + 1))
+        got = outcome(new, verb, rest)
+        assert got[0] == "ParseError"
+        assert got[1].startswith(f"at column {rest.index('9') + 1}: expected a natural number "
+                                 f"of at most MAX_LITERAL_DIGITS = 4300 digits")
+        assert outcome(ref, verb, rest)[0] == "ValueError"  # the reference's defect
+        assert_same(f"{verb} {rest}")
 
 
 class TestSignWords:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from fractions import Fraction as F
@@ -18,6 +20,7 @@ from numerosity.surreal import (
     ADD_CAP,
     MUL_CAP,
     NotSeparated,
+    PlusExpansion,
     RecursionCapExceeded,
     SignExpansion,
     ZERO_SE,
@@ -26,7 +29,6 @@ from numerosity.surreal import (
     _simplest,
     all_expansions,
     birthday,
-    finite,
     options,
     ordinal_plus,
     parse_signs,
@@ -47,7 +49,7 @@ from functools import lru_cache
 @lru_cache(maxsize=None)
 def by_birthday(max_day: int) -> list[tuple[F, int]]:
     """(value, birthday) for every number born by max_day, the test oracle."""
-    return [(se_value(x), len(x.signs)) for x in all_expansions(max_day)]
+    return [(se_value(x), len(x)) for x in all_expansions(max_day)]
 
 
 def oracle_simplest(lo, hi, max_day: int = 10) -> F:
@@ -215,10 +217,10 @@ def ref_genetic(x: SignExpansion, y: SignExpansion, bounds) -> Fraction:
     (i, j) holds the value for the i-sign prefix of x and the j-sign prefix of y
     times 2^S, S = len(x) + len(y) + 1, a grid on which every sum and product of
     prefixes lies."""
-    unit = 1 << (len(x.signs) + len(y.signs) + 1)
-    yopts = ref_prefix_options(y.signs)
-    t = [[0] * len(yopts) for _ in range(len(x.signs) + 1)]
-    for i, (xl, xr) in enumerate(ref_prefix_options(x.signs)):
+    unit = 1 << (len(x) + len(y) + 1)
+    yopts = ref_prefix_options(y)
+    t = [[0] * len(yopts) for _ in range(len(x) + 1)]
+    for i, (xl, xr) in enumerate(ref_prefix_options(x)):
         for j, (yl, yr) in enumerate(yopts):
             left, right = bounds(t, i, j, xl, xr, yl, yr)
             t[i][j] = ref_simplest(max(left, default=None), min(right, default=None), unit)
@@ -248,7 +250,7 @@ def pairs_within(cap: int):
     the combined birthday drawn uniformly so that pairs at the cap are common."""
     cut = st.integers(0, cap).flatmap(lambda n: st.tuples(
         st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n), st.integers(0, n)))
-    return cut.map(lambda t: (finite(t[0][:t[1]]), finite(t[0][t[1]:])))
+    return cut.map(lambda t: (SignExpansion(t[0][:t[1]]), SignExpansion(t[0][t[1]:])))
 
 
 class TestOrderAndValue:
@@ -288,8 +290,8 @@ class TestOrderAndValue:
             se_from_dyadic(F(1, 3))
 
     def test_long_integer_run(self):
-        assert len(se_from_dyadic(10**6).signs) == 10**6
-        assert se_from_dyadic(-(10**6) - F(1, 2)).signs == (-1,) * (10**6 + 1) + (1,)
+        assert len(se_from_dyadic(10**6)) == 10**6
+        assert se_from_dyadic(-(10**6) - F(1, 2)) == (-1,) * (10**6 + 1) + (1,)
         for d in (F(2001, 4), F(-1023, 512), F(300)):
             assert se_value(se_from_dyadic(d)) == d
 
@@ -300,7 +302,7 @@ class TestOrderAndValue:
     def test_long_binary_fraction(self):
         d = F(1, 2**16000)
         x = se_from_dyadic(d)
-        assert len(x.signs) == 16001
+        assert len(x) == 16001
         assert se_value(x) == d
 
 
@@ -382,7 +384,7 @@ class TestOptionsAndSimplest:
                 if y == se_value(x):
                     continue
                 if (lo is None or lo < y) and (hi is None or y < hi):
-                    assert day > len(x.signs)
+                    assert day > len(x)
 
     @settings(max_examples=2000, deadline=None)
     @given(simplest_triples())
@@ -410,10 +412,10 @@ class TestOptionsAndSimplest:
 
     def test_options_and_nearest_options_match_the_prefix_reference(self):
         for x in all_expansions(8):
-            ref = ref_prefix_options(x.signs)
+            ref = ref_prefix_options(x)
             l, r = options(x)
-            assert (l, r) == tuple(tuple(SignExpansion(x.signs[:a]) for a in side) for side in ref[-1])
-            assert _nearest_options(x.signs) == [(xl[-1] if xl else None, xr[-1] if xr else None)
+            assert (l, r) == tuple(tuple(SignExpansion(x[:a]) for a in side) for side in ref[-1])
+            assert _nearest_options(x) == [(xl[-1] if xl else None, xr[-1] if xr else None)
                                                  for xl, xr in ref]
 
     def test_two_sided_expansion_is_the_midpoint_of_its_nearest_options(self):
@@ -429,33 +431,92 @@ class TestOptionsAndSimplest:
         # the same reconstruction for every number up to day 5.
         born: dict[int, list[SignExpansion]] = {}
         for x in all_expansions(5):
-            born.setdefault(len(x.signs), []).append(x)
+            born.setdefault(len(x), []).append(x)
         for x in all_expansions(5):
             v = se_value(x)
-            full_l = [se_value(y) for d in range(len(x.signs)) for y in born[d] if se_value(y) < v]
-            full_r = [se_value(y) for d in range(len(x.signs)) for y in born[d] if se_value(y) > v]
+            full_l = [se_value(y) for d in range(len(x)) for y in born[d] if se_value(y) < v]
+            full_r = [se_value(y) for d in range(len(x)) for y in born[d] if se_value(y) > v]
             assert simplest(full_l, full_r) == x
 
 
 class TestUncheckedExpansions:
     def test_equal_to_the_checked_constructor(self):
         for x in all_expansions(8):
-            y = _se(x.signs)
-            assert y == x and hash(y) == hash(x) and str(y) == str(x) and y.plus_length is None
+            signs = tuple(x)
+            y = _se(signs)
+            assert type(y) is SignExpansion and y == SignExpansion(signs)
+            assert hash(y) == hash(SignExpansion(signs)) and str(y) == str(x)
             assert se_cmp(y, x) == 0
         for d in (F(0), F(7), F(-5, 8), F(1, 2**40), F(2001, 4)):
             x = se_from_dyadic(d)
-            assert x == SignExpansion(x.signs) and hash(x) == hash(SignExpansion(x.signs))
-            assert s_neg(x) == SignExpansion(tuple(-s for s in x.signs))
+            assert type(x) is SignExpansion
+            assert x == SignExpansion(x) and hash(x) == hash(SignExpansion(x))
+            assert s_neg(x) == SignExpansion(tuple(-s for s in x))
 
     def test_public_constructors_keep_their_checks(self):
         for bad in ((2,), (1, 0), (-1, 1, 3)):
             with pytest.raises(ValueError, match="signs are"):
                 SignExpansion(bad)
         with pytest.raises(ValueError, match="signs are"):
-            finite([0])
-        with pytest.raises(ValueError, match="no explicit signs"):
-            SignExpansion((1,), o.OMEGA)
+            SignExpansion([0])
+        with pytest.raises(ValueError, match="finite all-plus"):
+            PlusExpansion(o.Ord.from_int(3))
+
+    def test_ordinal_plus_splits_on_finite_length(self):
+        for n in (0, 1, 3, 40):
+            x = ordinal_plus(o.Ord.from_int(n))
+            assert type(x) is SignExpansion and x == SignExpansion([1] * n)
+        for length in (o.OMEGA, o.omega_pow(o.OMEGA), o.cantor_add(o.OMEGA, o.ONE)):
+            x = ordinal_plus(length)
+            assert type(x) is PlusExpansion and x.length == length
+
+    def test_pickle_and_copy_round_trip(self):
+        for x in (ZERO_SE, parse_signs("+-+"), ordinal_plus(o.OMEGA),
+                  ordinal_plus(o.omega_pow(o.Ord.from_int(2), 3))):
+            for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+                assert type(y) is type(x) and y == x and hash(y) == hash(x) and str(y) == str(x)
+
+    @pytest.mark.parametrize("op", [lambda x: x + x, lambda x: x + (1,), lambda x: () + x,
+                                    lambda x: x * 2, lambda x: 2 * x, lambda x: x * x])
+    def test_operators_are_not_tuple_operators(self, op):
+        with pytest.raises(TypeError):
+            op(parse_signs("+-"))
+
+
+def ref_se_cmp(a, b) -> int:
+    """The sign-by-sign loop that `se_cmp`'s one tuple comparison replaced."""
+    if isinstance(a, PlusExpansion) or isinstance(b, PlusExpansion):
+        if isinstance(a, PlusExpansion) and isinstance(b, PlusExpansion):
+            return o.ord_cmp(a.length, b.length)
+        if isinstance(a, PlusExpansion):
+            # b is finite: either it has a '-' (then smaller) or it is a
+            # shorter all-plus prefix (then also smaller).
+            return 1
+        return -1
+    for sa, sb in zip(a, b):
+        if sa != sb:
+            return -1 if sa < sb else 1
+    if len(a) == len(b):
+        return 0
+    if len(a) > len(b):
+        return 1 if a[len(b)] > 0 else -1
+    return -1 if b[len(a)] > 0 else 1
+
+
+class TestCompareReference:
+    def test_all_pairs_to_day_6(self):
+        xs = all_expansions(6)
+        for a in xs:
+            for b in xs:
+                assert se_cmp(a, b) == ref_se_cmp(a, b), (str(a), str(b))
+
+    def test_pairs_with_ordinal_expansions(self):
+        pluses = [ordinal_plus(length) for length in
+                  (o.OMEGA, o.omega_pow(o.Ord.from_int(2)), o.cantor_add(o.OMEGA, o.ONE))]
+        for a in pluses + all_expansions(4):
+            for b in pluses:
+                assert se_cmp(a, b) == ref_se_cmp(a, b), (str(a), str(b))
+                assert se_cmp(b, a) == ref_se_cmp(b, a), (str(b), str(a))
 
 
 class TestArithmetic:
@@ -478,7 +539,7 @@ class TestArithmetic:
         xs = all_expansions(8)
         for _ in range(300):
             x, y = rng.choice(xs), rng.choice(xs)
-            if len(x.signs) + len(y.signs) > 24:
+            if len(x) + len(y) > 24:
                 continue
             assert se_value(s_add(x, y)) == se_value(x) + se_value(y)
 
@@ -487,7 +548,7 @@ class TestArithmetic:
         xs = all_expansions(7)
         for _ in range(120):
             x, y = rng.choice(xs), rng.choice(xs)
-            if len(x.signs) + len(y.signs) > 14:
+            if len(x) + len(y) > 14:
                 continue
             assert se_value(s_mul(x, y)) == se_value(x) * se_value(y)
 
@@ -529,13 +590,13 @@ class TestArithmetic:
     @given(splits_within(ADD_CAP))
     def test_addition_matches_full_option_table_to_cap(self, signs):
         for k in range(len(signs) + 1):
-            assert_table_matches(finite(signs[:k]), finite(signs[k:]), mul=False)
+            assert_table_matches(SignExpansion(signs[:k]), SignExpansion(signs[k:]), mul=False)
 
     @settings(max_examples=30, deadline=None)
     @given(splits_within(MUL_CAP))
     def test_multiplication_matches_full_option_table_to_cap(self, signs):
         for k in range(len(signs) + 1):
-            assert_table_matches(finite(signs[:k]), finite(signs[k:]), mul=True)
+            assert_table_matches(SignExpansion(signs[:k]), SignExpansion(signs[k:]), mul=True)
 
     def test_every_cell_has_the_full_option_bounds(self, monkeypatch):
         # Not only the values: each cell's lo and hi, as handed to _simplest,
@@ -555,10 +616,10 @@ class TestArithmetic:
         pairs = [(x, y) for x in all_expansions(4) for y in all_expansions(4)]
         for cap in (ADD_CAP, MUL_CAP):
             signs = ([1, -1] * cap)[:cap]
-            pairs += [(finite(signs[:k]), finite(signs[k:])) for k in range(cap + 1)]
+            pairs += [(SignExpansion(signs[:k]), SignExpansion(signs[k:])) for k in range(cap + 1)]
         for x, y in pairs:
             for op, bounds in ((s_add, ref_add_bounds), (s_mul, ref_mul_bounds)):
-                if op is s_mul and len(x.signs) + len(y.signs) > MUL_CAP:
+                if op is s_mul and len(x) + len(y) > MUL_CAP:
                     continue
                 calls.clear()
                 op(x, y)
@@ -570,7 +631,7 @@ class TestArithmetic:
     def test_every_split_over_the_caps_raises(self):
         for cap, ops in ((ADD_CAP, (s_add, s_sub)), (MUL_CAP, (s_mul,))):
             for k in range(cap + 2):
-                x, y = finite([1] * k), finite(([-1, 1] * cap)[: cap + 1 - k])
+                x, y = SignExpansion([1] * k), SignExpansion(([-1, 1] * cap)[: cap + 1 - k])
                 for op in ops:
                     with pytest.raises(RecursionCapExceeded):
                         op(x, y)
@@ -584,18 +645,18 @@ class TestArithmetic:
                 for op in (s_add, s_sub, s_mul):
                     assert op(x, y) == op(x, se_from_dyadic(y)) and op(y, x) == op(se_from_dyadic(y), x)
         for d in (F(0), F(5), F(-7, 2), F(3, 16), F(-1, 1024), F(1000001, 64)):
-            assert surreal.dyadic_length(d) == len(se_from_dyadic(d).signs)
+            assert surreal.dyadic_length(d) == len(se_from_dyadic(d))
         with pytest.raises(RecursionCapExceeded, match="combined birthday 1000000000003 exceeds 16"):
             s_mul(parse_signs("+-+"), F(10**12))
         with pytest.raises(RecursionCapExceeded, match="not offered on ordinal"):
             s_sub(ordinal_plus(o.OMEGA), F(10**12))
         with pytest.raises(o.BudgetExceeded, match="14001 signs"):
             ordinal_plus(o.Ord.from_int(surreal.MAX_SIGNS + 1))
-        assert ordinal_plus(o.Ord.from_int(surreal.MAX_SIGNS)).signs == (1,) * surreal.MAX_SIGNS
+        assert ordinal_plus(o.Ord.from_int(surreal.MAX_SIGNS)) == (1,) * surreal.MAX_SIGNS
 
     def test_cap_enforced(self):
-        long = finite([1] * 13)
+        long = SignExpansion([1] * 13)
         with pytest.raises(RecursionCapExceeded):
-            s_add(long, finite([1] * 12))
+            s_add(long, SignExpansion([1] * 12))
         with pytest.raises(RecursionCapExceeded):
-            s_mul(finite([1] * 9), finite([1] * 8))
+            s_mul(SignExpansion([1] * 9), SignExpansion([1] * 8))

@@ -20,8 +20,9 @@ does not (linear exponents of 2, rational powers of an alpha-monomial,
 order, rational gammas, integer powers and modulus factor searches at their
 budgets, rational roots of an alpha-monomial's coefficient, dyadic powers and
 surreal sign counts at their budgets, finite `w`-powers and `beth1`-powers
-under `:mode_bb on`, genetic `:sur` sums and products at the caps) and parse errors
-from every production, so the diff covers each error text and column; then
+under `:mode_bb on`, genetic `:sur` sums and products at the caps, all-plus
+expansions of ordinal length) and parse errors from every production and on
+literals over the digit budget, so the diff covers each error text and column; then
 `:labelcheck` in both modes on every instance file: the corpus files plus
 `EXTRA_INSTANCES`, whose label-tree, table and directedness checks fail, so
 the diff reaches the witness paths, or whose elements do not parse.  The instance files are written to a
@@ -102,7 +103,15 @@ EXTRA += [
     ":sur 1/2^ + 1", ":sur () + (", ":sur +-x + +", ":cmp ++ plus(", ":cmp () x",
     # command words
     ":mode_bb maybe", ":labelcheck", ":labelcheck a b c", ":frobnicate 1", "num 1",
+    # all-plus expansions of ordinal length, finite and infinite
+    ":sur plus(w)", ":sur plus(w^2+3)", ":sur plus(3)", ":sur plus(w) * +", ":sur + - plus(w)",
+    ":cmp plus(w) plus(w^2)", ":cmp plus(w) plus(w)", ":cmp plus(w) ++++", ":cmp -- plus(w)",
+    ":cmp plus(3) +++", ":cmp () ()",
 ]
+# Natural-number literals one digit over Python's default int-from-str limit, one per grammar.
+_LONG = "9" * 4301
+EXTRA += [f":st {_LONG}*alpha", f":ord {_LONG}", f":sur {_LONG}", f":num fin{{{_LONG}}}",
+          f":simplest {{{_LONG}}} {{}}"]
 EXTRA_INSTANCES = {
     # Pivotal, but the labels of 2 and 3 share 1 and neither holds the other,
     # so meet trichotomy fails.
