@@ -6,16 +6,15 @@ length is a `PlusExpansion`.  A finite value is a dyadic rational: the leading
 run steps by one, and every sign after the first alternation halves the step.
 The earliest-born number between two separated sets is the integer nearest
 zero between them, or else the point with the most trailing zero bits on a
-power-of-two grid, in closed form.  The arithmetic is the genetic recursion on
-options: its states are the pairs (prefix of x, prefix of y), one table of
-integers over a power-of-two scale.  Each cell reads only the nearest options
-of its two prefixes (the longest lower and the longest upper prefix), which
-give the same bounds as every option, since the table holds exact values and
-the others are dominated.
+power-of-two grid, in closed form.  The genetic sum and product of finite
+expansions are the sum and product of their dyadic values (Conway, On Numbers
+and Games, ch. 1-4), so `s_add` and `s_mul` compute on values; the tests keep
+the genetic recursion over prefix pairs as their reference.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -162,11 +161,17 @@ def dyadic_length(d: Fraction | int) -> int:
     return n + d.denominator.bit_length() if r else n
 
 
+def _count(n: int) -> str:
+    """n in decimal, or past Python's int-to-str digit limit as a power of two below it."""
+    limit = sys.get_int_max_str_digits()
+    return f"more than 2^{(n - 1).bit_length() - 1}" if limit and n >= 10**limit else str(n)
+
+
 def se_within_budget(d: Fraction | int) -> SignExpansion:
     """se_from_dyadic(d), once its length is known to fit MAX_SIGNS, far above the caps."""
     n = dyadic_length(d)
     if n > MAX_SIGNS:
-        raise BudgetExceeded(f"an expansion of {n} signs is over the budget MAX_SIGNS = {MAX_SIGNS}")
+        raise BudgetExceeded(f"an expansion of {_count(n)} signs is over the budget MAX_SIGNS = {MAX_SIGNS}")
     return se_from_dyadic(d)
 
 
@@ -238,80 +243,20 @@ ADD_CAP = 24
 MUL_CAP = 16
 
 
-def _capped_operands(x: SignExpansion | Fraction, y: SignExpansion | Fraction,
-                     what: str) -> tuple[SignExpansion, SignExpansion]:
-    """Both as expansions, once within the cap: a dyadic is counted before it is built."""
+def _capped_values(x: SignExpansion | Fraction, y: SignExpansion | Fraction,
+                   what: str) -> tuple[Fraction, Fraction]:
+    """Both values, once within the cap: a dyadic is counted before it is checked."""
     cap = MUL_CAP if what == "multiplication" else ADD_CAP
     dx, dy = x.__class__ is Fraction, y.__class__ is Fraction
     if x.__class__ is PlusExpansion or y.__class__ is PlusExpansion:
         raise RecursionCapExceeded(f"{what} is not offered on ordinal expansions; use the ordinal operations")
     n = (dyadic_length(x) if dx else len(x)) + (dyadic_length(y) if dy else len(y))
     if n > cap:
-        raise RecursionCapExceeded(f"{what}: combined birthday {n} exceeds {cap}")
-    return se_from_dyadic(x) if dx else x, se_from_dyadic(y) if dy else y
-
-
-def _nearest_options(signs: tuple[Sign, ...]) -> list[tuple[Optional[int], Optional[int]]]:
-    """For each prefix length i, the lengths of its nearest options: the longest
-    lower prefix (its largest left option) and the longest upper prefix (its
-    smallest right option), None where the side is empty: the last + and
-    the last - before it, as in `options`."""
-    out = [(None, None)]
-    for a, s in enumerate(signs):
-        left, right = out[-1]
-        out.append((a, right) if s > 0 else (left, a))
-    return out
-
-
-def _add_row(row, lrow, rrow, yopts, unit):
-    """Fill row i of a sum: x^L + y and x + y^L below, x^R + y and x + y^R above.
-    Each rises with its option, so the nearest options give max(left), min(right)."""
-    for j, (yl, yr) in enumerate(yopts):
-        lo = None if lrow is None else lrow[j]
-        if yl is not None and (lo is None or row[yl] > lo):
-            lo = row[yl]
-        hi = None if rrow is None else rrow[j]
-        if yr is not None and (hi is None or row[yr] < hi):
-            hi = row[yr]
-        row.append(_simplest(lo, hi, unit))
-
-
-def _mul_row(row, lrow, rrow, yopts, unit):
-    """Fill row i of a product: the piece x^L y + x y^L - x^L y^L of a pairing is
-    xy - (x - x^L)(y - y^L), both factors of fixed sign, so the nearest options
-    give each pairing's extreme piece; (L, L) and (R, R) lie below, (L, R) and
-    (R, L) above.  A prefix with options on both sides is the midpoint of its
-    nearest two, so where both pairings of a side exist their pieces are equal."""
-    for j, (yl, yr) in enumerate(yopts):
-        if lrow is not None and yl is not None:
-            lo = lrow[j] + row[yl] - lrow[yl]
-        elif rrow is not None and yr is not None:
-            lo = rrow[j] + row[yr] - rrow[yr]
-        else:
-            lo = None
-        if lrow is not None and yr is not None:
-            hi = lrow[j] + row[yr] - lrow[yr]
-        elif rrow is not None and yl is not None:
-            hi = rrow[j] + row[yl] - rrow[yl]
-        else:
-            hi = None
-        row.append(_simplest(lo, hi, unit))
-
-
-def _genetic(x: SignExpansion, y: SignExpansion, fill_row) -> Fraction:
-    """The genetic recursion on x and y, filled bottom-up over prefix pairs: cell
-    (i, j) holds the value for the i-sign prefix of x and the j-sign prefix of y
-    times 2^S, S = len(x) + len(y) + 1, a grid on which every sum and product of
-    prefixes lies.  Cells hold exact values, and a value does not depend on the
-    form chosen, so only the nearest options count: every other one is dominated."""
-    unit = 1 << (len(x) + len(y) + 1)
-    yopts = _nearest_options(y)
-    t: list[list[int]] = []
-    for xl, xr in _nearest_options(x):
-        row: list[int] = []
-        fill_row(row, None if xl is None else t[xl], None if xr is None else t[xr], yopts, unit)
-        t.append(row)
-    return Fraction(t[-1][-1], unit)
+        raise RecursionCapExceeded(f"{what}: combined birthday {_count(n)} exceeds {cap}")
+    for d in (x, y):
+        if d.__class__ is Fraction and not is_dyadic(d):
+            raise ValueError(f"{d} is not dyadic")
+    return x if dx else se_value(x), y if dy else se_value(y)
 
 
 def s_neg(x: SignExpansion | Fraction) -> SignExpansion | Fraction:
@@ -323,7 +268,8 @@ def s_neg(x: SignExpansion | Fraction) -> SignExpansion | Fraction:
 
 
 def s_add(x: SignExpansion | Fraction, y: SignExpansion | Fraction) -> SignExpansion:
-    return se_from_dyadic(_genetic(*_capped_operands(x, y, "addition"), _add_row))
+    a, b = _capped_values(x, y, "addition")
+    return se_from_dyadic(a + b)
 
 
 def s_sub(x: SignExpansion | Fraction, y: SignExpansion | Fraction) -> SignExpansion:
@@ -331,7 +277,8 @@ def s_sub(x: SignExpansion | Fraction, y: SignExpansion | Fraction) -> SignExpan
 
 
 def s_mul(x: SignExpansion | Fraction, y: SignExpansion | Fraction) -> SignExpansion:
-    return se_from_dyadic(_genetic(*_capped_operands(x, y, "multiplication"), _mul_row))
+    a, b = _capped_values(x, y, "multiplication")
+    return se_from_dyadic(a * b)
 
 
 def all_expansions(max_len: int) -> list[SignExpansion]:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import copy
+import operator
 import pickle
 import random
 from fractions import Fraction
 from fractions import Fraction as F
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -24,7 +27,6 @@ from numerosity.surreal import (
     RecursionCapExceeded,
     SignExpansion,
     ZERO_SE,
-    _nearest_options,
     _se,
     _simplest,
     all_expansions,
@@ -189,8 +191,8 @@ def simplest_triples(draw):
     return None if draw(absent) else lo, None if draw(absent) else hi, unit
 
 
-# Reference table: the prefix-pair table as the library filled it before it
-# read only the nearest options, each cell's bounds taken over every option.
+# Reference table: the genetic recursion over pairs of operand prefixes, each
+# cell's bounds taken over every option; s_add and s_mul compute on values.
 
 def ref_prefix_options(signs: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """For each prefix length i, the lengths a < i of its lower and upper prefixes:
@@ -212,11 +214,11 @@ def ref_mul_bounds(t, i, j, xl, xr, yl, yr):
     return pieces((xl, yl), (xr, yr)), pieces((xl, yr), (xr, yl))
 
 
-def ref_genetic(x: SignExpansion, y: SignExpansion, bounds) -> Fraction:
+def ref_table(x: SignExpansion, y: SignExpansion, bounds) -> tuple[list[list[int]], int]:
     """The genetic recursion on x and y, filled bottom-up over prefix pairs: cell
     (i, j) holds the value for the i-sign prefix of x and the j-sign prefix of y
     times 2^S, S = len(x) + len(y) + 1, a grid on which every sum and product of
-    prefixes lies."""
+    prefixes lies.  Returns the table and its unit 2^S."""
     unit = 1 << (len(x) + len(y) + 1)
     yopts = ref_prefix_options(y)
     t = [[0] * len(yopts) for _ in range(len(x) + 1)]
@@ -224,6 +226,12 @@ def ref_genetic(x: SignExpansion, y: SignExpansion, bounds) -> Fraction:
         for j, (yl, yr) in enumerate(yopts):
             left, right = bounds(t, i, j, xl, xr, yl, yr)
             t[i][j] = ref_simplest(max(left, default=None), min(right, default=None), unit)
+    return t, unit
+
+
+def ref_genetic(x: SignExpansion, y: SignExpansion, bounds) -> Fraction:
+    """The genetic sum or product of x and y: the last cell of their table."""
+    t, unit = ref_table(x, y, bounds)
     return Fraction(t[-1][-1], unit)
 
 
@@ -415,8 +423,6 @@ class TestOptionsAndSimplest:
             ref = ref_prefix_options(x)
             l, r = options(x)
             assert (l, r) == tuple(tuple(SignExpansion(x[:a]) for a in side) for side in ref[-1])
-            assert _nearest_options(x) == [(xl[-1] if xl else None, xr[-1] if xr else None)
-                                                 for xl, xr in ref]
 
     def test_two_sided_expansion_is_the_midpoint_of_its_nearest_options(self):
         # Why a product cell reads one pairing per side: with options on both
@@ -598,35 +604,25 @@ class TestArithmetic:
         for k in range(len(signs) + 1):
             assert_table_matches(SignExpansion(signs[:k]), SignExpansion(signs[k:]), mul=True)
 
-    def test_every_cell_has_the_full_option_bounds(self, monkeypatch):
-        # Not only the values: each cell's lo and hi, as handed to _simplest,
-        # equal the full-option table's, cell by cell in the same order.  The
-        # alternating operands at the caps give every prefix options on both
-        # sides, the largest tables the caps allow.
-        calls = []
-
-        def recording(real):
-            def record(lo, hi, unit):
-                calls.append((lo, hi, unit))
-                return real(lo, hi, unit)
-            return record
-
-        monkeypatch.setattr(surreal, "_simplest", recording(_simplest))
-        monkeypatch.setitem(globals(), "ref_simplest", recording(ref_simplest))
+    def test_every_full_option_cell_is_the_dyadic_result(self):
+        # The identity s_add and s_mul rest on, prefix by prefix: each cell of
+        # the full-option table is the sum (of y or of -y, the difference) or
+        # the product of the two prefixes' dyadic values, on the table's scale.
+        # The alternating operands at the caps give every prefix options on
+        # both sides, the largest tables the caps allow.
         pairs = [(x, y) for x in all_expansions(4) for y in all_expansions(4)]
         for cap in (ADD_CAP, MUL_CAP):
             signs = ([1, -1] * cap)[:cap]
             pairs += [(SignExpansion(signs[:k]), SignExpansion(signs[k:])) for k in range(cap + 1)]
         for x, y in pairs:
-            for op, bounds in ((s_add, ref_add_bounds), (s_mul, ref_mul_bounds)):
-                if op is s_mul and len(x) + len(y) > MUL_CAP:
-                    continue
-                calls.clear()
-                op(x, y)
-                got = calls[:]
-                calls.clear()
-                ref_genetic(x, y, bounds)
-                assert got == calls, (str(x), str(y), op.__name__)
+            for y_, bounds, op in ((y, ref_add_bounds, operator.add),
+                                   (s_neg(y), ref_add_bounds, operator.add),
+                                   (y, ref_mul_bounds, operator.mul)):
+                t, unit = ref_table(x, y_, bounds)
+                for i in range(len(x) + 1):
+                    for j in range(len(y_) + 1):
+                        assert t[i][j] == op(se_value(_se(x[:i])), se_value(_se(y_[:j]))) * unit, \
+                            (str(x), str(y_), op.__name__, i, j)
 
     def test_every_split_over_the_caps_raises(self):
         for cap, ops in ((ADD_CAP, (s_add, s_sub)), (MUL_CAP, (s_mul,))):
@@ -653,6 +649,51 @@ class TestArithmetic:
         with pytest.raises(o.BudgetExceeded, match="14001 signs"):
             ordinal_plus(o.Ord.from_int(surreal.MAX_SIGNS + 1))
         assert ordinal_plus(o.Ord.from_int(surreal.MAX_SIGNS)) == (1,) * surreal.MAX_SIGNS
+
+    def test_non_dyadic_operands_rejected(self):
+        # Checked before any arithmetic, after the cap: the error names the operand.
+        for op in (s_add, s_sub, s_mul):
+            for x, y in ((F(1, 3), F(3)), (F(3), F(1, 3)), (F(1, 3), parse_signs("+-")),
+                         (parse_signs("-"), F(5, 6))):
+                with pytest.raises(ValueError, match=r"^-?\d+/\d+ is not dyadic$"):
+                    op(x, y)
+        with pytest.raises(ValueError, match="^1/3 is not dyadic$"):
+            s_mul(F(1, 3), F(3))
+        with pytest.raises(ValueError, match="^-5/6 is not dyadic$"):
+            s_sub(ZERO_SE, F(5, 6))
+        with pytest.raises(RecursionCapExceeded, match="combined birthday 27 exceeds 24"):
+            s_add(F(1, 3), F(25))
+
+    def test_counts_past_the_digit_limit_print_by_bit_length(self):
+        n = 10**4300 - 1  # 4,300 digits, the most a literal has
+        for op, what, cap in ((s_add, "addition", ADD_CAP), (s_mul, "multiplication", MUL_CAP)):
+            with pytest.raises(RecursionCapExceeded,
+                               match=f"^{what}: combined birthday more than 2\\^14284 exceeds {cap}$"):
+                op(F(n), F(1))
+            # A count that is a power of two is still more than the power below it.
+            with pytest.raises(RecursionCapExceeded, match=r"more than 2\^14285 exceeds"):
+                op(F(2**14286 - 2), parse_signs("++"))
+            with pytest.raises(RecursionCapExceeded, match=f"combined birthday {n} exceeds"):
+                op(F(n - 1), parse_signs("+"))
+        with pytest.raises(RecursionCapExceeded, match=r"more than 2\^14284 exceeds 24$"):
+            s_sub(F(-n), F(1))
+        with pytest.raises(o.BudgetExceeded, match=r"^an expansion of more than 2\^14284 signs"):
+            simplest([F(n)], [])
+        with pytest.raises(o.BudgetExceeded, match=f"^an expansion of {n} signs"):
+            surreal.se_within_budget(n)
+        with pytest.raises(o.BudgetExceeded, match=f"^an expansion of {n} signs"):
+            ordinal_plus(o.Ord.from_int(n))
+        for line in (f":sur {n} + 1", f":sur {n} * 1", f":sur -{n} - 1", f":simplest {{{n}}} {{}}"):
+            record, err = run_line(line, Session())
+            assert err == "eval" and "more than 2^14284" in record["value"], line
+
+    def test_caps_match_the_benchmark_corpus(self):
+        # perfbench/corpus.py generates :sur lines around these caps and expects
+        # an error above them; read without importing the benchmark.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+        caps = next(node.value for node in ast.parse(path.read_text()).body
+                    if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "(ADD_CAP, MUL_CAP)")
+        assert ast.literal_eval(caps) == (surreal.ADD_CAP, surreal.MUL_CAP)
 
     def test_cap_enforced(self):
         long = SignExpansion([1] * 13)

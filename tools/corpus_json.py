@@ -21,11 +21,12 @@ order, rational gammas, integer powers and modulus factor searches at their
 budgets, rational roots of an alpha-monomial's coefficient, dyadic powers and
 surreal sign counts at their budgets, finite `w`-powers and `beth1`-powers
 under `:mode_bb on`, genetic `:sur` sums and products at the caps, all-plus
-expansions of ordinal length) and parse errors from every production and on
-literals over the digit budget, so the diff covers each error text and column; then
-`:labelcheck` in both modes on every instance file: the corpus files plus
-`EXTRA_INSTANCES`, whose label-tree, table and directedness checks fail, so
-the diff reaches the witness paths, or whose elements do not parse.  The instance files are written to a
+expansions of ordinal length, surreal counts past Python's digit limit) and
+parse errors from every production and on literals over the digit budget, so
+the diff covers each error text and column; then `:labelcheck` in both modes
+on every instance file: the corpus files plus `EXTRA_INSTANCES`, whose
+label-tree, table and directedness checks fail, so the diff reaches the
+witness paths, or whose elements do not parse.  The instance files are written to a
 temporary directory, which is the working directory while the lines run.  The
 library is imported from the `src/` of the checkout this script lives in, so
 running it in two checkouts and diffing the outputs shows every changed answer.
@@ -112,6 +113,11 @@ EXTRA += [
 _LONG = "9" * 4301
 EXTRA += [f":st {_LONG}*alpha", f":ord {_LONG}", f":sur {_LONG}", f":num fin{{{_LONG}}}",
           f":simplest {{{_LONG}}} {{}}"]
+# Counts from literals at that limit: a combined birthday or sign count of 4,301
+# digits is printed by its bit length, one of 4,300 digits in full.
+_N = _LONG[1:]
+EXTRA += [f":sur {_N} + 1", f":sur {_N} * 1", f":sur -{_N} - 1", f":simplest {{{_N}}} {{}}",
+          f":sur {_N}", f":cmp plus({_N}) +"]
 EXTRA_INSTANCES = {
     # Pivotal, but the labels of 2 and 3 share 1 and neither holds the other,
     # so meet trichotomy fails.
