@@ -21,12 +21,14 @@ order, rational gammas, integer powers and modulus factor searches at their
 budgets, rational roots of an alpha-monomial's coefficient, dyadic powers and
 surreal sign counts at their budgets, finite `w`-powers and `beth1`-powers
 under `:mode_bb on`, genetic `:sur` sums and products at the caps, all-plus
-expansions of ordinal length, surreal counts past Python's digit limit) and
+expansions of ordinal length, surreal counts past Python's digit limit, a
+`pow` threshold with a large prime factor) and
 parse errors from every production and on literals over the digit budget, so
 the diff covers each error text and column; then `:labelcheck` in both modes
 on every instance file: the corpus files plus `EXTRA_INSTANCES`, whose
 label-tree, table and directedness checks fail, so the diff reaches the
-witness paths, or whose elements do not parse.  The instance files are written to a
+witness paths, whose elements do not parse, or whose table is an 80-element
+chain.  The instance files are written to a
 temporary directory, which is the working directory while the lines run.  The
 library is imported from the `src/` of the checkout this script lives in, so
 running it in two checkouts and diffing the outputs shows every changed answer.
@@ -118,6 +120,8 @@ EXTRA += [f":st {_LONG}*alpha", f":ord {_LONG}", f":sur {_LONG}", f":num fin{{{_
 _N = _LONG[1:]
 EXTRA += [f":sur {_N} + 1", f":sur {_N} * 1", f":sur -{_N} - 1", f":simplest {{{_N}}} {{}}",
           f":sur {_N}", f":cmp plus({_N}) +"]
+# A perfect-power threshold with a large prime factor: the least m with 10007 | m!.
+EXTRA += [":num pow(10007)"]
 EXTRA_INSTANCES = {
     # Pivotal, but the labels of 2 and 3 share 1 and neither holds the other,
     # so meet trichotomy fails.
@@ -132,6 +136,9 @@ EXTRA_INSTANCES = {
     "badelem.txt": "elem {} 1 {1,,2}\n",
     "badpair.txt": "elem {} 1 {1}\nle 1 {1\n",
     "badsucc.txt": "elem {} 1 {1}\nsucc 1 -{1}\n",
+    # A chain of 80 elements, so the table closure runs at instance size.
+    "chain80.txt": "elem {} " + " ".join(map(str, range(1, 80))) + "\n"
+    + "".join(f"le {i} {i + 1}\nsucc {i} {i + 1}\n" for i in range(1, 79)),
 }
 
 
