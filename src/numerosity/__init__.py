@@ -42,8 +42,6 @@ from .chains import (
     CountingFn,
     cf_eval,
     cf_compare,
-    chain_label_card,
-    lambda_limit,
 )
 from .sets import (
     counting_fn,

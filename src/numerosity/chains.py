@@ -8,9 +8,11 @@ function is an exact closed form for |A ∩ label_m|, a signed combination of
 terms c * n^q * x^j * (2^n)^i, valid from an explicit threshold index m0 and
 kept as its chain limit, one field value, from which the terms are read back.
 
-Eventual comparison replaces ultrafilter membership: a comparison is decided
-by the basis grading 2^n over rational powers of n, with the concrete
-threshold certified so the sign cannot flip at any later index.
+Validity thresholds come from the prime powers of a modulus or exponent by
+Legendre's formula for v_p(m!), without building m! or n(m).  Eventual
+comparison replaces ultrafilter membership: a comparison is decided by the
+basis grading 2^n over rational powers of n, with the concrete threshold
+certified so the sign cannot flip at any later index.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import field
 from .field import NumExpr
@@ -65,25 +67,10 @@ def chain_card(m: int) -> int:
     return f**f
 
 
-def chain_label_card(kind: ChainKind, m: int) -> int:
-    """|N+ ∩ label| for NAT and |Q∩(0,1] ∩ label| for RAT; both equal n(m)."""
-    if kind is ChainKind.REAL:
-        raise ValueError("the real chain count n(m)*x carries a formal seed size")
-    return chain_card(m)
-
-
-def threshold_divides(d: int, lower: int = 1) -> int:
-    """Least m >= lower with d | n(m).
-
-    d | m!^(m!) iff every prime p | d has p <= m and v_p(d) <= m! * v_p(m!),
-    with Legendre's v_p(m!) = sum of m // p^i.  Both only get easier as m
-    grows, so the answer is the largest per-prime least m; once m >= p,
-    m! * v_p(m!) >= m, so m! is built only while m < v_p(d).  The primes of
-    d come by trial division up to MAX_TRIAL_DIVISOR.
-    """
-    if d == 0:
-        raise ZeroDivisionError("0 divides no grid size")
-    m, p, d = max(1, lower), 2, abs(d)
+def _prime_powers(d: int) -> Iterator[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing d >= 1, by trial division
+    up to MAX_TRIAL_DIVISOR."""
+    p = 2
     while d > 1:
         if p * p > d:
             p = d  # what is left is prime
@@ -95,10 +82,45 @@ def threshold_divides(d: int, lower: int = 1) -> int:
         while d % p == 0:
             d, e = d // p, e + 1
         if e:
-            m = max(m, p)
-            while e > m and math.factorial(m) * sum(m // p**i for i in range(1, m.bit_length())) < e:
-                m += 1
+            yield p, e
         p += 1
+
+
+def _legendre(m: int, p: int) -> int:
+    """v_p(m!) = sum of m // p^i (Legendre)."""
+    return sum(m // p**i for i in range(1, m.bit_length()))
+
+
+def threshold_divides(d: int, lower: int = 1) -> int:
+    """Least m >= lower with d | n(m).
+
+    d | m!^(m!) iff every prime p | d has p <= m and v_p(d) <= m! * v_p(m!).
+    Both only get easier as m grows, so the answer is the largest per-prime
+    least m; once m >= p, m! * v_p(m!) >= m, so m! is built only while
+    m < v_p(d).
+    """
+    if d == 0:
+        raise ZeroDivisionError("0 divides no grid size")
+    m = max(1, lower)
+    for p, e in _prime_powers(abs(d)):
+        m = max(m, p)
+        while e > m and math.factorial(m) * _legendre(m, p) < e:
+            m += 1
+    return m
+
+
+def threshold_factorial_divides(k: int) -> int:
+    """Least m >= 1 with k | m!, for k >= 1 (Kempner 1918).
+
+    For each p^e exactly dividing k, v_p(m!) grows only at multiples of p, so
+    the least m with v_p(m!) >= e is a multiple j of p; the largest j wins.
+    """
+    m = 1
+    for p, e in _prime_powers(k):
+        j = p
+        while _legendre(j, p) < e:
+            j += p
+        m = max(m, j)
     return m
 
 
@@ -132,7 +154,13 @@ def _term_limit(c: Fraction | int, q: Fraction | int, xj: int, ei: int) -> NumEx
 @dataclass(frozen=True, slots=True)
 class CountingFn:
     """Exact closed form of a counting net along a canonical chain, stored as its
-    chain limit (see `lambda_limit`); `terms` reads the closed form back."""
+    chain limit; `terms` reads the closed form back.
+
+    The limit maps n -> alpha, x -> beta/alpha and 2^n -> X/2.  The
+    finite-subset generator satisfies X = 2^(alpha+1), so the atom 2^n maps
+    to X/2; with that choice the limit is a ring morphism and the power-set
+    counts land exactly on X.
+    """
 
     limit: NumExpr
     m0: int = 1
@@ -177,11 +205,6 @@ class CountingFn:
 
     def __mul__(self, other: "CountingFn") -> "CountingFn":
         return CountingFn(field.nf_mul(self.limit, other.limit), max(self.m0, other.m0))
-
-    def pow(self, k: int) -> "CountingFn":
-        if k < 0:
-            raise ValueError("negative powers of counting functions")
-        return CountingFn(field.nf_pow(self.limit, field.from_rational(k)), self.m0)
 
     def with_m0(self, m0: int) -> "CountingFn":
         return CountingFn(self.limit, max(self.m0, m0))
@@ -310,35 +333,17 @@ def cf_compare(f: CountingFn, g: CountingFn) -> CfComparison:
     return CfComparison(Eventually.UNKNOWN, reason="no certified threshold found")
 
 
-def lambda_limit(f: CountingFn) -> NumExpr:
-    """The chain limit: n -> alpha, x -> beta/alpha, 2^n -> X/2.
-
-    The finite-subset generator satisfies X = 2^(alpha+1), so the atom 2^n
-    maps to X/2; with that choice the limit is a ring morphism and the
-    power-set counts land exactly on X.  A counting function is stored as
-    its limit, so this is a read.
-    """
-    return f.limit
-
-
 def format_counting_fn(f: CountingFn) -> str:
-    if not f.terms:
-        return "0"
     parts = []
-    for i, (c, q, xj, ei) in enumerate(f.terms):
+    for c, q, xj, ei in f.terms:
         factors = []
         if ei:
             factors.append("2^n" if ei == 1 else f"(2^n)^{ei}")
         if q:
-            exp = str(q) if q.denominator == 1 else f"({q})"
-            factors.append("n" if q == 1 else f"n^{exp}")
+            factors.append("n" if q == 1 else f"n^{field._fmt_exp(q)}")
         if xj:
             factors.append("x" if xj == 1 else f"x^{xj}")
-        mag = abs(c)
-        coeff = "" if (mag == 1 and factors) else str(mag)
-        body = "*".join(([coeff] if coeff else []) + factors)
-        if i == 0:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        parts.append((c > 0, "*".join(factors)))
+    return field._signed_sum(parts)

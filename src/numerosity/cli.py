@@ -140,16 +140,10 @@ def run_line(line: str, session: Session) -> tuple[dict, Optional[str]]:
     try:
         return eval_line(line, session), None
     except ParseError as exc:
-        return (
-            {"input": line, "kind": "report", "value": f"ParseError: {exc}", "status": "error"},
-            "parse",
-        )
+        value, err = f"ParseError: {exc}", "parse"
     except _CORE_ERRORS as exc:
-        name = type(exc).__name__
-        return (
-            {"input": line, "kind": "report", "value": f"{name}: {exc}", "status": "error"},
-            "eval",
-        )
+        value, err = f"{type(exc).__name__}: {exc}", "eval"
+    return {"input": line, "kind": "report", "value": value, "status": "error"}, err
 
 
 def run_script(path: str, strict_cmp: bool = False, bb: bool = False,

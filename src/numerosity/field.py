@@ -23,7 +23,8 @@ from functools import partial
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .ordinals import Ord, UnsupportedPower, _ord, cantor_add, check_power_bits, format_ordinal
+from .ordinals import (Ord, UnsupportedPower, _ord, _square_multiply, cantor_add, check_power_bits,
+                       format_ordinal)
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -398,15 +399,7 @@ def nf_pow(base: NumExpr, exp: NumExpr) -> NumExpr:
         b = base.as_rational()
         if b is not None:
             check_power_bits(b, n)
-        out = ONE
-        sq = base
-        while n:
-            if n & 1:
-                out = nf_mul(out, sq)
-            n >>= 1
-            if n:
-                sq = nf_mul(sq, sq)
-        return out
+        return _square_multiply(base, n, nf_mul, ONE)
 
     if r is not None:
         # Rational non-integer exponent: only single monomials in alpha.
@@ -757,12 +750,18 @@ def _format_ratio_side(r: Monomial, positive: bool) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def _signed_sum(parts: list[tuple[bool, str]]) -> str:
+    """`a + b - c` from (positive, body) pairs, the first sign as a bare `-`; "0" for none."""
+    if not parts:
+        return "0"
+    text = " ".join(f"+ {body}" if positive else f"- {body}" for positive, body in parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 def format_poly(terms: Terms, lead: int) -> str:
     """The terms with every coefficient divided by lead (the denominator's, for a NumExpr)."""
-    if not terms:
-        return "0"
     parts = []
-    for i, (c, m) in enumerate(terms):
+    for c, m in terms:
         mag = Fraction(abs(c), lead)
         if m == UNIT:
             body = str(mag)
@@ -770,11 +769,8 @@ def format_poly(terms: Terms, lead: int) -> str:
             body = format_monomial(m)
         else:
             body = f"{mag}*{format_monomial(m)}"
-        if i == 0:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+        parts.append((c > 0, body))
+    return _signed_sum(parts)
 
 
 def format_numexpr(x: NumExpr) -> str:

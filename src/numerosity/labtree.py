@@ -2,9 +2,10 @@
 
 Universe elements are atoms (ints) and finite sets over them (frozensets,
 rank <= 2).  A pivotal tree carries the preorder as an explicit pair table
-and a partial injective successor map; validators exhaustively check the
-structural axioms and the derived label-lattice identities, reporting every
-violating tuple.  Counting happens through labels: the count of A inside a
+(instance files and the built-in instances close theirs by Warshall's loop
+over bit rows) and a partial injective successor map; validators
+exhaustively check the structural axioms and the derived label-lattice
+identities, reporting every violating tuple.  Counting happens through labels: the count of A inside a
 label stabilizes on a cone, and the comparison axioms are verified on those
 stable counts.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .parser import parse_elem
 
@@ -132,20 +133,27 @@ def _masks(tree: PivotalTree) -> tuple[dict, dict, dict]:
     return at, up, down
 
 
+def _warshall(nodes: Sequence[Elem], rows: dict) -> dict:
+    """Close bit rows in place (Warshall 1962): bit k of rows[x] says a step,
+    then a chain of steps, leads from x to nodes[k]; nodes share their row."""
+    for k, y in enumerate(nodes):
+        bit, via = 1 << k, rows[y]
+        for x, row in rows.items():
+            if row & bit:
+                rows[x] = row | via
+    return rows
+
+
 def _member_reach(universe: tuple[Elem, ...], at: dict) -> dict:
     """Bit j of reach[x] is set when a membership chain through universe
-    elements leads from x up to U[j] (Warshall's closure over bit rows)."""
+    elements leads from x up to U[j]."""
     reach = dict.fromkeys(at, 0)
     for j, y in enumerate(universe):
         if isinstance(y, frozenset):
             for x in y:
                 if x in reach:
                     reach[x] |= 1 << j
-    for k, y in enumerate(universe):
-        for x, row in reach.items():
-            if row >> k & 1:
-                reach[x] = row | reach[y]
-    return reach
+    return _warshall(universe, reach)
 
 
 def check_instance(tree: PivotalTree, mode: str = "literal") -> list[Report]:
@@ -538,17 +546,19 @@ def generate_set_pairs(tree: PivotalTree, count: int, seed: int = 0
 
 
 def _closure(universe: tuple[Elem, ...], base: set) -> frozenset:
+    """The base pairs, each element's reflexive pair and {} below it, closed
+    transitively; inserted in that order, then the derived pairs, since the
+    frozenset's iteration order (and of `table` witnesses) follows it."""
     pairs = set(base)
     pairs.update((x, x) for x in universe)
     pairs.update((EMPTY, x) for x in universe)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(pairs):
-            for c, d in list(pairs):
-                if b == c and (a, d) not in pairs:
-                    pairs.add((a, d))
-                    changed = True
+    nodes = list(dict.fromkeys([*universe, *(x for pair in pairs for x in pair)]))
+    pos = {x: k for k, x in enumerate(nodes)}
+    rows = dict.fromkeys(nodes, 0)
+    for a, b in pairs:
+        rows[a] |= 1 << pos[b]
+    for a, row in _warshall(nodes, rows).items():
+        pairs.update((a, nodes[k]) for k in _bits(row))
     return frozenset(pairs)
 
 

@@ -12,9 +12,9 @@ commutative and coefficient-wise/convolution-wise on the normal form.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
 from numbers import Rational
-from typing import Iterable
+from typing import Callable, Iterable
 
 # Bits allowed in an integer power, estimated before it is computed as the
 # base's bit length times the exponent.  2^14000 has 4215 decimal digits, so
@@ -89,11 +89,6 @@ class Ord(tuple):
         if not self.is_finite():
             raise ValueError(f"{self} is infinite")
         return self[0][1]
-
-    def lead_exp(self) -> "Ord":
-        if not self:
-            raise ValueError("0 has no leading term")
-        return self[0][0]
 
     def finite_part(self) -> int:
         """Coefficient of the w^0 term (0 if absent)."""
@@ -195,17 +190,15 @@ def natural_mul(a: Ord, b: Ord) -> Ord:
     return _ord(sorted(coeffs.items(), reverse=True))
 
 
-def _finite_pow(base: Ord, n: int) -> Ord:
-    if base.is_finite():
-        check_power_bits(base.as_int(), n)
-    result = ONE
-    square = base
+def _square_multiply(base, n: int, mul: Callable, one):
+    """base to the power n >= 0 under the associative product mul, by repeated squaring."""
+    result = one
     while n:
         if n & 1:
-            result = cantor_mul(result, square)
+            result = mul(result, base)
         n >>= 1
         if n:
-            square = cantor_mul(square, square)
+            base = mul(base, base)
     return result
 
 
@@ -226,7 +219,10 @@ def ord_exp(base: Ord, exp: Ord) -> Ord:
     if base == OMEGA:
         return omega_pow(exp)
     if exp.is_finite():
-        return _finite_pow(base, exp.as_int())
+        n = exp.as_int()
+        if base.is_finite():
+            check_power_bits(base.as_int(), n)
+        return _square_multiply(base, n, cantor_mul, ONE)
     if base.is_finite():
         # n^<w^e * c + ...> collapses to a single monomial: each infinite
         # exponent term w^e*c contributes w^(w^e' * c) with e' = -1 + e,
@@ -291,14 +287,8 @@ def format_ordinal(o: Ord) -> str:
 
 
 def fold_cantor(monomials: Iterable[Ord]) -> Ord:
-    out = ZERO
-    for m in monomials:
-        out = cantor_add(out, m)
-    return out
+    return reduce(cantor_add, monomials, ZERO)
 
 
 def fold_natural(monomials: Iterable[Ord]) -> Ord:
-    out = ZERO
-    for m in monomials:
-        out = natural_add(out, m)
-    return out
+    return reduce(natural_add, monomials, ZERO)

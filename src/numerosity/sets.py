@@ -4,8 +4,10 @@ Each node either compiles to a closed-form counting function on its canonical
 chain (constant sets, congruence classes, perfect powers, bounded intervals,
 products, certified unions and differences) or carries a comparison-map
 rewrite for its numerosity (the unbounded sets, the unit interval, power-set
-and finite-map constructors, shifts).  A literal enumeration oracle backs the
-compiled forms at tiny chain indices.
+and finite-map constructors, shifts).  Subset and disjointness certificates
+of unions, intersections, differences and products combine their parts'
+through three combiners.  A literal enumeration oracle backs the compiled
+forms and the certificates at tiny chain indices.
 """
 
 from __future__ import annotations
@@ -43,12 +45,6 @@ YES, NO, UNDECIDED = "yes", "no", "undecided"
 class SetExpr:
     def __str__(self) -> str:
         return format_set(self)
-
-    def __or__(self, other: "SetExpr") -> "SetExpr":
-        return Union_(self, other)
-
-    def __and__(self, other: "SetExpr") -> "SetExpr":
-        return Inter(self, other)
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,9 +264,7 @@ def subset_certified(a: SetExpr, b: SetExpr) -> str:
         if isinstance(b, Mod):
             ok = all(x >= 1 and x % b.p == b.i % b.p for x in a.elems)
             return YES if ok else NO
-    if isinstance(a, QInterval) and isinstance(b, QInterval):
-        return YES if b.p <= a.p and a.q <= b.q else NO
-    if isinstance(a, RInterval) and isinstance(b, RInterval):
+    if isinstance(a, (QInterval, RInterval)) and type(b) is type(a):
         return YES if b.p <= a.p and a.q <= b.q else NO
     if isinstance(a, QInterval) and isinstance(b, QPos):
         return YES if a.p >= 0 else NO
@@ -280,38 +274,20 @@ def subset_certified(a: SetExpr, b: SetExpr) -> str:
         return YES if a.p >= 0 and a.q <= 1 else NO
 
     if isinstance(a, Union_):
-        l, r = subset_certified(a.left, b), subset_certified(a.right, b)
-        if l == YES and r == YES:
-            return YES
-        if NO in (l, r):
-            return NO
-        return UNDECIDED
+        return _all(subset_certified(a.left, b), subset_certified(a.right, b))
     if isinstance(a, Inter):
-        if YES in (subset_certified(a.left, b), subset_certified(a.right, b)):
-            return YES
-        return UNDECIDED
+        return _any(subset_certified(a.left, b), subset_certified(a.right, b))
     if isinstance(a, Diff):
-        return subset_certified(a.left, b) if subset_certified(a.left, b) == YES else UNDECIDED
+        return _only_yes(subset_certified(a.left, b))
     if isinstance(b, Union_):
-        if YES in (subset_certified(a, b.left), subset_certified(a, b.right)):
-            return YES
-        return UNDECIDED
+        return _any(subset_certified(a, b.left), subset_certified(a, b.right))
     if isinstance(b, Inter):
-        l, r = subset_certified(a, b.left), subset_certified(a, b.right)
-        if l == YES and r == YES:
-            return YES
-        if NO in (l, r):
-            return NO
-        return UNDECIDED
+        return _all(subset_certified(a, b.left), subset_certified(a, b.right))
     if isinstance(b, Diff):
-        if subset_certified(a, b.left) == YES and disjoint_certified(a, b.right) == YES:
-            return YES
-        return UNDECIDED
+        # Disjointness from b.right is asked only once a ⊆ b.left is certain.
+        return _only_yes(subset_certified(a, b.left) == YES and disjoint_certified(a, b.right))
     if isinstance(a, Prod) and isinstance(b, Prod):
-        l, r = subset_certified(a.left, b.left), subset_certified(a.right, b.right)
-        if l == YES and r == YES:
-            return YES
-        return UNDECIDED
+        return _only_yes(_all(subset_certified(a.left, b.left), subset_certified(a.right, b.right)))
     return UNDECIDED
 
 
@@ -336,27 +312,27 @@ def disjoint_certified(a: SetExpr, b: SetExpr) -> str:
     if ia and ib:
         return YES if ia[1] <= ib[0] or ib[1] <= ia[0] else NO
     if isinstance(a, Union_):
-        l, r = disjoint_certified(a.left, b), disjoint_certified(a.right, b)
-        if l == YES and r == YES:
-            return YES
-        if NO in (l, r):
-            return NO
-        return UNDECIDED
+        return _all(disjoint_certified(a.left, b), disjoint_certified(a.right, b))
     if isinstance(b, Union_):
         return disjoint_certified(b, a)
     return UNDECIDED
 
 
-def is_bounded(e: SetExpr) -> bool:
-    if isinstance(e, (FinSet, QInterval, RInterval, UnitInterval01)):
-        return True
-    if isinstance(e, (Union_, Inter, Prod)):
-        return is_bounded(e.left) and is_bounded(e.right)
-    if isinstance(e, Diff):
-        return is_bounded(e.left)
-    if isinstance(e, Shift):
-        return is_bounded(e.child)
-    return False
+def _all(l: str, r: str) -> str:
+    """Both parts are needed: YES when both are, NO when one is NO."""
+    if l == YES and r == YES:
+        return YES
+    return NO if NO in (l, r) else UNDECIDED
+
+
+def _any(l: str, r: str) -> str:
+    """One part suffices: YES when either is."""
+    return YES if YES in (l, r) else UNDECIDED
+
+
+def _only_yes(v: object) -> str:
+    """A sufficient condition: its YES carries over, nothing else does."""
+    return YES if v == YES else UNDECIDED
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +362,7 @@ def counting_fn(e: SetExpr) -> CountingFn:
         m0 = chains.threshold_divides(e.p)
         return CountingFn.monomial(Fraction(1, e.p), 1, m0=m0)
     if isinstance(e, Pow):
-        m0 = 1
-        while math.factorial(m0) % e.p != 0:
-            m0 += 1
+        m0 = chains.threshold_factorial_divides(e.p)
         return CountingFn.monomial(1, Fraction(1, e.p), m0=m0)
     if isinstance(e, PfinN):
         # Subsets of {0..n}: 2^(n+1).
@@ -402,11 +376,12 @@ def counting_fn(e: SetExpr) -> CountingFn:
     if isinstance(e, (QPos, QAll, RPos, RAll, UnitInterval01)):
         raise Uncompilable(e, "determined by comparison-map rewrite, not the grid chain")
     if isinstance(e, Shift):
-        if not is_bounded(e.child):
+        radius = _bound_radius(e.child)
+        if radius is None:
             raise Uncompilable(e, "shift of an unbounded set")
         inner = counting_fn(e.child)
         m0 = chains.threshold_divides(e.q.denominator, inner.m0)
-        m0 = chains.threshold_card_at_least(abs(e.q) + _bound_radius(e.child) + 1, m0)
+        m0 = chains.threshold_card_at_least(abs(e.q) + radius + 1, m0)
         return inner.with_m0(m0)
     if isinstance(e, Union_):
         both = _inter_count(e.left, e.right)
@@ -433,7 +408,8 @@ def counting_fn(e: SetExpr) -> CountingFn:
     raise Uncompilable(e, "no chain form")
 
 
-def _bound_radius(e: SetExpr) -> Fraction:
+def _bound_radius(e: SetExpr) -> Optional[Fraction]:
+    """A bound on |x| over the members of e; None when e is unbounded."""
     if isinstance(e, FinSet):
         return Fraction(max(e.elems) if e.elems else 0)
     if isinstance(e, (QInterval, RInterval)):
@@ -441,12 +417,14 @@ def _bound_radius(e: SetExpr) -> Fraction:
     if isinstance(e, UnitInterval01):
         return Fraction(1)
     if isinstance(e, (Union_, Inter, Prod)):
-        return max(_bound_radius(e.left), _bound_radius(e.right))
+        l, r = _bound_radius(e.left), _bound_radius(e.right)
+        return None if l is None or r is None else max(l, r)
     if isinstance(e, Diff):
         return _bound_radius(e.left)
     if isinstance(e, Shift):
-        return _bound_radius(e.child) + abs(e.q)
-    raise Uncompilable(e, "unbounded")
+        r = _bound_radius(e.child)
+        return None if r is None else r + abs(e.q)
+    return None
 
 
 def _inter_count(a: SetExpr, b: SetExpr) -> Optional[CountingFn]:
@@ -491,18 +469,16 @@ def num(e: SetExpr) -> NumExpr:
         return field.nf_add(field.nf_mul(field.from_rational(2), ab), field.ONE)
     if isinstance(e, UnitInterval01):
         return field.nf_add(field.BETA, field.ONE)
-    if isinstance(e, PfinN):
-        return field.X2W
     if isinstance(e, FinMapsInto):
         return field.nf_pow(field.from_rational(e.k), num(e.child))
     if isinstance(e, Shift):
-        if not is_bounded(e.child):
+        if _bound_radius(e.child) is None:
             raise Uncompilable(e, "shift invariance holds for bounded sets")
         return num(e.child)
     if isinstance(e, Prod):
         return field.nf_mul(num(e.left), num(e.right))
     try:
-        return chains.lambda_limit(counting_fn(e))
+        return counting_fn(e).limit
     except Uncompilable:
         pass
     if isinstance(e, Union_):

@@ -421,3 +421,12 @@ class TestMalformedLines:
         assert err == "eval"
         assert rec["value"] == ("BudgetExceeded: modulus factor search over the budget "
                                 "MAX_TRIAL_DIVISOR = 1048576")
+
+    def test_pow_threshold_budget(self):
+        # The least m with k | m! comes from k's prime powers, so a large prime
+        # answers at once and one past the trial divisors meets the same budget.
+        assert value_of(":num pow(10007)") == "alpha^(1/10007)"
+        rec, err = run_line(":num pow(10000000000037)", Session())
+        assert err == "eval"
+        assert rec["value"] == ("BudgetExceeded: modulus factor search over the budget "
+                                "MAX_TRIAL_DIVISOR = 1048576")

@@ -466,6 +466,38 @@ def pivotal_trees(draw) -> PivotalTree:
     return PivotalTree(U, le, tuple(zip(thread, thread[1:])))
 
 
+def ref_closure(universe, base) -> frozenset:
+    """`labtree._closure` before the bit-row closure, kept verbatim (renamed)."""
+    pairs = set(base)
+    pairs.update((x, x) for x in universe)
+    pairs.update((EMPTY, x) for x in universe)
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(pairs):
+            for c, d in list(pairs):
+                if b == c and (a, d) not in pairs:
+                    pairs.add((a, d))
+                    changed = True
+    return frozenset(pairs)
+
+
+class TestClosure:
+    @settings(max_examples=300, deadline=None)
+    @given(arbitrary_trees())
+    def test_matches_pairwise_rescan(self, tree):
+        """Universes with repeats or without {}, and pairs leaving them."""
+        base = set(tree.le)
+        assert _closure(tree.universe, base) == ref_closure(tree.universe, base)
+
+    def test_chain_instance(self):
+        text = ("elem {} " + " ".join(map(str, range(1, 80))) + "\n"
+                + "".join(f"le {i} {i + 1}\n" for i in range(1, 79)))
+        tree = parse_instance(text)
+        assert tree.le == ref_closure(tree.universe, {(i, i + 1) for i in range(1, 79)})
+        assert len(tree.le) == 80 * 81 // 2
+
+
 class TestAgainstReference:
     def test_standard_and_counterexamples(self):
         trees = [TREE, counterexample_noninjective(), counterexample_unreachable(),

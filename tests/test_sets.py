@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from numerosity import chains, field
-from numerosity.chains import Eventually, cf_compare, cf_eval, chain_card
+from numerosity import field, sets
+from numerosity.chains import Eventually, cf_compare, cf_eval, chain_card, threshold_factorial_divides
 from numerosity.field import (
     ALPHA,
     BETA,
@@ -167,6 +171,20 @@ class TestOracleAgreement:
         )
         assert enumerate_on_chain(PfinN(), 2) == literal == 32
 
+    @staticmethod
+    def ref_pow_threshold(p: int) -> int:
+        """The threshold of pow(p) as `counting_fn` searched it: the least m with p | m!."""
+        m0 = 1
+        while math.factorial(m0) % p != 0:
+            m0 += 1
+        return m0
+
+    def test_pow_threshold_matches_factorial_search(self):
+        for p in range(1, 1500):
+            assert threshold_factorial_divides(p) == self.ref_pow_threshold(p), p
+        assert counting_fn(Pow(10007)).m0 == 10007
+        assert counting_fn(Pow(2**10 * 3**5)).m0 == 12
+
     def test_rational_grid_enumeration(self):
         cf = counting_fn(QInterval(F(0), F(1)))
         assert enumerate_on_chain(QInterval(F(0), F(1)), 2) == cf_eval(cf, 2) == 4
@@ -324,10 +342,97 @@ class TestChainVsLimitConsistency:
             Prod(Mod(2, 0), QInterval(F(0), F(1))),
         ]
         for e in cases:
-            assert nf_eq(chains.lambda_limit(counting_fn(e)), num(e))
+            assert nf_eq(counting_fn(e).limit, num(e))
 
     def test_eventual_dominance_transfers(self):
         f = counting_fn(Mod(2, 0))
         g = counting_fn(Mod(3, 0))
         assert cf_compare(g, f).kind == Eventually.LESS
         assert nf_cmp(num(Mod(3, 0)), num(Mod(2, 0))).kind == LESS
+
+
+# -- certificates against the enumeration oracle -------------------------------
+# Set expressions over N of depth <= 3 with small moduli and elements, where
+# the labels at m <= 3 (the naturals up to n(3) = 46656) are enumerable.
+
+_LEAVES = st.one_of(
+    st.integers(1, 6).flatmap(lambda p: st.builds(Mod, st.just(p), st.integers(0, p - 1))),
+    st.builds(FinSet, st.frozensets(st.integers(0, 8), max_size=3)),
+    st.sampled_from([NatAll(), NatPos()]),
+    st.builds(Pow, st.integers(1, 3)),
+)
+
+
+def _difference(left, right):
+    """left \\ right, or left \\ (left & right) when right ⊆ left is not certified."""
+    try:
+        return Diff(left, right)
+    except SubsetNotCertified:
+        return Diff(left, Inter(left, right))
+
+
+def set_exprs(depth: int = 3):
+    if depth == 0:
+        return _LEAVES
+    sub = set_exprs(depth - 1)
+    return st.one_of(_LEAVES, st.builds(Union_, sub, sub), st.builds(Inter, sub, sub),
+                     st.builds(_difference, sub, sub))
+
+
+@lru_cache(maxsize=512)
+def _members(e, m: int) -> int:
+    """e ∩ label_m by the oracle's membership test, one byte (0 or 1) per natural."""
+    return int.from_bytes(bytes(sets._nat_member(e, x) for x in range(chain_card(m) + 1)), "little")
+
+
+def _num_or_none(e):
+    try:
+        return num(e)
+    except Uncompilable:
+        return None
+
+
+class TestCertificatesAgainstOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(set_exprs(), set_exprs())
+    def test_subset(self, a, b):
+        """YES: a ⊆ b in every label, and Euclid: num(a) is not above num(b).
+        NO: some label at m <= 3 holds a counterexample."""
+        verdict = subset_certified(a, b)
+        if verdict == UNDECIDED:
+            return
+        escapes = [_members(a, m) & ~_members(b, m) for m in (1, 2, 3)]
+        if verdict == NO:
+            assert any(escapes)
+            return
+        assert not any(escapes)
+        na, nb = _num_or_none(a), _num_or_none(b)
+        if na is not None and nb is not None:
+            assert nf_cmp(na, nb).kind != GREATER
+
+    @settings(max_examples=150, deadline=None)
+    @given(set_exprs(), set_exprs())
+    def test_disjoint(self, a, b):
+        """YES: no shared member, and num of the union is the sum.
+        NO: a shared member at m <= 3."""
+        verdict = disjoint_certified(a, b)
+        if verdict == UNDECIDED:
+            return
+        shared = [_members(a, m) & _members(b, m) for m in (1, 2, 3)]
+        if verdict == NO:
+            assert any(shared)
+            return
+        assert not any(shared)
+        na, nb = _num_or_none(a), _num_or_none(b)
+        if na is not None and nb is not None:
+            assert nf_eq(num(Union_(a, b)), nf_add(na, nb))
+
+    @settings(max_examples=60, deadline=None)
+    @given(set_exprs())
+    def test_compiled_count(self, e):
+        try:
+            cf = counting_fn(e)
+        except Uncompilable:
+            return
+        for m in range(cf.m0, 4):
+            assert cf_eval(cf, m) == _members(e, m).bit_count(), m
