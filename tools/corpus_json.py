@@ -22,16 +22,17 @@ budgets, rational roots of an alpha-monomial's coefficient, dyadic powers and
 surreal sign counts at their budgets, finite `w`-powers and `beth1`-powers
 under `:mode_bb on`, genetic `:sur` sums and products at the caps, all-plus
 expansions of ordinal length, surreal counts past Python's digit limit, a
-`pow` threshold with a large prime factor) and
-parse errors from every production and on literals over the digit budget, so
-the diff covers each error text and column; then `:labelcheck` in both modes
-on every instance file: the corpus files plus `EXTRA_INSTANCES`, whose
-label-tree, table and directedness checks fail, so the diff reaches the
-witness paths, whose elements do not parse, or whose table is an 80-element
-chain.  The instance files are written to a
-temporary directory, which is the working directory while the lines run.  The
-library is imported from the `src/` of the checkout this script lives in, so
-running it in two checkouts and diffing the outputs shows every changed answer.
+`pow` threshold with a large prime factor, a `pow` exponent past the factor
+search budget) and parse errors from every production, on literals over the
+digit budget and on zero denominators, so the diff covers each error text and
+column; then `:labelcheck` in both modes on every instance file: the corpus
+files plus `EXTRA_INSTANCES`, whose label-tree, table and directedness checks
+fail, so the diff reaches the witness paths, whose elements do not parse, or
+whose table is an 80- or a 320-element chain.  The instance files are written
+to a temporary directory, which is the working directory while the lines
+run.  The library is imported from the `src/` of the checkout this script
+lives in, so running it in two checkouts and diffing the outputs shows every
+changed answer.
 """
 
 from __future__ import annotations
@@ -122,6 +123,11 @@ EXTRA += [f":sur {_N} + 1", f":sur {_N} * 1", f":sur -{_N} - 1", f":simplest {{{
           f":sur {_N}", f":cmp plus({_N}) +"]
 # A perfect-power threshold with a large prime factor: the least m with 10007 | m!.
 EXTRA += [":num pow(10007)"]
+# Zero denominators in rational and dyadic literals, one per production that reads them.
+EXTRA += [":num R[0,1/0)", ":num shift(1/0, fin{1})", ":simplest {1/0} {}",
+          ":sur 1/0 + +", ":sur 1/0^3 + +"]
+# A perfect-power exponent with a prime factor past the trial-division budget.
+EXTRA += [":num pow(10000000000037)"]
 EXTRA_INSTANCES = {
     # Pivotal, but the labels of 2 and 3 share 1 and neither holds the other,
     # so meet trichotomy fails.
@@ -139,6 +145,9 @@ EXTRA_INSTANCES = {
     # A chain of 80 elements, so the table closure runs at instance size.
     "chain80.txt": "elem {} " + " ".join(map(str, range(1, 80))) + "\n"
     + "".join(f"le {i} {i + 1}\nsucc {i} {i + 1}\n" for i in range(1, 79)),
+    # A chain of 320 elements, so the label-tree checks run at instance size.
+    "chain320.txt": "elem {} " + " ".join(map(str, range(1, 320))) + "\n"
+    + "".join(f"le {i} {i + 1}\nsucc {i} {i + 1}\n" for i in range(1, 319)),
 }
 
 
