@@ -28,8 +28,9 @@ from . import field
 from .field import NumExpr
 from .ordinals import MAX_POWER_BITS, BudgetExceeded
 
-# Largest trial divisor in the factor search of a modulus: every modulus below
-# 2^40 still factors exactly, and the search stays around 0.25 s at most.
+# Largest trial divisor in the factor search of a modulus or a `pow` exponent:
+# every number below 2^40 still factors exactly, and the search stays around
+# 0.25 s at most.
 MAX_TRIAL_DIVISOR = 1 << 20
 # Largest index cf_eval evaluates at: n(6) = 720^720 has 6,835 bits, while
 # n(7) has 61,989 and n(8) 616,865, each kept by chain_card's cache.
@@ -67,16 +68,16 @@ def chain_card(m: int) -> int:
     return f**f
 
 
-def _prime_powers(d: int) -> Iterator[tuple[int, int]]:
+def _prime_powers(d: int, what: str) -> Iterator[tuple[int, int]]:
     """(p, e) for each prime power p^e exactly dividing d >= 1, by trial division
-    up to MAX_TRIAL_DIVISOR."""
+    up to MAX_TRIAL_DIVISOR; past it the error names d as `what`."""
     p = 2
     while d > 1:
         if p * p > d:
             p = d  # what is left is prime
         elif p > MAX_TRIAL_DIVISOR:
             raise BudgetExceeded(
-                f"modulus factor search over the budget MAX_TRIAL_DIVISOR = {MAX_TRIAL_DIVISOR}"
+                f"{what} factor search over the budget MAX_TRIAL_DIVISOR = {MAX_TRIAL_DIVISOR}"
             )
         e = 0
         while d % p == 0:
@@ -102,7 +103,7 @@ def threshold_divides(d: int, lower: int = 1) -> int:
     if d == 0:
         raise ZeroDivisionError("0 divides no grid size")
     m = max(1, lower)
-    for p, e in _prime_powers(abs(d)):
+    for p, e in _prime_powers(abs(d), "modulus"):
         m = max(m, p)
         while e > m and math.factorial(m) * _legendre(m, p) < e:
             m += 1
@@ -116,7 +117,7 @@ def threshold_factorial_divides(k: int) -> int:
     the least m with v_p(m!) >= e is a multiple j of p; the largest j wins.
     """
     m = 1
-    for p, e in _prime_powers(k):
+    for p, e in _prime_powers(k, "exponent"):
         j = p
         while _legendre(j, p) < e:
             j += p

@@ -163,7 +163,10 @@ def _rational(p: _Line) -> Fraction:
     value = Fraction(_natural(p))
     if toks[p.i] == "/" and toks[p.i + 1].isdecimal():
         p.i += 1
-        value /= _natural(p)
+        den = _natural(p)
+        if not den:
+            _fail(p, "a nonzero denominator", p.i - 1)
+        value /= den
     return -value if neg else value
 
 
@@ -425,15 +428,18 @@ _SUR_OPS = {"+": "s_add", "-": "s_sub", "*": "s_mul"}
 
 
 def _dyadic_literal(p: _Line) -> Fraction:
-    """`n`, `-n`, `p/q` or `p/q^k`; q^k has the budget MAX_POWER_BITS."""
+    """`n`, `-n`, `p/q` or `p/q^k`; q^k has the budget MAX_POWER_BITS and is not 0."""
     neg = _accept(p, "-")
     value = Fraction(_natural(p))
     if _accept(p, "/"):
+        at = p.i
         den = _natural(p)
         if _accept(p, "^"):
             k = _natural(p)
             ordinals.check_power_bits(den, k)
             den **= k
+        if not den:
+            _fail(p, "a nonzero denominator", at)
         value /= den
     return -value if neg else value
 

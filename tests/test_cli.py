@@ -428,5 +428,5 @@ class TestMalformedLines:
         assert value_of(":num pow(10007)") == "alpha^(1/10007)"
         rec, err = run_line(":num pow(10000000000037)", Session())
         assert err == "eval"
-        assert rec["value"] == ("BudgetExceeded: modulus factor search over the budget "
+        assert rec["value"] == ("BudgetExceeded: exponent factor search over the budget "
                                 "MAX_TRIAL_DIVISOR = 1048576")

@@ -3,14 +3,17 @@
 Both parse the same argument text with the entry point the calculator uses
 for its verb; they must return values with the same repr (NumExpr term lists
 compared exactly) or raise the same exception with the same text, which for
-a ParseError includes the column and the caret line.  There are three
+a ParseError includes the column and the caret line.  There are four
 exceptions: an order-assertion monomial with an empty factor, which the
 reference reads as the unit monomial and the parser rejects (see
 `_empty_monomial`), a non-dyadic `:simplest` bound, which the reference
 reports at column 1 of the reduced rational's text and the parser at the
-rational in the line (see `_non_dyadic_bound`), and a natural-number literal
+rational in the line (see `_non_dyadic_bound`), a natural-number literal
 over the digit budget, where the reference's `int()` raises Python's
-ValueError and the parser a ParseError at the literal (see `_long_literal`).
+ValueError and the parser a ParseError at the literal (see `_long_literal`),
+and a zero denominator in a rational or dyadic literal, where the reference's
+`Fraction` raises ZeroDivisionError and the parser a ParseError at the
+denominator (see `_zero_denominator`).
 """
 
 from __future__ import annotations
@@ -71,6 +74,8 @@ def assert_same(line: str) -> None:
     if got != want and verb == ":simplest" and _non_dyadic_bound(rest, got, want):
         return
     if got != want and _long_literal(rest, got, want):
+        return
+    if got != want and _zero_denominator(got, want):
         return
     assert got == want, line
 
@@ -227,6 +232,20 @@ def _long_literal(rest: str, got, want) -> bool:
             and want[0] == "ValueError" and "Exceeds the limit" in want[1])
 
 
+def _zero_denominator(got, want) -> bool:
+    """The fourth difference: a zero denominator in a rational or dyadic
+    literal.  True if `got` is the parser's rejection of it, at a zero literal
+    written after a `/` in the text the error shows, and the reference raised
+    Fraction's ZeroDivisionError instead."""
+    if got[0] != "ParseError" or "expected a nonzero denominator" not in got[1]:
+        return False
+    col, text = _column(got[1]), got[1].split("\n")[1][2:]
+    written = re.match(r"\d+", text[col:])
+    return (written is not None and int(written.group()) == 0
+            and text[:col].rstrip().endswith("/")
+            and want[0] == "ZeroDivisionError" and want[1].startswith("Fraction("))
+
+
 class TestAgainstReference:
     @settings(max_examples=500, deadline=None)
     @given(LINES)
@@ -247,6 +266,7 @@ class TestAgainstReference:
         ":assert_order alpha^2k < X", ":num Q(1/0,1]", ":sur 1/0", ":simplest {1/3} {}",
         ":st alpha^", ":st ", ":cmp ", ":num N+ ", ":num N+(", ":num Q (0,1]", ":cmp 1 +. 2 3",
         ":assert_order w^(w*2) < w^(w) < X", ":labelcheck a b c", ":mode_bb maybe",
+        ":cmp 1/0 1", ":st 1/0", ":sur 1/0^0",
     ])
     def test_edge_lines(self, line):
         assert_same(line)
@@ -291,6 +311,17 @@ class TestAgainstReference:
         assert got[1].startswith(f"at column {rest.index('9') + 1}: expected a natural number "
                                  f"of at most MAX_LITERAL_DIGITS = 4300 digits")
         assert outcome(ref, verb, rest)[0] == "ValueError"  # the reference's defect
+        assert_same(f"{verb} {rest}")
+
+    @pytest.mark.parametrize("verb, rest", [
+        (":num", "Q(1/0,1]"), (":num", "R[0, 1 / 00)"), (":num", "shift(1/0, fin{1})"),
+        (":assert_order", "alpha^(1/0) < X"), (":simplest", "{1/0} {}"),
+        (":sur", "1/0 + +"), (":sur", "+ + 1/0^3")])
+    def test_zero_denominator_rejected_at_its_column(self, verb, rest):
+        got = outcome(new, verb, rest)
+        assert got[0] == "ParseError"
+        assert "expected a nonzero denominator" in got[1]
+        assert outcome(ref, verb, rest)[0] == "ZeroDivisionError"  # the reference's defect
         assert_same(f"{verb} {rest}")
 
 

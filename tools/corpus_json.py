@@ -123,7 +123,7 @@ EXTRA += [f":sur {_N} + 1", f":sur {_N} * 1", f":sur -{_N} - 1", f":simplest {{{
           f":sur {_N}", f":cmp plus({_N}) +"]
 # A perfect-power threshold with a large prime factor: the least m with 10007 | m!.
 EXTRA += [":num pow(10007)"]
-# Zero denominators in rational and dyadic literals, one per production that reads them.
+# Zero denominators in the other productions that read rational and dyadic literals.
 EXTRA += [":num R[0,1/0)", ":num shift(1/0, fin{1})", ":simplest {1/0} {}",
           ":sur 1/0 + +", ":sur 1/0^3 + +"]
 # A perfect-power exponent with a prime factor past the trial-division budget.
