@@ -18,11 +18,11 @@ certified so the sign cannot flip at any later index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Iterator, Optional
+from typing import Iterator
 
 from . import field
 from .field import NumExpr
@@ -92,8 +92,8 @@ def _legendre(m: int, p: int) -> int:
     return sum(m // p**i for i in range(1, m.bit_length()))
 
 
-def threshold_divides(d: int, lower: int = 1) -> int:
-    """Least m >= lower with d | n(m).
+def threshold_divides(d: int, lower: int = 1, what: str = "modulus") -> int:
+    """Least m >= lower with d | n(m); a budget error names d as `what`.
 
     d | m!^(m!) iff every prime p | d has p <= m and v_p(d) <= m! * v_p(m!).
     Both only get easier as m grows, so the answer is the largest per-prime
@@ -103,7 +103,7 @@ def threshold_divides(d: int, lower: int = 1) -> int:
     if d == 0:
         raise ZeroDivisionError("0 divides no grid size")
     m = max(1, lower)
-    for p, e in _prime_powers(abs(d), "modulus"):
+    for p, e in _prime_powers(abs(d), what):
         m = max(m, p)
         while e > m and math.factorial(m) * _legendre(m, p) < e:
             m += 1
@@ -149,11 +149,10 @@ def _term_limit(c: Fraction | int, q: Fraction | int, xj: int, ei: int) -> NumEx
     """
     c, a = Fraction(c) / (1 << ei), Fraction(q) - xj
     up, down = field.Monomial(max(a, 0), xj, 0, ei), field.Monomial(max(-a, 0))
-    return NumExpr(((c.numerator, up),), ((c.denominator, down),)) if c else field.ZERO
+    return field._nx((((c.numerator, up),), ((c.denominator, down),))) if c else field.ZERO
 
 
-@dataclass(frozen=True, slots=True)
-class CountingFn:
+class CountingFn(namedtuple("CountingFn", "limit m0", defaults=(1,))):
     """Exact closed form of a counting net along a canonical chain, stored as its
     chain limit; `terms` reads the closed form back.
 
@@ -163,8 +162,7 @@ class CountingFn:
     counts land exactly on X.
     """
 
-    limit: NumExpr
-    m0: int = 1
+    __slots__ = ()
 
     @staticmethod
     def make(terms: list[CTerm] | tuple[CTerm, ...], m0: int = 1) -> "CountingFn":
@@ -248,11 +246,8 @@ class Eventually(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True, slots=True)
-class CfComparison:
-    kind: Eventually
-    m0: Optional[int] = None
-    reason: Optional[str] = None
+class CfComparison(namedtuple("CfComparison", "kind m0 reason", defaults=(None, None))):
+    __slots__ = ()
 
 
 def _chain_scale(m: int) -> tuple[int | float, float]:

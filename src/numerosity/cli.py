@@ -24,10 +24,8 @@ occur).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import field, labtree, ordinals, sets, surreal
@@ -48,10 +46,11 @@ from .parser import (
 )
 
 
-@dataclass
 class Session:
-    table: AxiomTable = AxiomTable()
-    done: bool = False
+    __slots__ = ("table", "done")
+
+    def __init__(self, table: AxiomTable = field.DEFAULT_TABLE, done: bool = False):
+        self.table, self.done = table, done
 
 
 HELP_TEXT = (
@@ -200,6 +199,7 @@ def repl(session: Session, json_mode: bool = False) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    import argparse  # only the command line needs it; a session starts without
     ap = argparse.ArgumentParser(prog="numerosity", description=__doc__)
     ap.add_argument("--script", help="run commands from a file and emit JSON lines")
     ap.add_argument("--strict-cmp", action="store_true",

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
 from typing import Iterable, Optional
 
 from .ordinals import (Ord, UnsupportedPower, _ord, _square_multiply, cantor_add, check_power_bits,
-                       format_ordinal)
+                       format_int, format_ordinal)
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -158,9 +157,8 @@ def _poly_mul(a: Terms, b: Terms) -> Terms:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class NumExpr:
-    """Canonical quotient of two generalized polynomials.
+class NumExpr(namedtuple("NumExpr", "num den", defaults=((), ((1, UNIT),)))):
+    """Canonical quotient of two generalized polynomials, the tuple (num, den).
 
     Invariants: term lists are sorted by decreasing monomial and duplicate-free;
     every coefficient is a non-zero int, the gcd of all numerator and
@@ -168,11 +166,10 @@ class NumExpr:
     is positive (one-to-one with the monic form, whose coefficients are these
     divided by that lead); joint monomial content has been cancelled (so all
     stored exponents are non-negative); zero is the empty numerator over the
-    unit denominator.
+    unit denominator.  The operations below build the tuple through `_nx`.
     """
 
-    num: Terms = ()
-    den: Terms = ((1, UNIT),)
+    __slots__ = ()
 
     def is_zero(self) -> bool:
         return not self.num
@@ -190,6 +187,9 @@ class NumExpr:
 
     def __repr__(self) -> str:
         return f"NumExpr[{format_numexpr(self)}]"
+
+
+_nx = partial(tuple.__new__, NumExpr)
 
 
 def _constant_den(x: NumExpr) -> Optional[int]:
@@ -228,7 +228,7 @@ def _make(num: Terms, den: Terms) -> NumExpr:
         if g != 1:
             num = tuple((c // g, m) for c, m in num)
             den = tuple((c // g, m) for c, m in den)
-    return NumExpr(num, den)
+    return _nx((num, den))
 
 
 ZERO = NumExpr()
@@ -238,11 +238,11 @@ ONE = NumExpr(((1, UNIT),), ((1, UNIT),))
 def from_rational(q: Fraction | int) -> NumExpr:
     if q == 0:
         return ZERO
-    return NumExpr(((q.numerator, UNIT),), ((q.denominator, UNIT),))
+    return _nx((((q.numerator, UNIT),), ((q.denominator, UNIT),)))
 
 
 def _atom(m: Monomial) -> NumExpr:
-    return NumExpr(((1, m),), ((1, UNIT),))
+    return _nx((((1, m),), ((1, UNIT),)))
 
 
 ALPHA = _atom(Monomial(alpha=1))
@@ -300,10 +300,11 @@ def omega_power(exp: Ord) -> NumExpr:
     if exp.is_zero():
         return ONE
     r = exp.finite_part()
-    finite_power = nf_pow(OMEGA_NF, from_rational(r))
     if exp.is_finite():
-        return finite_power
-    return nf_mul(_atom(_mono((exp[:-1] if r else tuple(exp), 0, 0, 0, 0))), finite_power)
+        return nf_pow(OMEGA_NF, from_rational(r))
+    if not r:
+        return _atom(_mono((tuple(exp), 0, 0, 0, 0)))
+    return nf_mul(_atom(_mono((exp[:-1], 0, 0, 0, 0))), nf_pow(OMEGA_NF, from_rational(r)))
 
 
 def embed(o: Ord) -> NumExpr:
@@ -459,8 +460,7 @@ def nf_pow(base: NumExpr, exp: NumExpr) -> NumExpr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class AxiomTable:
+class AxiomTable(namedtuple("AxiomTable", "bb_mode declared", defaults=(False, ()))):
     """Session-scoped order axioms.
 
     bb_mode rewrites beth1 to beta + X on input (applied by callers via
@@ -469,8 +469,7 @@ class AxiomTable:
     ("lt", m1, m2) is a single order-grade assertion.
     """
 
-    bb_mode: bool = False
-    declared: tuple[tuple, ...] = ()
+    __slots__ = ()
 
     def with_bb(self, on: bool = True) -> "AxiomTable":
         return AxiomTable(on, self.declared)
@@ -518,10 +517,8 @@ def apply_bb(x: NumExpr, table: AxiomTable) -> NumExpr:
 LESS, EQUAL, GREATER, UNKNOWN = "less", "equal", "greater", "unknown"
 
 
-@dataclass(frozen=True, slots=True)
-class Comparison:
-    kind: str
-    reason: Optional[str] = None
+class Comparison(namedtuple("Comparison", "kind reason", defaults=(None,))):
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.kind == UNKNOWN and self.reason:
@@ -653,15 +650,12 @@ def nf_cmp(a: NumExpr, b: NumExpr, table: AxiomTable = DEFAULT_TABLE) -> Compari
 FINITE, PLUS_INF, MINUS_INF = "finite", "+infinity", "-infinity"
 
 
-@dataclass(frozen=True, slots=True)
-class StandardPart:
-    kind: str
-    value: Optional[Fraction] = None
-    reason: Optional[str] = None
+class StandardPart(namedtuple("StandardPart", "kind value reason", defaults=(None, None))):
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.kind == FINITE:
-            return str(self.value)
+            return format_rational(self.value)
         if self.kind == UNKNOWN and self.reason:
             return f"unknown ({self.reason})"
         return self.kind
@@ -712,8 +706,13 @@ def gamma_measure(num_a: NumExpr, gamma: NumExpr,
 # ---------------------------------------------------------------------------
 
 
+def format_rational(q: Fraction | int) -> str:
+    """str(q), its parts within the digit budget of `format_int`."""
+    return format_int(q.numerator) + ("" if q.denominator == 1 else f"/{format_int(q.denominator)}")
+
+
 def _fmt_exp(q: Fraction) -> str:
-    return str(q) if q.denominator == 1 else f"({q})"
+    return format_rational(q) if q.denominator == 1 else f"({format_rational(q)})"
 
 
 def format_monomial(m: Monomial) -> str:
@@ -723,11 +722,11 @@ def format_monomial(m: Monomial) -> str:
     if m.omega:
         parts.append(f"w^({format_ordinal(_ord(m.omega))})")
     if m.x2w:
-        parts.append("X" if m.x2w == 1 else f"X^{m.x2w}")
+        parts.append("X" if m.x2w == 1 else f"X^{format_int(m.x2w)}")
     if m.beth1:
-        parts.append("beth1" if m.beth1 == 1 else f"beth1^{m.beth1}")
+        parts.append("beth1" if m.beth1 == 1 else f"beth1^{format_int(m.beth1)}")
     if m.beta:
-        parts.append("beta" if m.beta == 1 else f"beta^{m.beta}")
+        parts.append("beta" if m.beta == 1 else f"beta^{format_int(m.beta)}")
     if m.alpha:
         parts.append("alpha" if m.alpha == 1 else f"alpha^{_fmt_exp(m.alpha)}")
     return "*".join(parts)
@@ -739,11 +738,11 @@ def _format_ratio_side(r: Monomial, positive: bool) -> str:
     if _omega_sign(r) * sgn > 0:
         parts.append("w-power")
     if r.x2w * sgn > 0:
-        parts.append("2^w" if abs(r.x2w) == 1 else f"2^w^{abs(r.x2w)}")
+        parts.append("2^w" if abs(r.x2w) == 1 else f"2^w^{format_int(abs(r.x2w))}")
     if r.beth1 * sgn > 0:
-        parts.append("beth1" if abs(r.beth1) == 1 else f"beth1^{abs(r.beth1)}")
+        parts.append("beth1" if abs(r.beth1) == 1 else f"beth1^{format_int(abs(r.beth1))}")
     if r.beta * sgn > 0:
-        parts.append("beta" if abs(r.beta) == 1 else f"beta^{abs(r.beta)}")
+        parts.append("beta" if abs(r.beta) == 1 else f"beta^{format_int(abs(r.beta))}")
     if r.alpha * sgn > 0:
         q = abs(r.alpha)
         parts.append("alpha" if q == 1 else f"alpha^{_fmt_exp(q)}")
@@ -764,11 +763,11 @@ def format_poly(terms: Terms, lead: int) -> str:
     for c, m in terms:
         mag = Fraction(abs(c), lead)
         if m == UNIT:
-            body = str(mag)
+            body = format_rational(mag)
         elif mag == 1:
             body = format_monomial(m)
         else:
-            body = f"{mag}*{format_monomial(m)}"
+            body = f"{format_rational(mag)}*{format_monomial(m)}"
         parts.append((c > 0, body))
     return _signed_sum(parts)
 
@@ -787,6 +786,6 @@ def format_numexpr(x: NumExpr) -> str:
 def numexpr_to_json(x: NumExpr) -> dict:
     lead = x.den[0][0]
     return {
-        "num": [[str(Fraction(c, lead)), format_monomial(m)] for c, m in x.num],
-        "den": [[str(Fraction(c, lead)), format_monomial(m)] for c, m in x.den],
+        "num": [[format_rational(Fraction(c, lead)), format_monomial(m)] for c, m in x.num],
+        "den": [[format_rational(Fraction(c, lead)), format_monomial(m)] for c, m in x.den],
     }

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .parser import parse_elem
@@ -49,13 +49,11 @@ def format_elems(es: Iterable[Elem]) -> str:
     return "{" + ", ".join(format_elem(e) for e in sorted(es, key=elem_key)) + "}"
 
 
-@dataclass(frozen=True, slots=True)
-class PivotalTree:
-    """Universe + preorder table + partial injective successor map."""
+class PivotalTree(namedtuple("PivotalTree", "universe le succ")):
+    """Universe (a tuple of elements) + preorder table (a frozenset of pairs
+    (a, b), a below b) + partial injective successor map (a tuple of pairs)."""
 
-    universe: tuple[Elem, ...]
-    le: frozenset  # pairs (a, b) meaning a is below b
-    succ: tuple[tuple[Elem, Elem], ...]
+    __slots__ = ()
 
     def succ_map(self) -> dict:
         return dict(self.succ)
@@ -64,11 +62,11 @@ class PivotalTree:
         return (a, b) in self.le
 
 
-@dataclass(slots=True)
 class Report:
-    check: str
-    violations: list = dc_field(default_factory=list)
-    details: dict = dc_field(default_factory=dict)
+    __slots__ = ("check", "violations", "details")
+
+    def __init__(self, check: str):
+        self.check, self.violations, self.details = check, [], {}
 
     @property
     def ok(self) -> bool:

@@ -20,6 +20,9 @@ from typing import Callable, Iterable
 # base's bit length times the exponent.  2^14000 has 4215 decimal digits, so
 # every power under the budget prints under Python's default 4300-digit limit.
 MAX_POWER_BITS = 14_000
+# Most digits of a natural number read or printed: Python's default limit on
+# converting between a decimal string and an int (sys.int_info.default_max_str_digits).
+MAX_LITERAL_DIGITS = 4_300
 
 
 class UnsupportedPower(ValueError):
@@ -263,6 +266,14 @@ def is_indecomposable(t: Ord) -> bool:
     return len(e) == 1 and e[0][1] == 1
 
 
+def format_int(n: int) -> str:
+    """str(n); past MAX_LITERAL_DIGITS digits, where str() fails, BudgetExceeded.
+    Under 3.32 bits a digit (log2 10 = 3.3219...) the bit length alone clears n."""
+    if n.bit_length() > 3.32 * MAX_LITERAL_DIGITS and abs(n) >= 10**MAX_LITERAL_DIGITS:
+        raise BudgetExceeded(f"integer to print over the budget MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits")
+    return str(n)
+
+
 def format_ordinal(o: Ord) -> str:
     """Canonical text: terms `w^(E)*C` in decreasing exponent order.
 
@@ -274,7 +285,7 @@ def format_ordinal(o: Ord) -> str:
     parts = []
     for exp, coeff in o:
         if exp.is_zero():
-            parts.append(str(coeff))
+            parts.append(format_int(coeff))
             continue
         if exp == ONE:
             head = "w"
@@ -282,7 +293,7 @@ def format_ordinal(o: Ord) -> str:
             inner = format_ordinal(exp)
             simple = inner == "w" or inner.isdigit()
             head = f"w^{inner}" if simple else f"w^({inner})"
-        parts.append(head if coeff == 1 else f"{head}*{coeff}")
+        parts.append(head if coeff == 1 else f"{head}*{format_int(coeff)}")
     return " + ".join(parts)
 
 

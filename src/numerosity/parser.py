@@ -22,13 +22,13 @@ every call.  Evaluation is eager and left to right.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import field, ordinals, sets, surreal
 from .field import Monomial, NumExpr
-from .ordinals import Ord
+from .ordinals import MAX_LITERAL_DIGITS, Ord
 
 
 class ParseError(ValueError):
@@ -45,10 +45,6 @@ class ParseError(ValueError):
 # ^ chains each count one level; the limit keeps every accepted line far
 # below the interpreter's recursion limit, parsing and evaluation together.
 MAX_NESTING = 64
-
-# Most digits of a natural-number literal: Python's default limit on converting
-# a decimal string to an int (sys.int_info.default_max_str_digits).
-MAX_LITERAL_DIGITS = 4_300
 
 # One match per token: a natural number, an identifier or an operator
 # (longest spelling first), captured in group 1, or any other visible
@@ -551,11 +547,10 @@ def parse_switch(text: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class OrderAssertion:
-    universal_alpha: bool
-    lhs: Optional[Monomial]
-    rhs: Monomial
+class OrderAssertion(namedtuple("OrderAssertion", "universal_alpha lhs rhs")):
+    """`lhs < rhs`; a universal `alpha^k < rhs` has no lhs."""
+
+    __slots__ = ()
 
 
 def _parse_monomial(p: _Line) -> tuple[Optional[Monomial], bool]:

@@ -13,7 +13,7 @@ forms and the certificates at tiny chain indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional
 
@@ -41,161 +41,161 @@ YES, NO, UNDECIDED = "yes", "no", "undecided"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class SetExpr:
+class SetExpr(tuple):
+    """A set node, the tuple of its fields (checked in `__new__`).  Equality also
+    compares the class: `N` and `N+` are both the empty tuple, and `A | B` and
+    `A & B` both the tuple (A, B).  A node is always true."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return self.__class__ is not other.__class__ or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+    def __bool__(self) -> bool:
+        return True
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__name__}()"
+
     def __str__(self) -> str:
         return format_set(self)
 
 
-@dataclass(frozen=True, slots=True)
 class NatAll(SetExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class NatPos(SetExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class FinSet(SetExpr):
-    elems: frozenset[int] = frozenset()
+class FinSet(namedtuple("FinSet", "elems"), SetExpr):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(e < 0 for e in self.elems):
+    def __new__(cls, elems: frozenset[int] = frozenset()) -> "FinSet":
+        if any(e < 0 for e in elems):
             raise ValueError("finite sets hold naturals")
+        return tuple.__new__(cls, (elems,))
 
 
-@dataclass(frozen=True, slots=True)
-class Mod(SetExpr):
+class Mod(namedtuple("Mod", "p i"), SetExpr):
     """{n in N+ : n = i (mod p)}."""
 
-    p: int
-    i: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 1 or not (0 <= self.i < self.p):
+    def __new__(cls, p: int, i: int) -> "Mod":
+        if p < 1 or not (0 <= i < p):
             raise ValueError("need p >= 1 and 0 <= i < p")
+        return tuple.__new__(cls, (p, i))
 
 
-@dataclass(frozen=True, slots=True)
-class Pow(SetExpr):
+class Pow(namedtuple("Pow", "p"), SetExpr):
     """{x^p : x in N+}."""
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 1:
+    def __new__(cls, p: int) -> "Pow":
+        if p < 1:
             raise ValueError("need p >= 1")
+        return tuple.__new__(cls, (p,))
 
 
-@dataclass(frozen=True, slots=True)
 class PfinN(SetExpr):
     """All finite subsets of N."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
-class QInterval(SetExpr):
+
+class QInterval(namedtuple("QInterval", "p q"), SetExpr):
     """Q ∩ (p, q], rational endpoints."""
 
-    p: Fraction
-    q: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p >= self.q:
+    def __new__(cls, p: Fraction, q: Fraction) -> "QInterval":
+        if p >= q:
             raise ValueError("need p < q")
+        return tuple.__new__(cls, (p, q))
 
 
-@dataclass(frozen=True, slots=True)
 class QPos(SetExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class QAll(SetExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class RInterval(SetExpr):
+class RInterval(namedtuple("RInterval", "p q"), SetExpr):
     """[p, q), rational endpoints."""
 
-    p: Fraction
-    q: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p >= self.q:
+    def __new__(cls, p: Fraction, q: Fraction) -> "RInterval":
+        if p >= q:
             raise ValueError("need p < q")
+        return tuple.__new__(cls, (p, q))
 
 
-@dataclass(frozen=True, slots=True)
 class RPos(SetExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class RAll(SetExpr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class UnitInterval01(SetExpr):
     """[0, 1] as a set of reals."""
 
-
-@dataclass(frozen=True, slots=True)
-class Shift(SetExpr):
-    q: Fraction
-    child: SetExpr
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Union_(SetExpr):
-    left: SetExpr
-    right: SetExpr
-
-    def __post_init__(self):
-        _require_same_domain(self.left, self.right, "union")
+class Shift(namedtuple("Shift", "q child"), SetExpr):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Inter(SetExpr):
-    left: SetExpr
-    right: SetExpr
+class Union_(namedtuple("Union_", "left right"), SetExpr):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_same_domain(self.left, self.right, "intersection")
+    def __new__(cls, left: SetExpr, right: SetExpr) -> "Union_":
+        return _same_domain(cls, left, right, "union")
 
 
-@dataclass(frozen=True, slots=True)
-class Diff(SetExpr):
-    left: SetExpr
-    right: SetExpr
+class Inter(namedtuple("Inter", "left right"), SetExpr):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_same_domain(self.left, self.right, "difference")
-        if subset_certified(self.right, self.left) != YES:
-            raise SubsetNotCertified(
-                f"difference requires certified {self.right} ⊆ {self.left}"
-            )
+    def __new__(cls, left: SetExpr, right: SetExpr) -> "Inter":
+        return _same_domain(cls, left, right, "intersection")
 
 
-@dataclass(frozen=True, slots=True)
-class Prod(SetExpr):
-    left: SetExpr
-    right: SetExpr
+class Diff(namedtuple("Diff", "left right"), SetExpr):
+    __slots__ = ()
+
+    def __new__(cls, left: SetExpr, right: SetExpr) -> "Diff":
+        node = _same_domain(cls, left, right, "difference")
+        if subset_certified(right, left) != YES:
+            raise SubsetNotCertified(f"difference requires certified {right} ⊆ {left}")
+        return node
 
 
-@dataclass(frozen=True, slots=True)
-class FinMapsInto(SetExpr):
+class Prod(namedtuple("Prod", "left right"), SetExpr):
+    __slots__ = ()
+
+
+class FinMapsInto(namedtuple("FinMapsInto", "k child"), SetExpr):
     """k-valued finite colorings of the child set; counts k^|S ∩ label|."""
 
-    k: int
-    child: SetExpr
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __new__(cls, k: int, child: SetExpr) -> "FinMapsInto":
+        if k < 1:
             raise ValueError("need k >= 1")
+        return tuple.__new__(cls, (k, child))
 
 
 GROUND_NAT = (NatAll, NatPos, FinSet, Mod, Pow)
@@ -218,10 +218,12 @@ def domain(e: SetExpr) -> Optional[ChainKind]:
     return None
 
 
-def _require_same_domain(a: SetExpr, b: SetExpr, what: str) -> None:
+def _same_domain(cls: type, a: SetExpr, b: SetExpr, what: str) -> SetExpr:
+    """The node cls(a, b), once a and b are found over one ground domain."""
     da, db = domain(a), domain(b)
     if da is None or db is None or da != db:
         raise ValueError(f"{what} requires both sides over one ground domain")
+    return tuple.__new__(cls, (a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +345,7 @@ def _only_yes(v: object) -> str:
 def _threshold_interval(p: Fraction, q: Fraction, slack: int) -> int:
     d = math.lcm(p.denominator, q.denominator)
     bound = max(abs(p), abs(q), 1) + slack
-    m = chains.threshold_divides(d)
+    m = chains.threshold_divides(d, what="denominator")
     return chains.threshold_card_at_least(bound, m)
 
 
@@ -380,7 +382,7 @@ def counting_fn(e: SetExpr) -> CountingFn:
         if radius is None:
             raise Uncompilable(e, "shift of an unbounded set")
         inner = counting_fn(e.child)
-        m0 = chains.threshold_divides(e.q.denominator, inner.m0)
+        m0 = chains.threshold_divides(e.q.denominator, inner.m0, "denominator")
         m0 = chains.threshold_card_at_least(abs(e.q) + radius + 1, m0)
         return inner.with_m0(m0)
     if isinstance(e, Union_):

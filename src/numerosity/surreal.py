@@ -15,7 +15,7 @@ the genetic recursion over prefix pairs as their reference.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from math import ceil, floor, prod
@@ -70,15 +70,15 @@ class SignExpansion(tuple):
         return f"SignExpansion[{self}]"
 
 
-@dataclass(frozen=True, slots=True)
-class PlusExpansion:
+class PlusExpansion(namedtuple("PlusExpansion", "length")):
     """The all-plus expansion of an infinite ordinal length (ordinal_plus)."""
 
-    length: Ord
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.length.is_finite():
+    def __new__(cls, length: Ord) -> "PlusExpansion":
+        if length.is_finite():
             raise ValueError("a finite all-plus expansion is a SignExpansion; use ordinal_plus")
+        return tuple.__new__(cls, (length,))
 
     def __str__(self) -> str:
         return f"plus({format_ordinal(self.length)})"

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 
 import pytest
 
+import numerosity
 from numerosity import chains, field, labtree, ordinals, sets
 from numerosity.cli import Session, eval_line, main, run_line, run_script
 from numerosity.parser import (
@@ -295,6 +299,17 @@ MALFORMED_LINES = [
 ]
 
 
+class TestStartup:
+    def test_a_session_loads_no_dataclasses_inspect_or_argparse(self):
+        code = ("import sys; before = set(sys.modules); import numerosity; "
+                "from numerosity.cli import Session; Session(); "
+                "print(sorted({'dataclasses', 'inspect', 'argparse'} & (set(sys.modules) - before)))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(numerosity.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+
+
 class TestMalformedLines:
     def records(self, tmp_path, text, strict_cmp=False):
         path = tmp_path / "script.txt"
@@ -421,6 +436,27 @@ class TestMalformedLines:
         assert err == "eval"
         assert rec["value"] == ("BudgetExceeded: modulus factor search over the budget "
                                 "MAX_TRIAL_DIVISOR = 1048576")
+
+    @pytest.mark.parametrize("line", [
+        ":num Q(0,1/10000000000037]",
+        ":num shift(1/10000000000037, Q(0,1]) \\ shift(1/10000000000037, Q(0,1])",
+    ])
+    def test_denominator_factor_budget(self, line):
+        rec, err = run_line(line, Session())
+        assert err == "eval"
+        assert rec["value"] == ("BudgetExceeded: denominator factor search over the budget "
+                                "MAX_TRIAL_DIVISOR = 1048576")
+
+    @pytest.mark.parametrize("line", [
+        ":st {0}*{0}", ":ord {0}*{0}", ":ord w^({0}*{0})", ":st {1}+1", ":st 1/({1}+1)",
+        ":cmp beta^({0}*{0}) beth1",
+    ])
+    def test_printed_digit_budget(self, line):
+        line = line.format("9" * 3000, "9" * MAX_LITERAL_DIGITS)
+        rec, err = run_line(line, Session())
+        assert err == "eval"
+        assert rec["value"] == ("BudgetExceeded: integer to print over the budget "
+                                "MAX_LITERAL_DIGITS = 4300 digits")
 
     def test_pow_threshold_budget(self):
         # The least m with k | m! comes from k's prime powers, so a large prime

@@ -1,12 +1,11 @@
 """The flat-token parser against the recursive-descent reference in `ref_parser`.
 
 Both parse the same argument text with the entry point the calculator uses
-for its verb; they must return values with the same repr (NumExpr term lists
-compared exactly) or raise the same exception with the same text, which for
-a ParseError includes the column and the caret line.  There are four
-exceptions: an order-assertion monomial with an empty factor, which the
-reference reads as the unit monomial and the parser rejects (see
-`_empty_monomial`), a non-dyadic `:simplest` bound, which the reference
+for its verb; they must return values of the same shape (see `_shape`) or
+raise the same exception with the same text, which for a ParseError includes
+the column and the caret line.  There are four exceptions: an
+order-assertion monomial with an empty factor, which the reference reads as
+the unit monomial and the parser rejects (see `_empty_monomial`), a non-dyadic `:simplest` bound, which the reference
 reports at column 1 of the reduced rational's text and the parser at the
 rational in the line (see `_non_dyadic_bound`), a natural-number literal
 over the digit budget, where the reference's `int()` raises Python's
@@ -18,6 +17,7 @@ denominator (see `_zero_denominator`).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
 import re
@@ -49,10 +49,15 @@ ENTRIES = {
 
 
 def _shape(value):
-    if isinstance(value, tuple):
-        return tuple(map(_shape, value))
+    """A comparable form of a parsed value.  A tuple is taken apart with its class
+    name kept, since set nodes are tuples and `N` and `N+` are both the empty
+    tuple; the reference's OrderAssertion, a dataclass, is taken apart by field."""
     if isinstance(value, field.NumExpr):
         return value.num, value.den
+    if isinstance(value, tuple):
+        return type(value).__name__, tuple(map(_shape, value))
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(_shape(getattr(value, f.name)) for f in dataclasses.fields(value))
     return repr(value)
 
 

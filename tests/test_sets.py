@@ -283,6 +283,49 @@ class TestSubsets:
         assert disjoint_certified(RInterval(F(0), F(1)), RInterval(F(1), F(2))) == YES
 
 
+FIELDLESS = (NatAll, NatPos, QPos, QAll, RPos, RAll, UnitInterval01, PfinN)
+
+
+class TestNodesAsTuples:
+    """A set node is the tuple of its fields, and its equality also compares the class."""
+
+    def test_nodes_of_different_classes_differ(self):
+        for a, b in itertools.combinations(FIELDLESS, 2):
+            assert a() != b() and not a() == b()
+        assert NatAll() != () and () != NatAll() and not NatAll() == ()
+        a, b = Mod(2, 0), Mod(2, 1)
+        assert Union_(a, b) != Inter(a, b) and not Union_(a, b) == Inter(a, b)
+        assert Union_(a, b) == Union_(Mod(2, 0), Mod(2, 1))
+
+    def test_equal_nodes_hash_alike(self):
+        makers = (NatAll, lambda: Mod(3, 1), lambda: FinSet(frozenset({1, 2})),
+                  lambda: Shift(F(1, 2), QInterval(F(0), F(1))))
+        for make in makers:
+            x, y = make(), make()
+            assert x == y and x is not y and hash(x) == hash(y)
+        assert len({NatAll(), NatAll(), NatPos()}) == 2
+
+    def test_fieldless_nodes_are_true_and_print_as_calls(self):
+        for cls in FIELDLESS:
+            assert cls() and repr(cls()) == f"{cls.__name__}()"
+        assert repr(Mod(3, 1)) == "Mod(p=3, i=1)"
+
+    def test_no_subset_certificate_across_classes(self):
+        assert subset_certified(NatAll(), NatPos()) != YES
+        assert subset_certified(QAll(), QPos()) != YES
+        assert subset_certified(NatPos(), NatAll()) == YES
+
+    def test_constructors_check_and_fields_are_read_only(self):
+        with pytest.raises(ValueError, match="need p >= 1 and 0 <= i < p"):
+            Mod(2, 2)
+        with pytest.raises(ValueError, match="one ground domain"):
+            Union_(NatAll(), QAll())
+        with pytest.raises(SubsetNotCertified):
+            Diff(Mod(2, 0), NatPos())
+        with pytest.raises(AttributeError):
+            Mod(3, 1).p = 4
+
+
 class TestMeasure:
     def test_lebesgue_on_intervals(self):
         st = measure(RInterval(F(1, 4), F(3, 4)), BETA)
