@@ -106,6 +106,15 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial:
     return _mono((_omega_sum(ao, bo, -1) if bo else ao, ax - bx, ah - bh, ab - bb, alpha))
 
 
+def _mono_pow(m: Monomial, n: int) -> Monomial:
+    """m to the power n > 0: every exponent times n."""
+    omega, x2w, beth1, beta, alpha = m
+    alpha *= n
+    if alpha.__class__ is not int and alpha.denominator == 1:
+        alpha = alpha.numerator
+    return _mono((tuple((e, k * n) for e, k in omega), x2w * n, beth1 * n, beta * n, alpha))
+
+
 def _omega_sign(r: Monomial) -> int:
     """Sign of the leading w-power exponent; for r = m1/m2 it is ord_cmp of their w-exponents."""
     if not r.omega:
@@ -389,7 +398,8 @@ def _alpha_affine(x: NumExpr) -> Optional[tuple[int, int]]:
 def nf_pow(base: NumExpr, exp: NumExpr) -> NumExpr:
     """Exponentiation on the supported case matrix; raises otherwise.
 
-    Cases: non-negative integer exponents (iterated product); a single
+    Cases: non-negative integer exponents (iterated product, or the
+    exponents times n for a monomial over a monomial); a single
     alpha-monomial base with rational exponent (exponent scaling); base 2^j
     with exponent a*alpha + c (covers 2^w = X); base w with an embedded
     ordinal exponent (w-power monomials).
@@ -400,6 +410,11 @@ def nf_pow(base: NumExpr, exp: NumExpr) -> NumExpr:
         b = base.as_rational()
         if b is not None:
             check_power_bits(b, n)
+        if n and len(base.num) == len(base.den) == 1:
+            # A monomial over a monomial: its coefficients stay coprime and
+            # each exponent stays 0 on one side, so this is the stored form.
+            (cn, mn), (cd, md) = base.num[0], base.den[0]
+            return _nx((((cn**n, _mono_pow(mn, n)),), ((cd**n, _mono_pow(md, n)),)))
         return _square_multiply(base, n, nf_mul, ONE)
 
     if r is not None:

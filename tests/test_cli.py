@@ -334,6 +334,18 @@ class TestMalformedLines:
         path.write_text(labtree.format_instance(labtree.standard_instance()))
         self.assert_one_parse_record(tmp_path, f":labelcheck {path} {words}")
 
+    def test_labelcheck_element_budget(self, tmp_path):
+        n = labtree.MAX_INSTANCE_ELEMENTS + 1
+        (tmp_path / "chain.txt").write_text(
+            "elem {} " + " ".join(map(str, range(1, n))) + "\n"
+            + "".join(f"le {i} {i + 1}\n" for i in range(1, n - 1)))
+        code, records = self.records(tmp_path, f":labelcheck {tmp_path / 'chain.txt'}\n")
+        assert code == 2
+        [record] = records
+        assert record["status"] == "error"
+        assert record["value"] == (f"BudgetExceeded: an instance of {n} elements is over the "
+                                   f"budget MAX_INSTANCE_ELEMENTS = {n - 1}")
+
     def test_mixed_script(self, tmp_path):
         lines = [":num " + "(" * 2000 + "N" + ")" * 2000, ":st alpha/(alpha-alpha)", ":cmp beta X"]
         code, records = self.records(tmp_path, "\n".join(lines) + "\n", strict_cmp=True)
@@ -457,6 +469,20 @@ class TestMalformedLines:
         assert err == "eval"
         assert rec["value"] == ("BudgetExceeded: integer to print over the budget "
                                 "MAX_LITERAL_DIGITS = 4300 digits")
+
+    @pytest.mark.parametrize("factors", [2, 4])
+    def test_monomial_power_in_one_step(self, factors):
+        # The exponent has about 28,600 bits per two factors; the power scales
+        # beta's exponent once instead of squaring once per bit.
+        exponent = "*".join(["9" * MAX_LITERAL_DIGITS] * factors)
+        start = time.perf_counter()
+        rec, err = run_line(f":st beta^({exponent})/beth1", Session())
+        assert time.perf_counter() - start < 0.1
+        assert err == "eval"
+        assert rec["value"] == ("BudgetExceeded: integer to print over the budget "
+                                "MAX_LITERAL_DIGITS = 4300 digits")
+        assert value_of(":st (2*beta)^(100000)/beth1") == (
+            "unknown (beta^100000 vs beth1 dominance undeclared)")
 
     def test_pow_threshold_budget(self):
         # The least m with k | m! comes from k's prime powers, so a large prime

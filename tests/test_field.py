@@ -657,6 +657,13 @@ class TestPowerBudget:
             with pytest.raises(o.BudgetExceeded, match="MAX_POWER_BITS"):
                 nf_pow(base, exp)
 
+    @settings(max_examples=300, deadline=None)
+    @given(monomials(signed=False), monomials(signed=False), st.integers(-9, 9).filter(bool),
+           st.integers(1, 9), st.integers(0, 12))
+    def test_monomial_over_monomial_matches_squaring(self, mn, md, cn, cd, n):
+        base = field._make(((cn, mn),), ((cd, md),))
+        assert nf_pow(base, q(n)) == o._square_multiply(base, n, nf_mul, ONE)
+
 
 class TestOnePowerRoutine:
     @pytest.mark.parametrize("k", range(13))

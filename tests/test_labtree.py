@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from numerosity import labtree
 from numerosity.labtree import (
     EMPTY,
     Elem,
@@ -42,6 +43,7 @@ from numerosity.labtree import (
     elem_key,
     format_elems,
 )
+from numerosity.ordinals import BudgetExceeded
 
 TREE = standard_instance()
 S = {a: frozenset([a]) for a in range(6)}
@@ -530,6 +532,68 @@ def _labelcheck_reference(tree, mode):
     return [pivotal] + ([ref_validate_labeltree(tree, mode)] if pivotal.ok else [])
 
 
+@st.composite
+def long_walk_trees(draw) -> PivotalTree:
+    """Small universes with a successor walk from one of their elements
+    through up to ten sources outside them, to an element that may lie above
+    it, and a few random successor pairs, which may close cycles: the walks
+    of `successor-reach` pass their step cap, in paths and in cycles."""
+    U = (EMPTY, *draw(st.lists(st.sampled_from(POOL[1:6]), unique=True, min_size=1, max_size=3)))
+    outside = draw(st.permutations(range(20, 30)))[:draw(st.integers(0, 10))]
+    nodes = st.sampled_from([*U, *outside])
+    walk = [draw(st.sampled_from(U[1:])), *outside, draw(nodes)]
+    succ = [*zip(walk, walk[1:]), *draw(st.lists(st.tuples(nodes, nodes), max_size=3))]
+    base = {(walk[0], walk[-1]), *draw(st.lists(st.tuples(st.sampled_from(U), nodes), max_size=4))}
+    return PivotalTree(U, _closure(U, base), tuple(succ))
+
+
+# A walk takes at most len(U) + 1 = 4 successor steps here; 2 is the fifth
+# iterate of 1 through the sources 7, 8, 9, 10 outside the universe, and the
+# fourth without 10.
+CAPPED = "elem {} 1 2\nle 1 2\nsucc 1 7\nsucc 7 8\nsucc 8 9\nsucc 9 10\nsucc 10 2\n"
+UNCAPPED = "elem {} 1 2\nle 1 2\nsucc 1 7\nsucc 7 8\nsucc 8 9\nsucc 9 2\n"
+
+
+class TestSuccessorStepCap:
+    @pytest.mark.parametrize("text, reach", [(CAPPED, ["1, 2"]), (UNCAPPED, [])],
+                             ids=["capped", "uncapped"])
+    def test_walk_stops_after_len_universe_plus_one_steps(self, text, reach):
+        tree = parse_instance(text)
+        for mode in MODES:
+            got = validate_pivotal(tree, mode)
+            assert got.to_json() == ref_validate_pivotal(tree, mode).to_json()
+            assert [v["witness"] for v in got.violations if v["rule"] == "successor-reach"] == reach
+
+    @settings(max_examples=300, deadline=None)
+    @given(long_walk_trees())
+    def test_long_walks_match_the_reference(self, tree):
+        for mode in MODES:
+            assert validate_pivotal(tree, mode).to_json() == ref_validate_pivotal(tree, mode).to_json()
+
+
+def chain_instance(n: int) -> str:
+    """{} and 1 .. n-1, each below the next."""
+    return ("elem {} " + " ".join(map(str, range(1, n))) + "\n"
+            + "".join(f"le {i} {i + 1}\n" for i in range(1, n - 1)))
+
+
+class TestInstanceBudget:
+    def test_chain_at_the_budget_parses(self):
+        tree = parse_instance(chain_instance(labtree.MAX_INSTANCE_ELEMENTS))
+        assert len(tree.universe) == labtree.MAX_INSTANCE_ELEMENTS
+
+    @pytest.mark.parametrize("text", [
+        chain_instance(labtree.MAX_INSTANCE_ELEMENTS + 1),
+        # Elements named only by `le` pairs enter the closure too.
+        "elem {} 1\n" + "".join(f"le 1 {i}\n" for i in range(2, labtree.MAX_INSTANCE_ELEMENTS + 1)),
+    ], ids=["chain", "le-pairs"])
+    def test_one_over_the_budget_is_rejected(self, text):
+        with pytest.raises(BudgetExceeded, match=(
+                f"an instance of {labtree.MAX_INSTANCE_ELEMENTS + 1} elements is over the "
+                f"budget MAX_INSTANCE_ELEMENTS = {labtree.MAX_INSTANCE_ELEMENTS}")):
+            parse_instance(text)
+
+
 class TestCheckInstance:
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(arbitrary_trees(), pivotal_trees()))
@@ -539,7 +603,6 @@ class TestCheckInstance:
             assert got == [r.to_json() for r in _labelcheck_reference(tree, mode)]
 
     def test_pivotal_axioms_checked_once(self, monkeypatch):
-        from numerosity import labtree
         calls = []
         real = labtree._pivotal
         monkeypatch.setattr(labtree, "_pivotal", lambda *args: calls.append(1) or real(*args))
@@ -555,7 +618,15 @@ PROVED_RULES = {"label-join-closed", "label-monotone", "label-closure",
 
 
 def _proved_rules_reported(tree: PivotalTree, mode: str) -> set:
-    return {v["rule"] for v in ref_validate_labeltree(tree, mode).violations} & PROVED_RULES
+    """The proved rules the reference reports; a `label-join` witness that
+    names the bound whose label is wrong counts as one of them."""
+    out = set()
+    for v in ref_validate_labeltree(tree, mode).violations:
+        if v["rule"] in PROVED_RULES:
+            out.add(v["rule"])
+        elif v["rule"] == "label-join" and "note" not in v:
+            out.add("label-join-bound")
+    return out
 
 
 class TestProvedLabelRules:

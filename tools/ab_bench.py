@@ -16,8 +16,8 @@ pick up; a claim of a gain needs at least ten pairs, so ten seeds.  For each
 end-to-end metric the script prints every pair's ratio (this checkout over
 PARENT) and the median ratio, then each side's median, the relative change
 between them (`better` or `worse` by the metric's direction in
-`BENCHMARK.json`), PARENT's spread (its interquartile range over its median)
-and the metric's `bound`.  The metric is marked `worse` when this checkout's
+`BENCHMARK.json`), each side's first and third quartiles, PARENT's spread
+(its interquartile range over its median) and the metric's `bound`.  The metric is marked `worse` when this checkout's
 median is worse than PARENT's by more than the bound, `unresolved` when
 PARENT's own spread is wider than the bound (or there are fewer than two
 pairs), and `within bound` otherwise.  It also prints how many pairs this
@@ -55,23 +55,33 @@ def ratio(new: float, old: float) -> float:
     return new / old
 
 
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """The first and third quartiles; both are nan for fewer than two values."""
+    if len(values) < 2:
+        return float("nan"), float("nan")
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
 def judge(parent: list[float], this: list[float], higher_better: bool, bound: float) -> str:
-    """Each side's median, the change between them, PARENT's spread, the verdict,
-    the pairs this checkout wins and whether that makes a gain."""
+    """Each side's median and quartiles, the change between the medians,
+    PARENT's spread, the verdict, the pairs this checkout wins and whether
+    that makes a gain."""
     old, new = statistics.median(parent), statistics.median(this)
     change = ratio(new, old) - 1
     worse_by = -change if higher_better else change
+    (p1, p3), (t1, t3) = quartiles(parent), quartiles(this)
     if len(parent) < 2:
         iqr = spread = float("inf")
     else:
-        q1, _, q3 = statistics.quantiles(parent, n=4)
-        iqr = q3 - q1
+        iqr = p3 - p1
         spread = iqr / old if old else 0.0 if iqr == 0 else float("inf")
     verdict = "worse" if worse_by > bound else "unresolved" if spread > bound else "within bound"
     direction = "same" if change == 0 else "worse" if worse_by > 0 else "better"
     wins = sum(n > o if higher_better else n < o for o, n in zip(parent, this))
     gain = 10 * wins >= 9 * len(parent) and worse_by < 0 and abs(new - old) > iqr
     return (f"medians {old:.4g} -> {new:.4g} ({direction} by {abs(change):.1%}); "
+            f"quartiles {p1:.4g}..{p3:.4g} -> {t1:.4g}..{t3:.4g}; "
             f"parent spread {spread:.3f}; bound {bound}: {verdict}; "
             f"wins {wins}/{len(parent)}: {'gain' if gain else 'no gain'}")
 
