@@ -165,7 +165,8 @@ def validate_pivotal(tree: PivotalTree, mode: str = "literal") -> Report:
 
 def _pivotal(tree: PivotalTree, mode: str, masks: tuple[dict, dict, dict]) -> Report:
     """Witnesses come in the order of the exhaustive loops over the table and
-    the universe; the set bits of a mask are read lowest position first."""
+    the universe; the set bits of a mask are read lowest position first.  The
+    rules over pairs of elements are passes over one mask per element."""
     rep = Report("pivotal")
     U = tree.universe
     at, up, down = masks
