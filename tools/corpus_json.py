@@ -23,7 +23,7 @@ surreal sign counts at their budgets, finite `w`-powers and `beth1`-powers
 under `:mode_bb on`, genetic `:sur` sums and products at the caps, all-plus
 expansions of ordinal length, surreal counts past Python's digit limit, a
 `pow` threshold with a large prime factor, a `pow` exponent past the factor
-search budget) and parse errors from every production, on literals over the
+search budget, the partial overlap of two rational intervals) and parse errors from every production, on literals over the
 digit budget and on zero denominators, so the diff covers each error text and
 column; then `:labelcheck` in both modes on every instance file: the corpus
 files plus `EXTRA_INSTANCES`, whose label-tree, table and directedness checks
@@ -128,6 +128,8 @@ EXTRA += [":num R[0,1/0)", ":num shift(1/0, fin{1})", ":simplest {1/0} {}",
           ":sur 1/0 + +", ":sur 1/0^3 + +"]
 # A perfect-power exponent with a prime factor past the trial-division budget.
 EXTRA += [":num pow(10000000000037)"]
+# Two overlapping rational intervals: `_inter_count`'s partial-overlap branch.
+EXTRA += [":num Q(0,1] & Q(1/2,2]"]
 EXTRA_INSTANCES = {
     # Pivotal, but the labels of 2 and 3 share 1 and neither holds the other,
     # so meet trichotomy fails.
