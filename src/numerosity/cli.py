@@ -99,8 +99,9 @@ def eval_line(line: str, session: Session) -> dict:
             session.table = table.with_order(a.lhs, a.rhs)
         record["value"] = "ok"
     elif verb == ":num":
-        value = field.apply_bb(sets.num(parse_set(rest)), table)
-        record.update(kind="numexpr", value=field.format_numexpr(value))
+        # No `:mode_bb` rewrite: set numerosities are built from alpha, beta, X
+        # and w-powers by sums, products and powers that keep beth1 out.
+        record.update(kind="numexpr", value=field.format_numexpr(sets.num(parse_set(rest))))
     elif verb == ":cmp":
         record.update(_answer(_compare(*parse_comparands(rest), table)))
     elif verb == ":st":
@@ -125,12 +126,7 @@ def eval_line(line: str, session: Session) -> dict:
     return record
 
 
-_CORE_ERRORS = (
-    ValueError,
-    ZeroDivisionError,
-    KeyError,
-    OSError,
-)
+_CORE_ERRORS = (ValueError, ZeroDivisionError, OSError)
 
 
 def run_line(line: str, session: Session) -> tuple[dict, Optional[str]]:

@@ -600,8 +600,6 @@ def _mono_order(m1: Monomial, m2: Monomial, table: AxiomTable) -> Optional[int]:
 
 def _mono_dominates(m1: Monomial, m2: Monomial, table: AxiomTable) -> bool:
     """True iff m1/m2 exceeds every rational (infinite ratio)."""
-    if m1 == m2:
-        return False
     return _ratio_exceeds_one(mono_div(m1, m2), table, need_dominance=True)
 
 
@@ -677,9 +675,15 @@ class StandardPart(namedtuple("StandardPart", "kind value reason", defaults=(Non
 
 
 def _dominant_term(terms: Terms, table: AxiomTable) -> Optional[tuple[int, Monomial]]:
-    for c, m in terms:
-        if all(m2 == m or _mono_dominates(m, m2, table) for _, m2 in terms):
-            return c, m
+    """The term whose monomial dominates every other one, if there is one.
+
+    Only the first can: `_mono_dominates(m1, m2)` needs m1/m2's leading
+    non-zero exponent positive (no rule of `_ratio_exceeds_one` answers yes on
+    a deficit before alpha or without a surplus), so with non-negative
+    exponents m1 sorts above m2, and terms sort by decreasing monomial.
+    """
+    if terms and all(_mono_dominates(terms[0][1], m, table) for _, m in terms[1:]):
+        return terms[0]
     return None
 
 

@@ -31,7 +31,7 @@ EMPTY: frozenset = frozenset()
 MAX_INSTANCE_ELEMENTS = 400
 
 
-class UnknownElement(KeyError):
+class UnknownElement(ValueError):
     pass
 
 
@@ -304,19 +304,23 @@ def label(tree: PivotalTree, a: Elem) -> frozenset:
     return frozenset(x for x in tree.universe if tree.below(x, a))
 
 
+def _family_key(label: Iterable[Elem]) -> tuple:
+    """The family's order: by size, then by the sorted element keys."""
+    ks = sorted(map(elem_key, label))
+    return (len(ks), ks)
+
+
 def label_family(tree: PivotalTree) -> list[frozenset]:
-    fam = {label(tree, a) for a in tree.universe}
-    return sorted(fam, key=lambda l: (len(l), sorted(map(elem_key, l))))
+    return sorted({label(tree, a) for a in tree.universe}, key=_family_key)
 
 
 def validate_labeltree(tree: PivotalTree, mode: str = "literal") -> Report:
     """Checks the label identities the pivotal axioms leave open (`_labeltree`
     proves the others); on a tree that fails the pivotal axioms, reports
     their violations as a precondition."""
-    masks = _masks(tree)
-    pre = _pivotal(tree, mode, masks)
-    if pre.ok:
-        return _labeltree(tree, masks)
+    pre, *checked = check_instance(tree, mode)
+    if checked:
+        return checked[0]
     rep = Report("labeltree")
     rep.add("pivotal", "precondition", note="pivotal-tree axioms fail")
     rep.violations.extend(pre.violations)
@@ -342,17 +346,20 @@ def _labeltree(tree: PivotalTree, masks: tuple[dict, dict, dict]) -> Report:
     meet rule either, since that is a label; the pairs that meet above it are
     the ones reported, sorted into `label_family`'s order first.
 
+    The join of the labels of a and b, the meet of the labels containing
+    both, is `down[x]` iff `up[x]` is C = `up[a] & up[b]`.  A label `down[z]`
+    contains both iff a and b lie below z (reflexivity one way, transitivity
+    the other), iff z is in C.  If `up[x]` is C, `down[x]` is one of those
+    labels and, by transitivity, inside the others.  If `down[x]` is their
+    meet, it holds a and b, so `up[x]` lies inside C; and each z in C has
+    `down[z]` holding `down[x]`, so x (reflexivity), so z is in `up[x]`.  So
+    `pair-label` and `kuratowski-label` compare up masks.
+
     Six identities hold on every such table, so no loop checks them:
-    - labels are join-closed: directedness gives c above a and b, and by
-      transitivity `down[c]` contains `down[a] | down[b]`, so `join` of that
-      mask meets at least one label;
-    - a least upper bound c of a and b has the label `join(down[a] | down[b])`,
-      so `label-join` reports only a missing one: a label `down[z]` contains
-      `down[a] | down[b]` iff a and b lie below z (by reflexivity one way and
-      transitivity the other), iff z lies in `up[a] & up[b]`, which is
-      `up[c]`, iff `down[z]` contains `down[c]`; the labels containing the
-      union are those containing `down[c]`, `down[c]` among them, and their
-      meet is `down[c]`;
+    - labels are join-closed: directedness gives c above a and b, so C is
+      not empty and the labels containing `down[a] | down[b]` have a meet;
+    - a least upper bound c of a and b has the join of their labels as its
+      label, since `up[c]` is C, so `label-join` reports only a missing one;
     - labels are monotone: a below b puts `down[a]` inside `down[b]`, by
       transitivity;
     - a label is the union of its members' labels: each lies inside it by
@@ -374,23 +381,7 @@ def _labeltree(tree: PivotalTree, masks: tuple[dict, dict, dict]) -> Report:
     def fmt(mask: int) -> str:
         return format_elems(U[k] for k in _bits(mask & first))
 
-    def family_key(mask: int) -> tuple:
-        ks = sorted(elem_key(U[k]) for k in _bits(mask & first))
-        return (len(ks), ks)
-
     famset = set(down.values())
-    joins: dict = {}
-
-    def join(u: int) -> int:
-        """The meet of every label containing u."""
-        if u not in joins:
-            out = -1
-            for s in famset:
-                if s & u == u:
-                    out &= s
-            joins[u] = out
-        return joins[u]
-
     full = (1 << len(U)) - 1
     bottom = down[EMPTY]
     down_at = [down[x] for x in U]
@@ -414,7 +405,8 @@ def _labeltree(tree: PivotalTree, masks: tuple[dict, dict, dict]) -> Report:
             if above & up_of[mu] not in join_at:
                 no_join[lam] |= labelled[mu]
 
-    order = {lam: family_key(lam) for pair in overlapping for lam in pair}
+    order = {lam: _family_key(U[k] for k in _bits(lam & first))
+             for pair in overlapping for lam in pair}
     for lam, mu in sorted(overlapping, key=lambda pair: (order[pair[0]], order[pair[1]])):
         if lam & mu not in famset:
             rep.add("label-meet-closed", fmt(lam), fmt(mu))
@@ -441,12 +433,12 @@ def _labeltree(tree: PivotalTree, masks: tuple[dict, dict, dict]) -> Report:
             sab = frozenset([a, b])
             if sa in at and sb in at and sab in at:
                 pair_labels += 1
-                if down[sab] != join(down[sa] | down[sb]):
+                if up[sab] != up[sa] & up[sb]:
                     rep.add("pair-label", a, b)
             ssa, ssb, kur = frozenset([sa]), frozenset([sb]), frozenset([sa, sab])
             if ssa in at and ssb in at and kur in at:
                 kuratowski_labels += 1
-                if down[kur] != join(down[ssa] | down[ssb]):
+                if up[kur] != up[ssa] & up[ssb]:
                     rep.add("kuratowski-label", a, b)
     rep.details["pair_label_instances"] = pair_labels
     rep.details["kuratowski_instances"] = kuratowski_labels
@@ -514,8 +506,16 @@ def check_counting_axioms(tree: PivotalTree,
     """Null/Unit/Euclid on the finite cone structure, and the cones on which
     equal finite sets stabilize.  Union and product hold on any table: every
     label of the joint cone lies in the stable cones of both pairs, so there
-    disjoint sums and products of equal counts are equal.  Unit and Euclid
-    rest on reflexivity (c lies in its own label), which is not checked here.
+    disjoint sums and products of equal counts are equal.
+
+    Unit and Euclid are decided without a scan of the cone of a label
+    `label(x)`, which holds that label and only labels containing it:
+    - Euclid, for A inside B with w in B - A: the count of B exceeds that of
+      A inside a label λ by |(B - A) ∩ λ|, so some label of the cone of
+      `label(w)` fails it iff the smallest, `label(w)`, misses B - A;
+    - Unit: |{c} ∩ λ|·|A ∩ λ| differs from |A ∩ λ| iff c is outside λ and A
+      meets λ, which no label of the cone of `label(c)` allows when c lies
+      in `label(c)`.
     """
     rep = Report("counting-axioms")
     fam = label_family(tree)
@@ -544,23 +544,16 @@ def check_counting_axioms(tree: PivotalTree,
                 )
         if A < B:
             checked["euclid"] += 1
-            w = next(iter(B - A))
-            vertex = label(tree, w)
-            bad = [
-                lam for lam in _cone(fam, vertex)
-                if not len(A & lam) < len(B & lam)
-            ]
-            if bad:
+            extra = B - A
+            if label(tree, next(iter(extra))).isdisjoint(extra):
                 rep.add("euclid", format_elems(A), format_elems(B))
 
     for A, B in pairs[: max(len(pairs) // 2, 1)]:
         for c in list(B)[:1]:
             checked["unit"] += 1
             vertex = label(tree, c)
-            if any(
-                len(frozenset([c]) & lam) * len(A & lam) != len(A & lam)
-                for lam in _cone(fam, vertex)
-            ):
+            if c not in vertex and any(c not in lam and not A.isdisjoint(lam)
+                                       for lam in _cone(fam, vertex)):
                 rep.add("unit", format_elem(c), format_elems(A))
 
     rep.details["checked"] = checked

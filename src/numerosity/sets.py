@@ -344,7 +344,10 @@ def _only_yes(v: object) -> str:
 
 def _threshold_interval(p: Fraction, q: Fraction, slack: int) -> int:
     d = math.lcm(p.denominator, q.denominator)
-    bound = max(abs(p), abs(q), 1) + slack
+    # ℚ's grid {s/n : -n² <= s < n²} ends at n - 1/n, so (p, q] needs n > q as
+    # well as n >= |p|: n >= |q| + 1/d once d | n.  ℝ's slack covers its right end.
+    right = abs(q) if slack else abs(q) + Fraction(1, d)
+    bound = max(abs(p), right, 1) + slack
     m = chains.threshold_divides(d, what="denominator")
     return chains.threshold_card_at_least(bound, m)
 

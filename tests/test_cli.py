@@ -199,6 +199,12 @@ class TestCommands:
         rec, err = run_line(":st alpha/(alpha - alpha)", Session())
         assert err == "eval" and "DivisionByZero" in rec["value"]
 
+    def test_stray_key_error_surfaces(self, monkeypatch):
+        """A KeyError is a library bug, not an evaluation error."""
+        monkeypatch.setattr(sets, "num", lambda e: {}["missing"])
+        with pytest.raises(KeyError):
+            run_line(":num N", Session())
+
     def test_unknown_command(self):
         rec, err = run_line(":frobnicate 1", Session())
         assert err == "parse"

