@@ -473,9 +473,9 @@ def pivotal_trees(draw, rest: Optional[list] = None, block: Sequence = ()) -> Pi
     return PivotalTree(U, le, tuple(zip(thread, thread[1:])))
 
 
-S1, S2, S12 = frozenset([1]), frozenset([2]), frozenset([1, 2])
 # Every element the pair-label and Kuratowski rules name for the atoms 1 and 2.
-KURATOWSKI = [1, 2, S1, S2, S12, frozenset([S1]), frozenset([S2]), frozenset([S1, S12])]
+KURATOWSKI = [1, 2, S[1], S[2], frozenset([1, 2]), frozenset([S[1]]), frozenset([S[2]]),
+              frozenset([S[1], frozenset([1, 2])])]
 
 
 @st.composite

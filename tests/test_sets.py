@@ -485,7 +485,11 @@ class TestCertificatesAgainstOracle:
 # Quarter ends in [-2, 2], integer ends in [-4, 4] and shifts by at most 1, so
 # most thresholds are at most 2: the rational grid at m = 2 is
 # {s/4 : -16 <= s < 16}, and at m = 1 it is {-1, 0}.
-_ENDS = st.integers(-8, 8).map(lambda k: F(k, 4)) | st.integers(-4, 4).map(F)
+def _quarters(bound: int):
+    return st.integers(-bound, bound).map(lambda k: F(k, 4))
+
+
+_ENDS = _quarters(8) | st.integers(-4, 4).map(F)
 _Q_LEAVES = st.tuples(_ENDS, _ENDS).filter(lambda t: t[0] < t[1]).map(lambda t: QInterval(*t))
 
 
@@ -493,7 +497,7 @@ def q_exprs(depth: int = 2):
     if depth == 0:
         return _Q_LEAVES
     sub = q_exprs(depth - 1)
-    return st.one_of(_Q_LEAVES, st.builds(Shift, st.integers(-4, 4).map(lambda k: F(k, 4)), sub), st.builds(Union_, sub, sub),
+    return st.one_of(_Q_LEAVES, st.builds(Shift, _quarters(4), sub), st.builds(Union_, sub, sub),
                      st.builds(Inter, sub, sub), st.builds(_difference, sub, sub))
 
 
