@@ -23,7 +23,9 @@ surreal sign counts at their budgets, finite `w`-powers and `beth1`-powers
 under `:mode_bb on`, genetic `:sur` sums and products at the caps, all-plus
 expansions of ordinal length, surreal counts past Python's digit limit, a
 `pow` threshold with a large prime factor, a `pow` exponent past the factor
-search budget, the partial overlap of two rational intervals) and parse errors from every production, on literals over the
+search budget, the partial overlap of two rational intervals, dyadic
+literals as `:sur` operands: unreduced, non-dyadic before a later error, and
+at the caps) and parse errors from every production, on literals over the
 digit budget and on zero denominators, so the diff covers each error text and
 column; then `:labelcheck` in both modes on every instance file: the corpus
 files plus `EXTRA_INSTANCES`, whose label-tree, table and directedness checks
@@ -130,6 +132,12 @@ EXTRA += [":num R[0,1/0)", ":num shift(1/0, fin{1})", ":simplest {1/0} {}",
 EXTRA += [":num pow(10000000000037)"]
 # Two overlapping rational intervals: `_inter_count`'s partial-overlap branch.
 EXTRA += [":num Q(0,1] & Q(1/2,2]"]
+# Dyadic literals as :sur operands: a non-dyadic literal fails before a later
+# operand's parse error or power budget; unreduced literals, zero and -0; the
+# caps on lines of literals alone.
+EXTRA += [":sur 1/3 + 1/2^", ":sur 1/3 * 1/2^20000", ":sur 1/2^20000 * 1/3", ":sur 4/8 + 1/2",
+          ":sur 0/5 + 1", ":sur -0", ":sur 3/4", ":sur 2/4 * -6/4", ":sur 12/2^3 - ()",
+          ":sur 1/2^12 * 1/2^3", ":sur -1/2^13 - 1/2^10"]
 EXTRA_INSTANCES = {
     # Pivotal, but the labels of 2 and 3 share 1 and neither holds the other,
     # so meet trichotomy fails.
