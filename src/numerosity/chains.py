@@ -147,9 +147,13 @@ def _term_limit(c: Fraction | int, q: Fraction | int, xj: int, ei: int) -> NumEx
     One numerator and one denominator term, coprime coefficients and no
     joint monomial content: already the field's normal form.
     """
-    c, a = Fraction(c) / (1 << ei), Fraction(q) - xj
+    if not c:
+        return field.ZERO
+    num, den = c.numerator, c.denominator << ei
+    g = math.gcd(num, den)
+    a = q - xj
     up, down = field.Monomial(max(a, 0), xj, 0, ei), field.Monomial(max(-a, 0))
-    return field._nx((((c.numerator, up),), ((c.denominator, down),))) if c else field.ZERO
+    return field._nx((((num // g, up),), ((den // g, down),)))
 
 
 class CountingFn(namedtuple("CountingFn", "limit m0", defaults=(1,))):

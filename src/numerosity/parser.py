@@ -426,7 +426,7 @@ _SUR_OPS = {"+": "s_add", "-": "s_sub", "*": "s_mul"}
 def _dyadic_literal(p: _Line) -> Fraction:
     """`n`, `-n`, `p/q` or `p/q^k`; q^k has the budget MAX_POWER_BITS and is not 0."""
     neg = _accept(p, "-")
-    value = Fraction(_natural(p))
+    num, den = _natural(p), 1
     if _accept(p, "/"):
         at = p.i
         den = _natural(p)
@@ -436,8 +436,7 @@ def _dyadic_literal(p: _Line) -> Fraction:
             den **= k
         if not den:
             _fail(p, "a nonzero denominator", at)
-        value /= den
-    return -value if neg else value
+    return Fraction(-num if neg else num, den)
 
 
 def _sur_operand(p: _Line) -> surreal.SignExpansion | surreal.PlusExpansion | Fraction:
@@ -448,10 +447,9 @@ def _sur_operand(p: _Line) -> surreal.SignExpansion | surreal.PlusExpansion | Fr
         _expect(p, "(")
         return surreal.ordinal_plus(_nested(p, _ord_expr, ")"))
     if tok.isdecimal() or (tok == "-" and toks[p.i + 1].isdecimal()):
-        d = _dyadic_literal(p)
-        # Too long to build: the genetic cap counts it unbuilt (a non-dyadic d fails below).
-        too_long = surreal.is_dyadic(d) and surreal.dyadic_length(d) > surreal.MAX_SIGNS
-        return d if too_long else surreal.se_from_dyadic(d)
+        # Kept a value: the genetic cap counts it unbuilt, and a lone operand
+        # is expanded within the sign budget at the end of the line.
+        return surreal.check_dyadic(_dyadic_literal(p))
     if tok == "(":
         p.i += 1
         _expect(p, ")")
@@ -467,10 +465,12 @@ def _sur_operand(p: _Line) -> surreal.SignExpansion | surreal.PlusExpansion | Fr
 
 def parse_surreal_operand(word: str) -> surreal.SignExpansion | surreal.PlusExpansion | Fraction:
     """A sign string, `()`, `plus(ORD)`, or a dyadic `n`, `-n`, `p/q`, `p/2^k`.
-    A word of signs alone is read directly; every other word, errors included,
-    goes through the grammar."""
+    A word of signs alone and `()` are read directly; every other word, errors
+    included, goes through the grammar."""
     if word and not word.strip("+-"):
         return surreal._se([1 if c == "+" else -1 for c in word])
+    if word == "()":
+        return surreal.ZERO_SE
     return _whole(_sur_operand, word, "surreal operand")
 
 

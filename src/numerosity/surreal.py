@@ -9,7 +9,9 @@ zero between them, or else the point with the most trailing zero bits on a
 power-of-two grid, in closed form.  The genetic sum and product of finite
 expansions are the sum and product of their dyadic values (Conway, On Numbers
 and Games, ch. 1-4), so `s_add` and `s_mul` compute on values; the tests keep
-the genetic recursion over prefix pairs as their reference.
+the genetic recursion over prefix pairs as their reference.  A value is an
+integer pair (a, k), meaning a/2^k, from the operand read by `_parts` to the
+expansion built by `_se_from_parts`; `se_value` is its `Fraction` view.
 """
 
 from __future__ import annotations
@@ -125,33 +127,59 @@ def is_dyadic(q: Fraction) -> bool:
     return q.denominator & (q.denominator - 1) == 0
 
 
+def check_dyadic(q: Fraction | int) -> Fraction | int:
+    """q, once it is known to be dyadic."""
+    if not is_dyadic(q):
+        raise ValueError(f"{q} is not dyadic")
+    return q
+
+
+def _parts(x: SignExpansion | Fraction | int) -> tuple[int, int]:
+    """(a, k) with a/2^k the value of a finite expansion or of a dyadic, and a
+    odd when k > 0."""
+    if x.__class__ is not SignExpansion:
+        return x.numerator, x.denominator.bit_length() - 1
+    if not x:
+        return 0, 0
+    # A leading run of n signs s is worth s*n; the j-th of the k signs after it
+    # adds +-2^-j, so over 2^k each of them doubles the numerator and adds itself.
+    s = x[0]
+    n = x.index(-s) if -s in x else len(x)
+    a = s * n
+    for t in x[n:]:
+        a += a + t
+    return a, len(x) - n
+
+
+def _se_from_parts(a: int, k: int) -> SignExpansion:
+    """The expansion of a/2^k, k >= 0."""
+    if a:
+        z = min((a & -a).bit_length() - 1, k)  # trailing zero bits of a, at most k
+        a, k = a >> z, k - z
+    else:
+        k = 0
+    # Now a = s*(n*2^k + r), r odd when k > 0: a run of n signs s, then for
+    # k > 0 one more s, one -s and the bits of r below 2^k but the last (1 is s).
+    s = 1 if a > 0 else -1
+    m = s * a
+    signs: list[Sign] = [s] * ((m >> k) + (k > 0))
+    if k:
+        # m | 2^k has at least k + 1 binary digits, its last k those of r.
+        signs.append(-s)
+        signs += [s if b == "1" else -s for b in bin(m | 1 << k)[-k:-1]]
+    return _se(signs)
+
+
 def se_value(x: SignExpansion) -> Fraction:
     """Dyadic value of a finite expansion."""
     if x.__class__ is PlusExpansion:
         raise ValueError("ordinal expansions have no dyadic value")
-    # A leading run of n signs s is worth s*n; the j-th of the k signs after it
-    # adds +-2^-j, so over 2^k they are twice their '+' digits in binary, less 2^k - 1.
-    s = x[0] if x else 1
-    n = next((i for i, t in enumerate(x) if t != s), len(x))
-    k = len(x) - n
-    plus = int("".join("1" if t > 0 else "0" for t in x[n:]) or "0", 2)
-    return Fraction((s * n << k) + 2 * plus - (1 << k) + 1, 1 << k)
+    a, k = _parts(x)
+    return Fraction(a, 1 << k)
 
 
 def se_from_dyadic(d: Fraction | int) -> SignExpansion:
-    d = Fraction(d)
-    if not is_dyadic(d):
-        raise ValueError(f"{d} is not dyadic")
-    # d = s*(n + f) with f = 0.b1...bk in binary (bk = 1 when f > 0): a run of
-    # n signs s, then for f > 0 one more s, one -s and b1...b(k-1) (1 is s).
-    s = 1 if d > 0 else -1
-    n, r = divmod(abs(d.numerator), d.denominator)
-    signs: list[Sign] = [s] * (n + (r != 0))
-    if r:
-        # The denominator is 2^k, so bin(r + 2^k) is "0b1" then b1...bk.
-        signs.append(-s)
-        signs += [s if b == "1" else -s for b in bin(r + d.denominator)[3:-1]]
-    return _se(signs)
+    return _se_from_parts(*_parts(check_dyadic(d)))
 
 
 def dyadic_length(d: Fraction | int) -> int:
@@ -167,12 +195,21 @@ def _count(n: int) -> str:
     return f"more than 2^{(n - 1).bit_length() - 1}" if limit and n >= 10**limit else str(n)
 
 
-def se_within_budget(d: Fraction | int) -> SignExpansion:
-    """se_from_dyadic(d), once its length is known to fit MAX_SIGNS, far above the caps."""
-    n = dyadic_length(d)
+def _within_budget(a: int, k: int) -> SignExpansion:
+    """_se_from_parts(a, k), once its length is known to fit MAX_SIGNS, far above the caps."""
+    # As dyadic_length counts: the integer part, then, past it, the binary
+    # digits of the denominator that a/2^k has with the trailing zeros of a dropped.
+    m = abs(a)
+    r = m & ((1 << k) - 1)
+    n = (m >> k) + (k + 2 - (r & -r).bit_length() if r else 0)
     if n > MAX_SIGNS:
         raise BudgetExceeded(f"an expansion of {_count(n)} signs is over the budget MAX_SIGNS = {MAX_SIGNS}")
-    return se_from_dyadic(d)
+    return _se_from_parts(a, k)
+
+
+def se_within_budget(d: Fraction | int) -> SignExpansion:
+    """se_from_dyadic(d) within MAX_SIGNS."""
+    return _within_budget(*_parts(check_dyadic(d)))
 
 
 def options(x: SignExpansion) -> tuple[tuple[SignExpansion, ...], tuple[SignExpansion, ...]]:
@@ -222,17 +259,18 @@ def simplest(left: Iterable[Fraction], right: Iterable[Fraction]) -> SignExpansi
     lo, hi = max(left, default=None), min(right, default=None)
     if lo is not None and hi is not None and lo >= hi:
         raise NotSeparated(f"max of left {lo} >= min of right {hi}")
-    # With 2^K above the product of the denominators the interval holds a
-    # multiple of 2^-K, so the simplest value is one; and a multiple of 2^-K is
+    # With 2^k above the product of the denominators the interval holds a
+    # multiple of 2^-k, so the simplest value is one; and a multiple of 2^-k is
     # above lo (below hi) exactly when it is above floor (below ceil) on that grid.
-    unit = 1 << prod(b.denominator for b in (lo, hi) if b is not None).bit_length()
-    value = Fraction(_simplest(None if lo is None else floor(lo * unit),
-                               None if hi is None else ceil(hi * unit), unit), unit)
+    k = prod(b.denominator for b in (lo, hi) if b is not None).bit_length()
+    unit = 1 << k
+    lo, hi = None if lo is None else floor(lo * unit), None if hi is None else ceil(hi * unit)
+    value = _simplest(lo, hi, unit)
     # A (+n, -n) birthday tie would need both in the interval, but then 0 is
     # inside too and wins outright; assert the tie never surfaces.
     if value != 0 and lo is not None and hi is not None:
         assert not (lo < -abs(value) and abs(value) < hi), "unreachable magnitude tie"
-    return se_within_budget(value)
+    return _within_budget(value, k)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +282,9 @@ MUL_CAP = 16
 
 
 def _capped_values(x: SignExpansion | Fraction, y: SignExpansion | Fraction,
-                   what: str) -> tuple[Fraction, Fraction]:
-    """Both values, once within the cap: a dyadic is counted before it is checked."""
+                   what: str) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Both values as pairs (a, k), once within the cap: a dyadic is counted
+    before it is checked."""
     cap = MUL_CAP if what == "multiplication" else ADD_CAP
     dx, dy = x.__class__ is Fraction, y.__class__ is Fraction
     if x.__class__ is PlusExpansion or y.__class__ is PlusExpansion:
@@ -253,10 +292,7 @@ def _capped_values(x: SignExpansion | Fraction, y: SignExpansion | Fraction,
     n = (dyadic_length(x) if dx else len(x)) + (dyadic_length(y) if dy else len(y))
     if n > cap:
         raise RecursionCapExceeded(f"{what}: combined birthday {_count(n)} exceeds {cap}")
-    for d in (x, y):
-        if d.__class__ is Fraction and not is_dyadic(d):
-            raise ValueError(f"{d} is not dyadic")
-    return x if dx else se_value(x), y if dy else se_value(y)
+    return _parts(check_dyadic(x) if dx else x), _parts(check_dyadic(y) if dy else y)
 
 
 def s_neg(x: SignExpansion | Fraction) -> SignExpansion | Fraction:
@@ -267,18 +303,30 @@ def s_neg(x: SignExpansion | Fraction) -> SignExpansion | Fraction:
     return _se([-s for s in x])
 
 
+def _sum(x: SignExpansion | Fraction, y: SignExpansion | Fraction, sign: int) -> SignExpansion:
+    """x + sign*y, on both pairs shifted to the larger exponent."""
+    (a, k), (b, j) = _capped_values(x, y, "addition")
+    b *= sign
+    return _se_from_parts(a + (b << k - j), k) if k >= j else _se_from_parts((a << j - k) + b, j)
+
+
 def s_add(x: SignExpansion | Fraction, y: SignExpansion | Fraction) -> SignExpansion:
-    a, b = _capped_values(x, y, "addition")
-    return se_from_dyadic(a + b)
+    return _sum(x, y, 1)
 
 
 def s_sub(x: SignExpansion | Fraction, y: SignExpansion | Fraction) -> SignExpansion:
-    return s_add(x, s_neg(y))
+    """x + (-y), without building -y: an ordinal y is refused as s_neg refuses
+    it, before x is looked at, and a non-dyadic y is named negated."""
+    if y.__class__ is PlusExpansion:
+        s_neg(y)  # raises
+    if y.__class__ is Fraction and not is_dyadic(y):
+        y = -y
+    return _sum(x, y, -1)
 
 
 def s_mul(x: SignExpansion | Fraction, y: SignExpansion | Fraction) -> SignExpansion:
-    a, b = _capped_values(x, y, "multiplication")
-    return se_from_dyadic(a * b)
+    (a, k), (b, j) = _capped_values(x, y, "multiplication")
+    return _se_from_parts(a * b, k + j)
 
 
 def all_expansions(max_len: int) -> list[SignExpansion]:
