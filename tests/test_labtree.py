@@ -473,6 +473,39 @@ def pivotal_trees(draw, rest: Optional[list] = None, block: Sequence = ()) -> Pi
     return PivotalTree(U, le, tuple(zip(thread, thread[1:])))
 
 
+def _pair_key(pair: tuple) -> tuple:
+    return elem_key(pair[0]), elem_key(pair[1])
+
+
+@st.composite
+def edited_pivotal_trees(draw) -> PivotalTree:
+    """A pivotal tree after 0-2 small edits, so that many draws still pass
+    the axioms and reach the label-tree identities, and the rest fail them
+    narrowly: drop or add one `le` pair, re-point or drop one successor pair,
+    or add an `le` or successor pair with one end in OUTSIDE."""
+    tree = draw(pivotal_trees())
+    U, le, succ = tree.universe, set(tree.le), list(tree.succ)
+    elems = st.sampled_from(U)
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(("drop le", "add le", "re-point succ", "drop succ", "outside")))
+        if edit == "drop le":
+            le.discard(draw(st.sampled_from(sorted(le, key=_pair_key))))
+        elif edit == "add le":
+            le.add((draw(elems), draw(elems)))
+        elif edit == "outside":
+            pair = (draw(elems), draw(st.sampled_from(OUTSIDE)))
+            pair = pair[::-1] if draw(st.booleans()) else pair
+            (le.add if draw(st.booleans()) else succ.append)(pair)
+        elif succ:
+            i = draw(st.integers(0, len(succ) - 1))
+            if edit == "drop succ":
+                del succ[i]
+            else:
+                a, b = succ[i]
+                succ[i] = (a, draw(elems)) if draw(st.booleans()) else (draw(elems), b)
+    return PivotalTree(U, frozenset(le), tuple(succ))
+
+
 # Every element the pair-label and Kuratowski rules name for the atoms 1 and 2.
 KURATOWSKI = [1, 2, S[1], S[2], frozenset([1, 2]), frozenset([S[1]]), frozenset([S[2]]),
               frozenset([S[1], frozenset([1, 2])])]
@@ -531,7 +564,7 @@ class TestAgainstReference:
                 assert validate_labeltree(tree, mode).to_json() == ref_validate_labeltree(tree, mode).to_json()
 
     @settings(max_examples=400, deadline=None)
-    @given(arbitrary_trees())
+    @given(st.one_of(arbitrary_trees(), edited_pivotal_trees()))
     def test_arbitrary_instances(self, tree):
         for mode in MODES:
             assert validate_pivotal(tree, mode).to_json() == ref_validate_pivotal(tree, mode).to_json()
@@ -674,7 +707,7 @@ class TestProvedLabelRules:
             assert not _proved_rules_reported(tree, mode)
 
     @settings(max_examples=400, deadline=None)
-    @given(arbitrary_trees())
+    @given(st.one_of(arbitrary_trees(), edited_pivotal_trees()))
     def test_never_fail_on_arbitrary_trees_that_pass_the_axioms(self, tree):
         for mode in MODES:
             if validate_pivotal(tree, mode).ok:

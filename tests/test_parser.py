@@ -334,7 +334,7 @@ class TestSignWords:
     WORDS = ["".join(w) for n in range(1, 13) for w in itertools.product("+-", repeat=n)]
 
     def test_read_directly_as_through_the_grammar(self):
-        for word in self.WORDS:
+        for word in [*self.WORDS, "()"]:
             got = new.parse_surreal_operand(word)
             want = new._whole(new._sur_operand, word, "surreal operand")
             assert got == want and hash(got) == hash(want), word

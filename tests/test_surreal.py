@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numerosity import ordinals as o
-from numerosity import surreal
+from numerosity import parser, surreal
 from numerosity.cli import Session, run_line
 from numerosity.surreal import (
     ADD_CAP,
@@ -701,3 +701,113 @@ class TestArithmetic:
             s_add(long, SignExpansion([1] * 12))
         with pytest.raises(RecursionCapExceeded):
             s_mul(SignExpansion([1] * 9), SignExpansion([1] * 8))
+
+
+# ---------------------------------------------------------------------------
+# The integer-pair kernel: a value is (a, k), meaning a/2^k, from the operand
+# read by `_parts` to the expansion built by `_se_from_parts`.
+# ---------------------------------------------------------------------------
+
+
+def ref_value(signs) -> F:
+    """The value of a sign sequence by the walk that defines it: steps of one
+    until the first change of sign, then half the previous step each."""
+    v, step, halving = F(0), F(1), False
+    for t in signs:
+        halving = halving or t != signs[0]
+        if halving:
+            step /= 2
+        v += t * step
+    return v
+
+
+REF_EXPANSIONS = {ref_value(x): x for x in all_expansions(8)}
+
+
+@st.composite
+def operand_words(draw) -> tuple[str, F]:
+    """A `:sur` operand word and its value: a sign word, `()`, an integer, -0,
+    or a dyadic literal `p/q` or `p/2^k`, reduced or not."""
+    kind = draw(st.sampled_from(("signs", "()", "int", "-0", "p/q", "p/2^k", "fixed")))
+    if kind == "signs":
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=12))
+        return "".join("+" if s > 0 else "-" for s in signs), ref_value(signs)
+    if kind == "()":
+        return "()", F(0)
+    if kind == "-0":
+        return "-0", F(0)
+    if kind == "fixed":
+        return draw(st.sampled_from((("4/8", F(1, 2)), ("0/5", F(0)), ("12/2^3", F(3, 2)))))
+    num, k = draw(st.integers(-20, 20)), draw(st.integers(0, 6))
+    sign = "-" if num < 0 else ""
+    if kind == "int":
+        return f"{num}", F(num)
+    if kind == "p/2^k":
+        # p need not be odd: 12/2^3 is 3/2.
+        return f"{sign}{abs(num)}/2^{k}", F(num, 2**k)
+    m = draw(st.sampled_from((1, 2, 3, 5, 6)))  # an odd m leaves q a power of two times m
+    return f"{sign}{abs(num) * m}/{2**k * m}", F(num, 2**k)
+
+
+class TestIntegerPairs:
+    @settings(max_examples=400, deadline=None)
+    @given(operand_words(), st.sampled_from(("+", "-", "*", None)), operand_words())
+    def test_parsed_lines_match_fraction_arithmetic(self, x, op, y):
+        """Mixed operand kinds through the parser: the answer is the expansion
+        of the Fraction sum, difference or product, or the cap's refusal."""
+        (xw, xv), (yw, yv) = x, y
+        if op is None:
+            assert parser.parse_surreal(xw) == se_from_dyadic(xv)
+            return
+        cap = MUL_CAP if op == "*" else ADD_CAP
+        line = f"{xw} {op} {yw}"
+        if len(se_from_dyadic(xv)) + len(se_from_dyadic(yv)) > cap:
+            with pytest.raises(RecursionCapExceeded):
+                parser.parse_surreal(line)
+            return
+        want = xv + yv if op == "+" else xv - yv if op == "-" else xv * yv
+        assert parser.parse_surreal(line) == se_from_dyadic(want), line
+        assert parser.parse_surreal(line) == REF_EXPANSIONS.get(want, se_from_dyadic(want)), line
+
+    def test_build_from_any_pair(self):
+        """Even a with k > 0, a = 0 with k > 0, and negative a: the trailing
+        zero bits of a are dropped first."""
+        for a in range(-80, 81):
+            for k in range(8):
+                got = surreal._se_from_parts(a, k)
+                assert got == se_from_dyadic(Fraction(a, 2**k)), (a, k)
+                d = F(a, 2**k)
+                if d in REF_EXPANSIONS:
+                    assert got == REF_EXPANSIONS[d], (a, k)
+                assert surreal._within_budget(a, k) == got
+        assert surreal._se_from_parts(0, 9) == ZERO_SE
+        assert surreal._se_from_parts(3 << 40, 41) == parse_signs("++-")
+        assert surreal._se_from_parts(-(5 << 7), 9) == parse_signs("--++")
+
+    def test_budget_counts_unreduced_pairs(self):
+        n = surreal.MAX_SIGNS
+        assert len(surreal._within_budget(n << 5, 5)) == n
+        with pytest.raises(o.BudgetExceeded, match=f"^an expansion of {n + 1} signs"):
+            surreal._within_budget((n + 1) << 5, 5)
+        # 2^-(n-1) has n signs; scaled by 2^20 it is the same value.
+        assert len(surreal._within_budget(-(1 << 20), n - 1 + 20)) == n
+        with pytest.raises(o.BudgetExceeded, match=f"^an expansion of {n + 1} signs"):
+            surreal._within_budget(1 << 20, n + 20)
+
+    def test_parts_round_trip(self):
+        for x in all_expansions(9):
+            a, k = surreal._parts(x)
+            assert F(a, 2**k) == ref_value(x)
+            assert k == 0 or a % 2 == 1
+            assert surreal._se_from_parts(a, k) == x
+            d = se_value(x)
+            assert surreal._parts(d) == (a, k)
+            assert surreal.dyadic_length(d) == len(se_from_dyadic(d)) == len(x)
+
+    def test_subtraction_refuses_an_ordinal_subtrahend_first(self):
+        with pytest.raises(RecursionCapExceeded, match="^negation is not offered"):
+            s_sub(ordinal_plus(o.OMEGA), ordinal_plus(o.OMEGA))
+        with pytest.raises(RecursionCapExceeded, match="^negation is not offered"):
+            s_sub(F(1, 3), ordinal_plus(o.OMEGA))
+        with pytest.raises(RecursionCapExceeded, match="^addition is not offered"):
+            s_sub(ordinal_plus(o.OMEGA), parse_signs("+"))

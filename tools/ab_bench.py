@@ -25,7 +25,9 @@ checkout wins (a tie counts for neither side) and, last, `gain` when it wins
 at least 9 of every 10 pairs and its median is better than PARENT's by more
 than PARENT's interquartile range, `no gain` otherwise: the rule a claimed
 speedup must pass.  A run whose answers fail the benchmark's checks is
-reported with `correct: false`.
+reported with `correct: false`.  Each pair's line also gives both runs'
+`attempted` line counts, so a run that replays its whole corpus before the
+time is up shows: both sides then attempt the same lines.
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ def main(argv: list[str] | None = None) -> int:
                 values[name]["this"].append(new)
                 cells.append(f"{name} {old:.4g} -> {new:.4g} ({ratios[name][-1]:.3f}x)")
             print(f"{workload} seed {seed} ({order[0]} first; correct: "
-                  f"{out['parent']['correct']}/{out['this']['correct']}): " + "; ".join(cells),
+                  f"{out['parent']['correct']}/{out['this']['correct']}; attempted: "
+                  f"{out['parent']['attempted']}/{out['this']['attempted']}): " + "; ".join(cells),
                   flush=True)
         for name, rs in ratios.items():
             print(f"{workload} {name}: median ratio {statistics.median(rs):.3f}; pairs "
