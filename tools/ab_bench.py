@@ -26,8 +26,8 @@ at least 9 of every 10 pairs and its median is better than PARENT's by more
 than PARENT's interquartile range, `no gain` otherwise: the rule a claimed
 speedup must pass.  A run whose answers fail the benchmark's checks is
 reported with `correct: false`.  Each pair's line also gives both runs'
-`attempted` line counts, so a run that replays its whole corpus before the
-time is up shows: both sides then attempt the same lines.
+`attempted` line counts, so a run that used up its corpus before the time
+was up shows in the pair table.
 """
 
 from __future__ import annotations
