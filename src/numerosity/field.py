@@ -146,13 +146,21 @@ def _poly_mul(a: Terms, b: Terms) -> Terms:
     """Product of two sorted, duplicate-free, zero-free term lists.
 
     A constant side scales the other, which keeps its order; a constant 1
-    returns the other side itself.
+    returns the other side itself.  A one-term side multiplies each term of
+    the other: with non-negative exponents the monomial order is the
+    lexicographic order of exponent vectors, which adding one vector keeps,
+    so the products stay sorted and distinct.
     """
     if len(b) != 1 or b[0][1] != UNIT:  # a constant side, if any, goes to b
         a, b = b, a
     if len(b) == 1 and b[0][1] == UNIT:
         c = b[0][0]
         return a if c == 1 else tuple((ca * c, ma) for ca, ma in a)
+    if len(b) != 1:  # then a one-term side, if any
+        a, b = b, a
+    if len(b) == 1:
+        cb, mb = b[0]
+        return tuple((ca * cb, mono_mul(ma, mb)) for ca, ma in a)
     d: dict[Monomial, int] = {}
     for ca, ma in a:
         for cb, mb in b:
@@ -208,12 +216,19 @@ def _constant_den(x: NumExpr) -> Optional[int]:
     return None
 
 
-def _content(terms: Iterable[tuple[int, Monomial]]) -> Monomial:
-    """Componentwise minimum of the exponents, in one pass; an absent w-entry counts as 0."""
+def _content(terms: Iterable[tuple[int, Monomial]], nonnegative: bool = False) -> Monomial:
+    """Componentwise minimum of the exponents, in one pass; an absent w-entry counts as 0.
+
+    With `nonnegative` (every exponent >= 0) a term without a w-part makes the
+    content's w-part empty, so the per-term dicts are skipped.
+    """
     omegas, x2w, beth1, beta, alpha = zip(*(m for _, m in terms))
-    ds = [dict(o) for o in omegas]
-    omega = tuple((e, k) for e in sorted(set().union(*ds), reverse=True)
-                  if (k := min(d.get(e, 0) for d in ds)))
+    if nonnegative and not all(omegas):
+        omega = ()
+    else:
+        ds = [dict(o) for o in omegas]
+        omega = tuple((e, k) for e in sorted(set().union(*ds), reverse=True)
+                      if (k := min(d.get(e, 0) for d in ds)))
     return _mono((omega, min(x2w), min(beth1), min(beta), min(alpha)))
 
 
@@ -225,10 +240,18 @@ def _make(num: Terms, den: Terms) -> NumExpr:
     if num == den:
         return ONE
     # Exponents are non-negative here, so a unit term sorts last and forces unit content.
-    content = UNIT if UNIT in (num[-1][1], den[-1][1]) else _content(num + den)
-    if content != UNIT:
-        num = tuple((c, mono_div(m, content)) for c, m in num)
-        den = tuple((c, mono_div(m, content)) for c, m in den)
+    if UNIT not in (num[-1][1], den[-1][1]):
+        if len(num) == len(den) == 1:
+            # A monomial over a monomial: the quotient's positive exponents go
+            # up, its negative ones down, which is what cancelling the content leaves.
+            ro, rx, rh, rb, ra = mono_div(num[0][1], den[0][1])
+            num = ((num[0][0], _mono((tuple(t for t in ro if t[1] > 0),
+                                      max(rx, 0), max(rh, 0), max(rb, 0), max(ra, 0)))),)
+            den = ((den[0][0], _mono((tuple((e, -k) for e, k in ro if k < 0),
+                                      -min(rx, 0), -min(rh, 0), -min(rb, 0), -min(ra, 0)))),)
+        elif (content := _content(num + den, nonnegative=True)) != UNIT:
+            num = tuple((c, mono_div(m, content)) for c, m in num)
+            den = tuple((c, mono_div(m, content)) for c, m in den)
     # A denominator lead of 1 already makes the joint gcd 1 and the lead positive.
     if den[0][0] != 1:
         g = math.gcd(*(c for c, _ in num), *(c for c, _ in den))
@@ -268,14 +291,36 @@ def alpha_power(q: Fraction) -> NumExpr:
     return NumExpr(((1, UNIT),), ((1, Monomial(alpha=-q)),))
 
 
+def _den_ratio(a: Terms, b: Terms) -> Optional[tuple[int, int]]:
+    """Coprime (p, q) with a = p*D and b = q*D for one polynomial D, or None.
+
+    The leads are positive, so b is a constant multiple of a exactly when
+    both have the same monomials and ca*lb == cb*la term by term.
+    """
+    if len(a) != len(b):
+        return None
+    la, lb = a[0][0], b[0][0]
+    for (ca, ma), (cb, mb) in zip(a, b):
+        if ma != mb or ca * lb != cb * la:
+            return None
+    g = math.gcd(la, lb)
+    return la // g, lb // g
+
+
 def nf_add(a: NumExpr, b: NumExpr) -> NumExpr:
-    d = a.den
-    if d == b.den:
-        # (a.num*d + b.num*d)/(d*d) with d factored out of the sum: the same
-        # term lists as the cross products, for one product instead of two.
-        return _make(_poly_mul(_poly_add(a.num, b.num), d), _poly_mul(d, d))
-    return _make(_poly_add(_poly_mul(a.num, b.den), _poly_mul(b.num, a.den)),
-                 _poly_mul(a.den, b.den))
+    if not a.num:
+        return b
+    if not b.num:
+        return a
+    pq = _den_ratio(a.den, b.den)
+    if pq is None:
+        return _make(_poly_add(_poly_mul(a.num, b.den), _poly_mul(b.num, a.den)),
+                     _poly_mul(a.den, b.den))
+    # a.num/(p*D) + b.num/(q*D) = (q*a.num + p*b.num)/(q*a.den): the gcd of
+    # the denominators is all of D (Henrici's rule), so D is not squared.
+    p, q = pq
+    return _make(_poly_add(_poly_mul(a.num, ((q, UNIT),)), _poly_mul(b.num, ((p, UNIT),))),
+                 _poly_mul(a.den, ((q, UNIT),)))
 
 
 def nf_neg(a: NumExpr) -> NumExpr:
@@ -395,6 +440,16 @@ def _alpha_affine(x: NumExpr) -> Optional[tuple[int, int]]:
     return a // d, c // d
 
 
+def _as_natural(x: NumExpr) -> Optional[int]:
+    """x as a natural number, or None; read off the stored form, where n > 0 is n/1."""
+    if x.den != ONE.den:
+        return None
+    if not x.num:
+        return 0
+    c, m = x.num[0]  # a unit monomial sorts last, so it is the only term
+    return c if m == UNIT and c > 0 else None
+
+
 def nf_pow(base: NumExpr, exp: NumExpr) -> NumExpr:
     """Exponentiation on the supported case matrix; raises otherwise.
 
@@ -404,9 +459,8 @@ def nf_pow(base: NumExpr, exp: NumExpr) -> NumExpr:
     with exponent a*alpha + c (covers 2^w = X); base w with an embedded
     ordinal exponent (w-power monomials).
     """
-    r = exp.as_rational()
-    if r is not None and r.denominator == 1 and r >= 0:
-        n = int(r)
+    n = _as_natural(exp)
+    if n is not None:
         b = base.as_rational()
         if b is not None:
             check_power_bits(b, n)
@@ -417,6 +471,7 @@ def nf_pow(base: NumExpr, exp: NumExpr) -> NumExpr:
             return _nx((((cn**n, _mono_pow(mn, n)),), ((cd**n, _mono_pow(md, n)),)))
         return _square_multiply(base, n, nf_mul, ONE)
 
+    r = exp.as_rational()
     if r is not None:
         # Rational non-integer exponent: only single monomials in alpha.
         d = _constant_den(base)

@@ -156,14 +156,13 @@ def _rational(p: _Line) -> Fraction:
     neg = _accept(p, "-")
     if not toks[p.i].isdecimal():
         _fail(p, "a number")
-    value = Fraction(_natural(p))
+    num, den = _natural(p), 1
     if toks[p.i] == "/" and toks[p.i + 1].isdecimal():
         p.i += 1
         den = _natural(p)
         if not den:
             _fail(p, "a nonzero denominator", p.i - 1)
-        value /= den
-    return -value if neg else value
+    return Fraction(-num if neg else num, den)
 
 
 def _braced(p: _Line, item: Callable) -> list:

@@ -598,7 +598,10 @@ class TestIntegerCoefficients:
 
 @st.composite
 def shared_denominator_pairs(draw):
-    """Two stored NumExprs over one non-constant denominator with lead 1."""
+    """Two stored NumExprs whose denominators are constant multiples of one
+    non-constant denominator with lead 1: each side's carries a factor 1..4.
+    With the flag False, the second side's last coefficient is moved, so the
+    denominators have the same monomials but are not proportional."""
     coeff = st.integers(-4, 4).filter(bool)
 
     def terms(size):
@@ -611,27 +614,65 @@ def shared_denominator_pairs(draw):
     unit = ((draw(coeff), field.UNIT),)
     if den[-1][1] != field.UNIT and draw(st.booleans()):
         den += unit
+    proportional = len(den) == 1 or draw(st.booleans())
     pair = []
-    for _ in range(2):
+    for side in range(2):
         num = field._poly_add(terms(draw(st.integers(1, 3))), () if den[-1][1] == field.UNIT else unit)
-        assume(num and num != den)
-        pair.append(field._make(num, den))
-    assume(pair[0].den == pair[1].den == den)
-    return pair
+        k = draw(st.integers(1, 4))
+        scaled = tuple((c * k, m) for c, m in den)
+        if side and not proportional:
+            (c, m), shift = scaled[-1], draw(coeff)
+            assume(c + shift)
+            scaled = scaled[:-1] + ((c + shift, m),)
+        assume(num and num != scaled)
+        pair.append(field._make(num, scaled))
+    assume(all([m for _, m in x.den] == [m for _, m in den] for x in pair))
+    return pair, proportional
 
 
 class TestSharedDenominatorSums:
     @settings(max_examples=80, deadline=None)
     @given(shared_denominator_pairs())
-    def test_matches_cross_multiplied_reference(self, pair):
-        a, b = pair
+    def test_matches_cross_multiplied_reference(self, drawn):
+        (a, b), proportional = drawn
         ra, rb = monic(a), monic(b)
         for got, want in ((nf_add(a, b), ref_add(ra, rb)), (nf_sub(a, b), ref_sub(ra, rb))):
             _check_stored_terms(got)
-            assert monic(got) == want
-        P = field._poly_mul
-        cross = field._make(field._poly_add(P(a.num, b.den), P(b.num, a.den)), P(a.den, b.den))
-        assert nf_add(a, b) == cross
+            (gn, gd), (wn, wd) = monic(got), want
+            assert ref_poly_mul(gn, wd) == ref_poly_mul(wn, gd)
+            if not proportional or got.is_zero() or got == ONE:
+                continue
+            # a.den's monomials, up to the one monomial content cancelled: not squared.
+            assert len(got.den) == len(a.den)
+            assert len({field.mono_div(m, n) for (_, m), (_, n) in zip(got.den, a.den)}) == 1
+
+
+monomial_quotients = st.tuples(monomials(signed=False), monomials(signed=False),
+                               st.integers(-9, 9).filter(bool), st.integers(-9, 9).filter(bool))
+
+
+def _quotient(mn, md, cn, cd):
+    """c_n*m_n / (c_d*m_d), stored and in the reference form."""
+    x = field._make(((cn, mn),), ((cd, md),))
+    return x, ref_make(((F(cn), mn),), ((F(cd), md),))
+
+
+class TestSingleTermValues:
+    """Monomial over monomial: `_make`, `_poly_mul` and `nf_pow` take these in one step."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(monomial_quotients, monomial_quotients)
+    def test_matches_fraction_reference(self, u, v):
+        (x, rx), (y, ry) = _quotient(*u), _quotient(*v)
+        got, want = [x, nf_mul(x, y), nf_div(x, y)], [rx, ref_mul(rx, ry), ref_div(rx, ry)]
+        power = ((F(1), field.UNIT),), ((F(1), field.UNIT),)
+        for n in range(10):
+            got.append(nf_pow(x, q(n)))
+            want.append(power)
+            power = ref_mul(power, rx)
+        for g, w in zip(got, want):
+            _check_stored_terms(g)
+            assert monic(g) == w
 
 
 class TestPowerBudget:

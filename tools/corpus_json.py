@@ -4,9 +4,15 @@ Usage, from the root of a checkout:
 
     python3 tools/corpus_json.py > corpus.txt
     python3 tools/corpus_json.py --write
+    python3 tools/corpus_json.py --diff
 
 The second form rewrites the golden file `tests/golden_corpus.txt.gz`, which
-`tests/test_golden.py` compares against fresh records.
+`tests/test_golden.py` compares against fresh records.  The third prints each
+fresh record that differs from the golden file: its workload and index, the
+spec of its corpus line (what `perfbench/check.py` takes for a right answer;
+`-` for an `EXTRA` line), then the golden and the fresh record; it exits 1
+when some record differs.  So the records a change moves, and whether each
+moves to its spec's answer, come from the tool.
 
 For each workload of `perfbench/corpus.py` (seed 1, 12 blocks) every body line
 runs through `numerosity.cli.run_line` on one `Session`, and one output line
@@ -161,8 +167,8 @@ EXTRA_INSTANCES = {
 }
 
 
-def records() -> list[str]:
-    """Every output line, newline included, in corpus order."""
+def _imports():
+    """The corpus module and the library modules, from this checkout."""
     saved = sys.path[:]
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     try:
@@ -170,6 +176,12 @@ def records() -> list[str]:
         from numerosity import cli, labtree
     finally:
         sys.path[:] = saved  # the caller may be a test session
+    return corpus, cli, labtree
+
+
+def records() -> list[str]:
+    """Every output line, newline included, in corpus order."""
+    corpus, cli, labtree = _imports()
 
     out: list[str] = []
 
@@ -206,14 +218,35 @@ def records() -> list[str]:
     return out
 
 
+def diff() -> int:
+    """Print each fresh record that differs from the golden one beside its line's spec."""
+    corpus = _imports()[0]
+    specs = {(workload, str(i)): line.spec for workload in corpus.BLOCKS
+             for i, line in enumerate(corpus.generate(workload, SEED, BLOCKS)[0])}
+    with gzip.open(GOLDEN, "rt", encoding="utf-8") as fh:
+        golden = {tuple(r.split("\t", 2)[:2]): r for r in fh}
+    fresh = {tuple(r.split("\t", 2)[:2]): r for r in records()}
+    moved = [key for key in {**golden, **fresh} if golden.get(key) != fresh.get(key)]
+    for key in moved:
+        spec = specs.get(key)
+        print("\t".join(key), "-" if spec is None else " ".join(spec), sep="\t")
+        for side, rows in (("golden", golden), ("now", fresh)):
+            row = rows.get(key)
+            print(f"  {side}:", row.split("\t", 2)[2] if row else "(none)\n", end="")
+    print(f"{len(moved)} of {len(golden)} golden records differ", file=sys.stderr)
+    return 1 if moved else 0
+
+
 def main(argv: list[str]) -> int:
     if argv == ["--write"]:
         # mtime 0 keeps the file's bytes a function of the records alone.
         with open(GOLDEN, "wb") as raw, gzip.GzipFile("", "wb", fileobj=raw, mtime=0) as fh:
             fh.write("".join(records()).encode("utf-8"))
         return 0
+    if argv == ["--diff"]:
+        return diff()
     if argv:
-        print("usage: corpus_json.py [--write]", file=sys.stderr)
+        print("usage: corpus_json.py [--write | --diff]", file=sys.stderr)
         return 2
     sys.stdout.writelines(records())
     return 0
