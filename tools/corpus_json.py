@@ -31,9 +31,10 @@ expansions of ordinal length, surreal counts past Python's digit limit, a
 `pow` threshold with a large prime factor, a `pow` exponent past the factor
 search budget, the partial overlap of two rational intervals, dyadic
 literals as `:sur` operands: unreduced, non-dyadic before a later error, and
-at the caps) and parse errors from every production, on literals over the
-digit budget and on zero denominators, so the diff covers each error text and
-column; then `:labelcheck` in both modes on every instance file: the corpus
+at the caps, unions, intersections and differences counted through their
+meet, a denominator of undecided sign) and parse errors from every
+production, on literals over the digit budget and on zero denominators, so
+the diff covers each error text and column; then `:labelcheck` in both modes on every instance file: the corpus
 files plus `EXTRA_INSTANCES`, whose label-tree, table and directedness checks
 fail, so the diff reaches the witness paths, whose elements do not parse, or
 whose table is an 80- or a 320-element chain.  The instance files are written
@@ -144,6 +145,15 @@ EXTRA += [":num Q(0,1] & Q(1/2,2]"]
 EXTRA += [":sur 1/3 + 1/2^", ":sur 1/3 * 1/2^20000", ":sur 1/2^20000 * 1/3", ":sur 4/8 + 1/2",
           ":sur 0/5 + 1", ":sur -0", ":sur 3/4", ":sur 2/4 * -6/4", ":sur 12/2^3 - ()",
           ":sur 1/2^12 * 1/2^3", ":sur -1/2^13 - 1/2^10"]
+# Unions, intersections and differences counted through their meet: lines that
+# answer, then differences and intersections outside a subset certificate.
+_SHIFT = "shift(1/10000000000037, Q(0,1])"
+EXTRA += [":num Q(0,1] | Q+", ":num Q+ \\ Q(0,1]", ":num (Q+ | Q(0,1]) \\ Q(0,1]",
+          ":num mod(4,1) & mod(6,3)", ":num mod(4,1) | mod(6,3)",
+          ":num mod(2,0) \\ mod(3,0)", ":num Q+ & Q", ":num R[0,2) \\ R[1,3)", ":num N+ \\ N",
+          f":num {_SHIFT} \\ {_SHIFT}", ":num mod(2,0) \\ pow(2)"]
+# A denominator whose sign the field cannot decide.
+EXTRA += [":cmp 1/(beth1 - X) 0"]
 EXTRA_INSTANCES = {
     # Pivotal, but the labels of 2 and 3 share 1 and neither holds the other,
     # so meet trichotomy fails.
