@@ -659,17 +659,14 @@ def _mono_dominates(m1: Monomial, m2: Monomial, table: AxiomTable) -> bool:
 
 
 def _blocking_pair(terms: Terms) -> str:
-    pos = [m for c, m in terms if c > 0]
-    neg = [m for c, m in terms if c < 0]
-    if pos and neg:
-        r = mono_div(pos[0], neg[0])
-        return f"{_format_ratio_side(r, positive=True)} vs {_format_ratio_side(r, positive=False)} undeclared"
-    return "sign of a mixed expression undecided"
+    """The first positive term over the first negative one; `_poly_sign` asks
+    only when both signs occur."""
+    r = mono_div(next(m for c, m in terms if c > 0), next(m for c, m in terms if c < 0))
+    return f"{_format_ratio_side(r, positive=True)} vs {_format_ratio_side(r, positive=False)} undeclared"
 
 
 def _poly_sign(terms: Terms, table: AxiomTable) -> tuple[Optional[int], Optional[str]]:
-    if not terms:
-        return 0, None
+    """Sign of a non-empty polynomial, or None with the pair that blocks it."""
     if all(c > 0 for c, _ in terms):
         return 1, None
     if all(c < 0 for c, _ in terms):
@@ -705,8 +702,8 @@ def nf_cmp(a: NumExpr, b: NumExpr, table: AxiomTable = DEFAULT_TABLE) -> Compari
     if sn is None:
         return Comparison(UNKNOWN, rn)
     sd, rd = _poly_sign(diff.den, table)
-    if sd is None or sd == 0:
-        return Comparison(UNKNOWN, rd or "denominator sign undecided")
+    if sd is None:
+        return Comparison(UNKNOWN, rd)
     s = sn * sd
     return Comparison(GREATER if s > 0 else LESS)
 

@@ -467,8 +467,11 @@ def check_comparison_map(tree: PivotalTree, A: frozenset, B: frozenset,
                          phi: dict, vertex: Optional[frozenset] = None) -> bool:
     """True iff |A ∩ λ| = |φ(A) ∩ λ| for every label at or above the vertex.
 
-    The stated vertex defaults to the smallest label containing A together
-    with its image, the cone on which both sides are fully visible.
+    The vertex defaults to the smallest label containing A together with its
+    image, the cone on which both sides are fully visible.  With that vertex
+    the scan cannot fail: every label λ of its cone contains A and φ(A), so
+    |A ∩ λ| = |A| = |φ(A)| = |φ(A) ∩ λ|, φ being a bijection.  So the answer
+    is whether some label contains A ∪ φ(A); only a stated vertex is scanned.
     """
     if set(phi.keys()) != set(A) or set(phi.values()) != set(B) or len(set(phi.values())) != len(phi):
         raise NotABijection("phi is not a bijection from A onto B")
@@ -476,10 +479,7 @@ def check_comparison_map(tree: PivotalTree, A: frozenset, B: frozenset,
     image = frozenset(phi.values())
     if vertex is None:
         support = A | image
-        candidates = [lam for lam in fam if support <= lam]
-        if not candidates:
-            return False
-        vertex = candidates[0]
+        return any(support <= lam for lam in fam)
     return all(len(A & lam) == len(image & lam) for lam in _cone(fam, vertex))
 
 

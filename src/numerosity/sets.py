@@ -1,21 +1,26 @@
 """Definable sets over N, Q, and R with exact counting and numerosity.
 
-Each node either compiles to a closed-form counting function on its canonical
-chain (constant sets, congruence classes, perfect powers, bounded intervals,
-products, certified unions and differences) or carries a comparison-map
-rewrite for its numerosity (the unbounded sets, the unit interval, power-set
-and finite-map constructors, shifts).  Subset and disjointness certificates
-of unions, intersections, differences and products combine their parts'
-through three combiners.  A literal enumeration oracle backs the compiled
+Each atom either compiles to a closed-form counting function on its canonical
+chain (finite sets, congruence classes, perfect powers, bounded intervals,
+finite subsets of N) or carries a comparison-map rewrite for its numerosity
+(the unbounded ℚ and ℝ sets, the unit interval); products, finite colorings
+and shifts are counted from their parts.  Unions, intersections and
+differences are counted by the sum rule through their meet, a set node equal
+to the intersection of the two sides: A ∪ B counts A + B − (A ∩ B), A ∩ B
+the meet, and A ∖ B counts A − (A ∩ B).  Any two sets over one domain have a
+difference.  The meet comes from subset and disjointness certificates, which
+combine their parts' through three combiners, and a count is refused only
+where no meet is found.  A literal enumeration oracle backs the compiled
 forms and the certificates at tiny chain indices.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import chains, field
 from .chains import ChainKind, CountingFn, IndexTooLarge, chain_card
@@ -27,10 +32,6 @@ class Uncompilable(ValueError):
         super().__init__(f"{node}: {why}")
         self.node = node
         self.why = why
-
-
-class SubsetNotCertified(ValueError):
-    pass
 
 
 YES, NO, UNDECIDED = "yes", "no", "undecided"
@@ -177,10 +178,7 @@ class Diff(namedtuple("Diff", "left right"), SetExpr):
     __slots__ = ()
 
     def __new__(cls, left: SetExpr, right: SetExpr) -> "Diff":
-        node = _same_domain(cls, left, right, "difference")
-        if subset_certified(right, left) != YES:
-            raise SubsetNotCertified(f"difference requires certified {right} ⊆ {left}")
-        return node
+        return _same_domain(cls, left, right, "difference")
 
 
 class Prod(namedtuple("Prod", "left right"), SetExpr):
@@ -388,18 +386,8 @@ def counting_fn(e: SetExpr) -> CountingFn:
         m0 = chains.threshold_divides(e.q.denominator, inner.m0, "denominator")
         m0 = chains.threshold_card_at_least(abs(e.q) + radius + 1, m0)
         return inner.with_m0(m0)
-    if isinstance(e, Union_):
-        both = _inter_count(e.left, e.right)
-        if both is None:
-            raise Uncompilable(e, "union needs certified disjointness or containment")
-        return counting_fn(e.left) + counting_fn(e.right) - both
-    if isinstance(e, Inter):
-        both = _inter_count(e.left, e.right)
-        if both is None:
-            raise Uncompilable(e, "intersection outside the certified fragment")
-        return both
-    if isinstance(e, Diff):
-        return counting_fn(e.left) - counting_fn(e.right)
+    if isinstance(e, (Union_, Inter, Diff)):
+        return _sum_rule(e, counting_fn, operator.add, operator.sub)
     if isinstance(e, Prod):
         return counting_fn(e.left) * counting_fn(e.right)
     if isinstance(e, FinMapsInto):
@@ -432,27 +420,47 @@ def _bound_radius(e: SetExpr) -> Optional[Fraction]:
     return None
 
 
-def _inter_count(a: SetExpr, b: SetExpr) -> Optional[CountingFn]:
-    """Counting function of a ∩ b on the certified fragment."""
-    if disjoint_certified(a, b) == YES:
-        return CountingFn.constant(0)
-    if subset_certified(a, b) == YES:
-        return counting_fn(a)
-    if subset_certified(b, a) == YES:
-        return counting_fn(b)
+def _meet(a: SetExpr, b: SetExpr) -> Optional[SetExpr]:
+    """A node equal to a ∩ b on the certified fragment; None outside it."""
     if isinstance(a, Mod) and isinstance(b, Mod):
+        # CRT: x ≡ a.i (mod a.p) and x ≡ b.i (mod b.p) have a common solution
+        # iff g divides b.i - a.i, and then one modulo the lcm.  Where one
+        # class holds the other, that solution is the smaller class itself.
+        g = math.gcd(a.p, b.p)
+        if (b.i - a.i) % g:
+            return FinSet()
+        step = (b.i - a.i) // g * pow(a.p // g, -1, b.p // g)
         l = math.lcm(a.p, b.p)
-        # CRT: compatibility was excluded by the disjointness check above.
-        m0 = chains.threshold_divides(l)
-        return CountingFn.monomial(Fraction(1, l), 1, m0=m0)
+        return Mod(l, (a.i + a.p * step) % l)
+    if disjoint_certified(a, b) == YES:
+        return FinSet()
+    if subset_certified(a, b) == YES:
+        return a
+    if subset_certified(b, a) == YES:
+        return b
     ia, ib = _interval_bounds(a), _interval_bounds(b)
-    if ia and ib and ia[2] == ib[2]:
+    if ia and ib:
+        # One domain and not disjoint, so the two intervals overlap.
         p, q = max(ia[0], ib[0]), min(ia[1], ib[1])
-        if p >= q:
-            return CountingFn.constant(0)
-        piece = QInterval(p, q) if ia[2] is ChainKind.RAT else RInterval(p, q)
-        return counting_fn(piece)
+        return QInterval(p, q) if ia[2] is ChainKind.RAT else RInterval(p, q)
     return None
+
+
+def _sum_rule(e: SetExpr, count: Callable, add: Callable, sub: Callable):
+    """Count a union, intersection or difference by `count` through the meet of
+    its sides: A ∪ B counts A + B − (A ∩ B), A ∩ B the meet, and A ∖ B counts
+    A − (A ∩ B).  A difference counts its left side before the meet, a union
+    its sides after it; a zero meet is not subtracted."""
+    left = count(e.left) if isinstance(e, Diff) else None
+    meet = _meet(e.left, e.right)
+    if meet is None:
+        raise Uncompilable(e, "no numerosity rule applies")
+    both = count(meet)
+    if isinstance(e, Inter):
+        return both
+    if isinstance(e, Union_):
+        left = add(count(e.left), count(e.right))
+    return left if both.is_zero() else sub(left, both)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +469,10 @@ def _inter_count(a: SetExpr, b: SetExpr) -> Optional[CountingFn]:
 
 
 def num(e: SetExpr) -> NumExpr:
-    """Exact numerosity of e: chain limit where compiled, rewrite otherwise."""
+    """Exact numerosity of e, by structural recursion: the chain limit of an
+    atom that compiles, a rewrite for the other atoms."""
+    if isinstance(e, (Union_, Inter, Diff)):
+        return _sum_rule(e, num, field.nf_add, field.nf_sub)
     if isinstance(e, QPos):
         return field.nf_pow(field.ALPHA, field.from_rational(2))
     if isinstance(e, QAll):
@@ -482,20 +493,7 @@ def num(e: SetExpr) -> NumExpr:
         return num(e.child)
     if isinstance(e, Prod):
         return field.nf_mul(num(e.left), num(e.right))
-    try:
-        return counting_fn(e).limit
-    except Uncompilable:
-        pass
-    if isinstance(e, Union_):
-        if disjoint_certified(e.left, e.right) == YES:
-            return field.nf_add(num(e.left), num(e.right))
-        if subset_certified(e.right, e.left) == YES:
-            return num(e.left)
-        if subset_certified(e.left, e.right) == YES:
-            return num(e.right)
-    if isinstance(e, Diff):
-        return field.nf_sub(num(e.left), num(e.right))
-    raise Uncompilable(e, "no numerosity rule applies")
+    return counting_fn(e).limit
 
 
 def measure(e: SetExpr, gamma: NumExpr,
@@ -524,10 +522,7 @@ def _nat_member(e: SetExpr, x: int) -> bool:
     if isinstance(e, Mod):
         return x >= 1 and x % e.p == e.i % e.p
     if isinstance(e, Pow):
-        if x < 1:
-            return False
-        r = round(x ** (1.0 / e.p))
-        return any((r + d) >= 1 and (r + d) ** e.p == x for d in (-1, 0, 1))
+        return x >= 1 and field.int_root(x, e.p) is not None
     if isinstance(e, Union_):
         return _nat_member(e.left, x) or _nat_member(e.right, x)
     if isinstance(e, Inter):

@@ -144,6 +144,12 @@ class TestComparisonMaps:
             TREE, frozenset([3]), frozenset([TOP]), phi, vertex=label(TREE, 3)
         )
 
+    def test_no_label_holds_both_sides(self):
+        # 1 and 2 have no common upper bound, so no label holds {1, 2}.
+        tree = parse_instance("elem {} 1 2 {1}\nle 1 {1}\nsucc 1 {1}\n")
+        assert not check_comparison_map(tree, frozenset([2]), frozenset([1]), {2: 1})
+        assert check_comparison_map(tree, frozenset([1]), frozenset([EMPTY]), {1: EMPTY})
+
     def test_not_a_bijection(self):
         with pytest.raises(NotABijection):
             check_comparison_map(TREE, frozenset([1, 2]), frozenset([3]), {1: 3, 2: 3})
@@ -536,6 +542,21 @@ def ref_closure(universe, base) -> frozenset:
                     pairs.add((a, d))
                     changed = True
     return frozenset(pairs)
+
+
+class TestComparisonMapDefaultVertex:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(pivotal_trees(), arbitrary_trees()), st.data())
+    def test_default_vertex_answers_as_its_cone_scan(self, tree, data):
+        """The default vertex is the first label holding A ∪ φ(A); scanning its
+        cone, as a stated vertex is scanned, gives the same answer."""
+        elems = sorted(set(tree.universe), key=elem_key)
+        A = data.draw(st.frozensets(st.sampled_from(elems), max_size=3)) if elems else frozenset()
+        phi = dict(zip(A, data.draw(st.permutations(elems))))
+        B = frozenset(phi.values())
+        holders = [lam for lam in label_family(tree) if A | B <= lam]
+        want = bool(holders) and check_comparison_map(tree, A, B, phi, vertex=holders[0])
+        assert check_comparison_map(tree, A, B, phi) == want
 
 
 class TestClosure:

@@ -46,7 +46,6 @@ from numerosity.sets import (
     RInterval,
     RPos,
     Shift,
-    SubsetNotCertified,
     Uncompilable,
     Union_,
     UnitInterval01,
@@ -112,9 +111,12 @@ class TestCountingFns:
             with pytest.raises(Uncompilable):
                 counting_fn(e)
 
-    def test_diff_requires_certificate(self):
-        with pytest.raises(SubsetNotCertified):
-            Diff(Mod(2, 0), Pow(2))
+    def test_diff_is_total_and_counted_through_the_meet(self):
+        assert nf_eq(num(Diff(Mod(2, 0), Mod(3, 0))), nf_mul(q(1, 3), ALPHA))
+        assert num(Diff(NatPos(), NatAll())).is_zero()
+        with pytest.raises(Uncompilable) as info:
+            num(Diff(Mod(2, 0), Pow(2)))
+        assert info.value.why == "no numerosity rule applies"
 
     def test_crt_intersection(self):
         cf = counting_fn(Inter(Mod(2, 0), Mod(3, 0)))
@@ -321,8 +323,9 @@ class TestNodesAsTuples:
             Mod(2, 2)
         with pytest.raises(ValueError, match="one ground domain"):
             Union_(NatAll(), QAll())
-        with pytest.raises(SubsetNotCertified):
-            Diff(Mod(2, 0), NatPos())
+        with pytest.raises(ValueError, match="one ground domain"):
+            Diff(Mod(2, 0), QPos())
+        assert num(Diff(Mod(2, 0), NatPos())).is_zero()
         with pytest.raises(AttributeError):
             Mod(3, 1).p = 4
 
@@ -407,20 +410,12 @@ _LEAVES = st.one_of(
 )
 
 
-def _difference(left, right):
-    """left \\ right, or left \\ (left & right) when right ⊆ left is not certified."""
-    try:
-        return Diff(left, right)
-    except SubsetNotCertified:
-        return Diff(left, Inter(left, right))
-
-
 def set_exprs(depth: int = 3):
     if depth == 0:
         return _LEAVES
     sub = set_exprs(depth - 1)
     return st.one_of(_LEAVES, st.builds(Union_, sub, sub), st.builds(Inter, sub, sub),
-                     st.builds(_difference, sub, sub))
+                     st.builds(Diff, sub, sub))
 
 
 @lru_cache(maxsize=512)
@@ -498,7 +493,66 @@ def q_exprs(depth: int = 2):
         return _Q_LEAVES
     sub = q_exprs(depth - 1)
     return st.one_of(_Q_LEAVES, st.builds(Shift, _quarters(4), sub), st.builds(Union_, sub, sub),
-                     st.builds(Inter, sub, sub), st.builds(_difference, sub, sub))
+                     st.builds(Inter, sub, sub), st.builds(Diff, sub, sub))
+
+
+def _grid_member(e, x: F) -> bool:
+    """x ∈ e for a meet over ℚ or ℝ: the empty set, a real interval [p, q), or a ℚ node."""
+    if e == FinSet():
+        return False
+    if isinstance(e, RInterval):
+        return e.p <= x < e.q
+    return sets._rat_member(e, x)
+
+
+_R_LEAVES = st.tuples(_ENDS, _ENDS).filter(lambda t: t[0] < t[1]).map(lambda t: RInterval(*t))
+
+
+class TestMeetAgainstOracle:
+    """`_meet` returns a node with exactly the members both sides share, or None."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(set_exprs(1), set_exprs(1))
+    @example(Mod(4, 1), Mod(6, 3))
+    @example(Mod(6, 5), Mod(4, 3))
+    @example(Pow(2), Mod(2, 0))
+    def test_naturals(self, a, b):
+        meet = sets._meet(a, b)
+        if meet is None:
+            return
+        for x in range(400):
+            assert sets._nat_member(meet, x) == (sets._nat_member(a, x) and sets._nat_member(b, x)), x
+
+    def test_crt_classes(self):
+        assert sets._meet(Mod(4, 1), Mod(6, 3)) == Mod(12, 9)
+        assert sets._meet(Mod(2, 0), Mod(3, 0)) == Mod(6, 0)
+        assert sets._meet(Mod(4, 1), Mod(6, 0)) == FinSet()
+        # A class inside the other is its own meet with it.
+        assert sets._meet(Mod(2, 1), Mod(4, 3)) == Mod(4, 3)
+        assert sets._meet(Mod(3, 2), Mod(1, 0)) == Mod(3, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_Q_LEAVES, st.sampled_from([QPos(), QAll()])),
+           st.one_of(_Q_LEAVES, st.sampled_from([QPos(), QAll()])))
+    @example(QInterval(F(0), F(1)), QPos())
+    @example(QInterval(F(-1), F(1)), QPos())
+    def test_rationals(self, a, b):
+        self.check_grid(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_R_LEAVES, _R_LEAVES)
+    def test_reals(self, a, b):
+        self.check_grid(a, b)
+
+    @staticmethod
+    def check_grid(a, b):
+        meet = sets._meet(a, b)
+        if isinstance(a, (QInterval, RInterval)) and isinstance(b, (QInterval, RInterval)):
+            assert meet is not None  # two intervals meet in an interval or in nothing
+        if meet is None:
+            return
+        for x in (F(s, 8) for s in range(-48, 49)):
+            assert _grid_member(meet, x) == (_grid_member(a, x) and _grid_member(b, x)), x
 
 
 class TestRationalSetsAgainstOracle:

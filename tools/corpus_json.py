@@ -137,7 +137,7 @@ EXTRA += [":num R[0,1/0)", ":num shift(1/0, fin{1})", ":simplest {1/0} {}",
           ":sur 1/0 + +", ":sur 1/0^3 + +"]
 # A perfect-power exponent with a prime factor past the trial-division budget.
 EXTRA += [":num pow(10000000000037)"]
-# Two overlapping rational intervals: `_inter_count`'s partial-overlap branch.
+# Two overlapping rational intervals: `_meet`'s partial-overlap branch.
 EXTRA += [":num Q(0,1] & Q(1/2,2]"]
 # Dyadic literals as :sur operands: a non-dyadic literal fails before a later
 # operand's parse error or power budget; unreduced literals, zero and -0; the
