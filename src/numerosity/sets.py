@@ -409,7 +409,11 @@ def _bound_radius(e: SetExpr) -> Optional[Fraction]:
         return max(abs(e.p), abs(e.q))
     if isinstance(e, UnitInterval01):
         return Fraction(1)
-    if isinstance(e, (Union_, Inter, Prod)):
+    if isinstance(e, Inter):
+        # The intersection lies inside each side: the smaller bound holds.
+        radii = [r for r in (_bound_radius(e.left), _bound_radius(e.right)) if r is not None]
+        return min(radii, default=None)
+    if isinstance(e, (Union_, Prod)):
         l, r = _bound_radius(e.left), _bound_radius(e.right)
         return None if l is None or r is None else max(l, r)
     if isinstance(e, Diff):

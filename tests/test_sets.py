@@ -234,6 +234,14 @@ class TestNumerosities:
                 continue
             assert nf_eq(num(Shift(F(7, 2), e)), num(e))
 
+    def test_shift_of_intersection_with_one_bounded_side(self):
+        unit = QInterval(F(0), F(1))
+        for other in (QPos(), QAll()):
+            for e in (Inter(unit, other), Inter(other, unit)):
+                assert nf_eq(num(Shift(F(1, 2), e)), ALPHA)
+        with pytest.raises(Uncompilable, match="bounded sets"):
+            num(Shift(F(1, 2), Inter(QPos(), QAll())))
+
     def test_empty_set_and_null_principle(self):
         assert num(FinSet(frozenset())).is_zero()
         for e in [Mod(2, 0), QInterval(F(0), F(1)), PfinN(), RAll()]:
