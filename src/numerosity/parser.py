@@ -16,7 +16,14 @@ left-associative operators of each grammar come from one table per grammar,
 folded by one loop (precedence climbing); a table names the function of
 `field`, `ordinals` or `sets` each operator calls, and the name is looked up
 on the module at call time, so a profiler or tracer that rebinds it sees
-every call.  Evaluation is eager and left to right.
+every call.
+
+Evaluation is eager, left to right, and once per distinct subexpression of a
+line.  A line whose innermost parenthesised groups repeat gets a memo that
+lives and dies with its `_Line`: a numerosity or ordinal group keyed by its
+production and its exact text, whitespace included, and an operator call keyed
+by the function's name and its operands' identities.  A stored group is reused
+only where its nesting fits below MAX_NESTING; an error is never stored.
 """
 
 from __future__ import annotations
@@ -46,11 +53,20 @@ class ParseError(ValueError):
 # below the interpreter's recursion limit, parsing and evaluation together.
 MAX_NESTING = 64
 
-# One match per token: a natural number, an identifier or an operator
-# (longest spelling first), captured in group 1, or any other visible
-# character, captured in group 2, which is an error.  Split on it, a line
-# alternates whitespace, token, stray character.
-_TOKEN = re.compile(r"(\d+|[^\W\d]\w*|\^<>|\+\.|\*\.|><|[-+*/^|&\\()\[\]{},<=.])|(\S)")
+# One match per token: an operator (longest spelling first), a natural number
+# or an identifier, captured in group 1, or any other visible character,
+# captured in group 2, which is an error.  Split on it, a line alternates
+# whitespace, token, stray character.  The alternatives start with disjoint
+# characters, so their order only sets which is tried first: the common ones,
+# with an ASCII identifier branch (a subset of the Unicode one after it).
+_TOKEN = re.compile(r"(\^<>|\+\.|\*\.|><|[-+*/^|&\\()\[\]{},<=.]|\d+|[a-zA-Z_]\w*|[^\W\d]\w*)|(\S)")
+
+# A parenthesised group whose inner groups, if any, are single words or
+# rational literals, like `(w)` and `(-1/2)`.  Every repeated group other than
+# such a word or literal holds such a group, found at the same place in each
+# copy, so a line whose matches are distinct repeats none (and a word or a
+# literal saves nothing worth a lookup).
+_INNERMOST = re.compile(r"\([^()]*+(?:\(-?[\w/]*+\)[^()]*+)*+\)")
 
 
 def tokenize(text: str) -> tuple[list[str], list[str]]:
@@ -79,16 +95,24 @@ class _Line:
 
     Productions read `toks[i]` directly and advance `i` themselves; `i` never
     moves past the final "".  A natural-number token is one whose text
-    `isdecimal()`, as the tokenizer's `\\d+` matches exactly those.
+    `isdecimal()`, as the tokenizer's `\\d+` matches exactly those.  `peak` is
+    the deepest level reached since a group last reset it.  `memo` is None,
+    or on a numerosity line that repeats a group (see `_repeats_group`) the
+    line's memo: (production, token) to the groups filed there (see
+    `_group`), (name, id, id) to a `field` call's result (see `_call`), and
+    the id of every value stored to the value, which keeps the ids of the
+    line's stored values unique.  Ordinal arithmetic costs less than the
+    lookups, so ordinal and set lines get no memo.
     """
 
-    __slots__ = ("text", "toks", "gaps", "i", "depth")
+    __slots__ = ("text", "toks", "gaps", "i", "depth", "peak", "memo")
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, numeric: bool = False):
         self.text = text
         self.toks, self.gaps = tokenize(text)
         self.i = 0
-        self.depth = 0
+        self.depth = self.peak = 0
+        self.memo = {} if numeric and _repeats_group(text) else None
 
 
 def _fail(p: _Line, expected: str, k: Optional[int] = None):
@@ -117,9 +141,12 @@ def _accept(p: _Line, tok: str) -> bool:
 
 def _nested(p: _Line, production: Callable, close: Optional[str]):
     """Run a recursive production one nesting level down, then expect `close` if given."""
-    if p.depth >= MAX_NESTING:
+    depth = p.depth
+    if depth >= MAX_NESTING:
         _fail(p, f"at most {MAX_NESTING} levels of nesting")
-    p.depth += 1
+    p.depth = depth = depth + 1
+    if depth > p.peak:
+        p.peak = depth
     out = production(p)
     if close:
         _expect(p, close)
@@ -127,9 +154,62 @@ def _nested(p: _Line, production: Callable, close: Optional[str]):
     return out
 
 
-def _whole(production: Callable, text: str, what: str):
+def _repeats_group(text: str) -> bool:
+    """Whether some innermost parenthesised group of `text` occurs twice."""
+    if text.count("(") < 2:
+        return False
+    inner = _INNERMOST.findall(text)
+    return len(set(inner)) < len(inner)
+
+
+def _group(p: _Line, production: Callable):
+    """`( production )`: a numerosity or ordinal group on a line with a memo.
+
+    Each group parsed is filed under its production and first inner token.
+    A group whose tokens, and the whitespace between them, are those of a
+    filed group is that group's text again: it takes the filed value without
+    a parse, unless the filed depth would take it past MAX_NESTING, where the
+    parse runs, and raises.
+    """
+    i, memo, toks, gaps = p.i, p.memo, p.toks, p.gaps
+    p.i = i + 1
+    key = production, toks[i + 1]
+    filed = memo.get(key)
+    if filed is not None:
+        for j, n, out, depth in filed:
+            if toks[i:i + n] == toks[j:j + n] and gaps[i + 1:i + n] == gaps[j + 1:j + n]:
+                depth += p.depth
+                if depth <= MAX_NESTING:
+                    p.i = i + n
+                    if depth > p.peak:
+                        p.peak = depth
+                    return out
+                break
+    outer, p.peak = p.peak, p.depth
+    out = _nested(p, production, ")")
+    memo.setdefault(key, []).append((i, p.i - i, out, p.peak - p.depth))
+    memo[id(out)] = out
+    p.peak = max(outer, p.peak)
+    return out
+
+
+def _call(memo: dict, name: str, a, b=None):
+    """`field.name(a, b)`, or `(a)` when b is None, on operands the memo
+    holds: the result is stored in turn, and returned when the call repeats.
+    Only calls on stored values can repeat, so callers send no others; and
+    ordinal and set calls cost less than the lookup, so only `field` calls
+    come here."""
+    key = name, id(a), id(b)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = getattr(field, name)(a) if b is None else getattr(field, name)(a, b)
+        memo[id(out)] = out
+    return out
+
+
+def _whole(production: Callable, text: str, what: str, numeric: bool = False):
     """Parse all of `text` with one production."""
-    p = _Line(text)
+    p = _Line(text, numeric)
     out = production(p)
     if p.toks[p.i]:
         _fail(p, f"end of {what}")
@@ -195,7 +275,11 @@ def _fold(p: _Line, module, ops: dict, operand: Callable, left, min_bp: int = 0)
         entry = ops.get(toks[p.i])
         if entry is not None and entry[0] > bp:
             right = _fold(p, module, ops, operand, right, bp + 1)
-        left = getattr(module, name)(left, right)
+        memo = p.memo
+        if memo is not None and module is field and id(left) in memo and id(right) in memo:
+            left = _call(memo, name, left, right)
+        else:
+            left = getattr(module, name)(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +310,8 @@ def _ord_atom(p: _Line) -> Ord:
     if tok.isdecimal():
         return Ord.from_int(_natural(p))
     if tok == "(":
+        if p.memo is not None:
+            return _group(p, _ord_expr)
         p.i += 1
         return _nested(p, _ord_expr, ")")
     _fail(p, "an ordinal atom (w, a natural number, or parentheses)")
@@ -258,14 +344,20 @@ def _nf_power(p: _Line) -> NumExpr:
     base = _nf_atom(p)
     if p.toks[p.i] == "^":
         p.i += 1
-        return field.nf_pow(base, _nested(p, _nf_power, None))
+        exp, memo = _nested(p, _nf_power, None), p.memo
+        if memo is not None and id(base) in memo and id(exp) in memo:
+            return _call(memo, "nf_pow", base, exp)
+        return field.nf_pow(base, exp)
     return base
 
 
 def _nf_atom(p: _Line) -> NumExpr:
     tok = p.toks[p.i]
     if tok.isdecimal():
-        return field.from_rational(_natural(p))
+        if len(tok) > MAX_LITERAL_DIGITS:
+            _natural(p)
+        p.i += 1
+        return field.from_rational(int(tok))
     if tok in _NF_GENERATORS:
         p.i += 1
         return getattr(field, _NF_GENERATORS[tok])
@@ -273,20 +365,25 @@ def _nf_atom(p: _Line) -> NumExpr:
         p.i += 1
         if p.toks[p.i] == "^":
             p.i += 1
-            return field.omega_power(_ord_atom(p))
+            exp, memo = _ord_atom(p), p.memo
+            if memo is not None and id(exp) in memo:
+                return _call(memo, "omega_power", exp)
+            return field.omega_power(exp)
         return field.OMEGA_NF
     if tok == "num":
         p.i += 1
         _expect(p, "(")
         return sets.num(_nested(p, _set_expr, ")"))
     if tok == "(":
+        if p.memo is not None:
+            return _group(p, _num_expr)
         p.i += 1
         return _nested(p, _num_expr, ")")
     _fail(p, "a numerosity atom")
 
 
 def parse_num(text: str) -> NumExpr:
-    return _whole(_num_expr, text, "expression")
+    return _whole(_num_expr, text, "expression", True)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +476,7 @@ def parse_set(text: str) -> sets.SetExpr:
 
 def parse_measure(text: str) -> tuple[sets.SetExpr, NumExpr]:
     """`SET GAMMA`: the arguments of `:measure`."""
-    return _whole(lambda p: (_set_expr(p), _num_expr(p)), text, "expression")
+    return _whole(lambda p: (_set_expr(p), _num_expr(p)), text, "expression", True)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +502,7 @@ def parse_comparands(text: str) -> tuple:
         return parse_surreal_operand(words[0]), parse_surreal_operand(words[1])
     p = _Line(text)
     if _CANTOR_OPS.isdisjoint(p.toks):
+        p.memo = {} if _repeats_group(text) else None
         pair, what = (_num_expr(p), _num_expr(p)), "comparison"
     else:
         pair, what = (_ord_expr(p), _ord_expr(p)), "ordinal comparison"

@@ -376,3 +376,89 @@ class TestTokens:
         new.parse_ordinal("w *. 2")
         new.parse_set("N \\ mod(2,0)")
         assert calls == ["nf_sub", "cantor_mul", "Diff"]
+
+    # The token pattern before its alternatives were reordered (operators first,
+    # then an ASCII identifier branch): every split must stay the same.
+    _OLD_TOKEN = re.compile(r"(\d+|[^\W\d]\w*|\^<>|\+\.|\*\.|><|[-+*/^|&\\()\[\]{},<=.])|(\S)")
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(st.one_of(
+        st.sampled_from([*"+-*/^|&\\()[]{},<=.>~$", *"0123456789", " ", "\t", "\n", " ",
+                         "a", "w", "Z", "_", "é", "ß", "Ω", "٣", "²", "Ⅻ", "ǅ", "́"]),
+        st.characters()), max_size=40))
+    def test_split_as_the_previous_pattern(self, text):
+        assert new._TOKEN.split(text) == self._OLD_TOKEN.split(text)
+
+
+# Chains of 60 parentheses: repeated 5 levels further down, each is over MAX_NESTING.
+DEEP = "(" * 60 + "alpha" + ")" * 60
+DEEP_ORD = "(" * 60 + "w" + ")" * 60
+
+
+class TestLineMemo:
+    """A line evaluates each repeated group and operation once, and still
+    parses, fails and reports columns as the reference does."""
+
+    def test_group_text_includes_its_whitespace(self):
+        # `N+` is the positive naturals, `N +` an unfinished union: the groups
+        # tokenize alike but are different text.
+        got = outcome(new, ":st", "(num(N+)) + (num(N +))")
+        assert got[0] == "ParseError" and got[1].startswith("at column 20: expected ")
+        assert_same(":st (num(N+)) + (num(N +))")
+
+    @pytest.mark.parametrize("rest", [
+        f"{DEEP} + {'(' * 10}{DEEP}{')' * 10}",
+        # A group holding a reused group is as deep as both together.
+        f"{DEEP} + ({DEEP}) + {'(' * 5}({DEEP}){')' * 5}",
+        f"({DEEP}) + ({DEEP}) + {'(' * 4}({DEEP}){')' * 4}",
+        f"w^{DEEP_ORD} + {'(' * 10}w^{DEEP_ORD}{')' * 10}",
+    ], ids=["chain", "group-holding-a-reused-group", "reused-group-in-a-reused-group", "ordinal"])
+    def test_reused_group_keeps_the_nesting_limit(self, rest):
+        got = outcome(new, ":st", rest)
+        assert got[0] == "ParseError" and f"at most {new.MAX_NESTING} levels" in got[1]
+        assert_same(f":st {rest}")
+        assert_same(f":cmp {rest} 1")
+
+    @pytest.mark.parametrize("rest", [
+        "(alpha +) * (alpha +)", "(1/0) + (1/0)", "(alpha - alpha)^(-1) + (alpha - alpha)^(-1)",
+        "(alpha) + (alpha", "(alpha + 1) + (alpha + 1)) + 1", "(w^(w +. alpha)) + (w^(w +. alpha))",
+        "(alpha + num(N \\ )) + (alpha + num(N \\ ))", f"({DEEP}) + ({DEEP}" + " $",
+    ], ids=range(8))
+    def test_repeated_group_with_an_error(self, rest):
+        assert outcome(new, ":st", rest)[0] != "value"
+        for verb in (":st", ":cmp", ":measure N"):
+            assert_same(f"{verb} {rest}")
+
+    # Products of copies multiply a group's size, so these groups leave out
+    # `w^(ORD)`, whose finite exponent part expands densely; the last case
+    # reaches `w`-powers through `w*`, which clears the finite part.
+    GROUP = NUM_EXPR.filter(lambda g: "w^(" not in g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.tuples(GROUP, NUM).map(lambda t: f":cmp ({t[0]}) + {t[1]} ({t[0]})"),
+        GROUP.map(lambda g: f":st ({g})*({g})/({g})"),
+        st.tuples(GROUP, NUM.filter(lambda g: "w^(" not in g)).map(
+            lambda t: f":st (({t[0]}) + {t[1]})*(({t[0]}) + {t[1]})"),
+        st.tuples(SET, GROUP).map(lambda t: f":measure {t[0]} ({t[1]}) - ({t[1]})"),
+        st.tuples(ORD, ORD).map(lambda t: f":cmp ({t[0]}) +. ({t[1]}) ({t[1]}) +. ({t[0]})"),
+        st.tuples(ORD, ORD).map(lambda t: f":st w^(w*({t[0]}))*w^(w*({t[1]})) - w^(w*({t[0]}))"),
+    ))
+    def test_repeated_groups_against_reference(self, line):
+        assert_same(line)
+
+    def test_repeated_operation_calls_once(self, monkeypatch):
+        calls = []
+        real = field.nf_mul
+        monkeypatch.setattr(field, "nf_mul", lambda a, b: calls.append((a, b)) or real(a, b))
+        got = new.parse_num("(alpha-1)*(beta+1) + (alpha-1)*(beta+1)")
+        assert len(calls) == 1
+        assert got == real(new.parse_num("2"), real(*calls[0]))
+
+    def test_memo_lives_with_its_line(self, monkeypatch):
+        calls = []
+        real = field.nf_mul
+        monkeypatch.setattr(field, "nf_mul", lambda a, b: calls.append(1) or real(a, b))
+        for _ in range(2):
+            new.parse_num("(alpha-1)*(beta+1) + (alpha-1)*(beta+1)")
+        assert len(calls) == 2

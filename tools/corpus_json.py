@@ -166,6 +166,7 @@ EXTRA += [":cmp (alpha-1)*(beta+1) + (alpha-1)*(beta+1) 2*(alpha-1)*(beta+1)",
           ":ord (w^(w+1)+2) *. (w^(w+1)+2) + (w^(w+1)+2)",
           ":st (num(N+)) + (num(N +))", ":st (num(N+)) + (num(N+))",
           f":st {_DEEP} + {'(' * 10}{_DEEP}{')' * 10}", f":st {_DEEP} + {'(' * 4}{_DEEP}{')' * 4}",
+          f":st {_DEEP} + ({_DEEP}) + {'(' * 5}({_DEEP}){')' * 5}",
           ":st (alpha + 1/0) + (alpha + 1/0)",
           ":st (alpha + *) + (alpha + *)", ":st (alpha^(1/2)) + (alpha^(1/2)"]
 EXTRA_INSTANCES = {
