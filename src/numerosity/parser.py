@@ -19,11 +19,12 @@ on the module at call time, so a profiler or tracer that rebinds it sees
 every call.
 
 Evaluation is eager, left to right, and once per distinct subexpression of a
-line.  A line whose innermost parenthesised groups repeat gets a memo that
-lives and dies with its `_Line`: a numerosity or ordinal group keyed by its
-production and its exact text, whitespace included, and an operator call keyed
-by the function's name and its operands' identities.  A stored group is reused
-only where its nesting fits below MAX_NESTING; an error is never stored.
+comparison.  A `:cmp` line of numerosity operands whose innermost
+parenthesised groups repeat gets a memo that lives and dies with its `_Line`:
+a numerosity or ordinal group keyed by its production and its exact text,
+whitespace included, and a `field` call keyed by the function's name and its
+operands' identities.  A stored group is reused only where its nesting fits
+below MAX_NESTING; an error is never stored.
 """
 
 from __future__ import annotations
@@ -97,22 +98,21 @@ class _Line:
     moves past the final "".  A natural-number token is one whose text
     `isdecimal()`, as the tokenizer's `\\d+` matches exactly those.  `peak` is
     the deepest level reached since a group last reset it.  `memo` is None,
-    or on a numerosity line that repeats a group (see `_repeats_group`) the
-    line's memo: (production, token) to the groups filed there (see
-    `_group`), (name, id, id) to a `field` call's result (see `_call`), and
-    the id of every value stored to the value, which keeps the ids of the
-    line's stored values unique.  Ordinal arithmetic costs less than the
-    lookups, so ordinal and set lines get no memo.
+    or on a comparison of numerosities that repeats a group (see
+    `parse_comparands`) the line's memo: (production, token) to the groups
+    filed there (see `_group`), (name, id, id) to a `field` call's result
+    (see `_call`), and the id of every value stored to the value, which keeps
+    the ids of the line's stored values unique.
     """
 
     __slots__ = ("text", "toks", "gaps", "i", "depth", "peak", "memo")
 
-    def __init__(self, text: str, numeric: bool = False):
+    def __init__(self, text: str):
         self.text = text
         self.toks, self.gaps = tokenize(text)
         self.i = 0
         self.depth = self.peak = 0
-        self.memo = {} if numeric and _repeats_group(text) else None
+        self.memo = None
 
 
 def _fail(p: _Line, expected: str, k: Optional[int] = None):
@@ -207,9 +207,9 @@ def _call(memo: dict, name: str, a, b=None):
     return out
 
 
-def _whole(production: Callable, text: str, what: str, numeric: bool = False):
+def _whole(production: Callable, text: str, what: str):
     """Parse all of `text` with one production."""
-    p = _Line(text, numeric)
+    p = _Line(text)
     out = production(p)
     if p.toks[p.i]:
         _fail(p, f"end of {what}")
@@ -354,10 +354,7 @@ def _nf_power(p: _Line) -> NumExpr:
 def _nf_atom(p: _Line) -> NumExpr:
     tok = p.toks[p.i]
     if tok.isdecimal():
-        if len(tok) > MAX_LITERAL_DIGITS:
-            _natural(p)
-        p.i += 1
-        return field.from_rational(int(tok))
+        return field.from_rational(_natural(p))
     if tok in _NF_GENERATORS:
         p.i += 1
         return getattr(field, _NF_GENERATORS[tok])
@@ -383,7 +380,7 @@ def _nf_atom(p: _Line) -> NumExpr:
 
 
 def parse_num(text: str) -> NumExpr:
-    return _whole(_num_expr, text, "expression", True)
+    return _whole(_num_expr, text, "expression")
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +473,7 @@ def parse_set(text: str) -> sets.SetExpr:
 
 def parse_measure(text: str) -> tuple[sets.SetExpr, NumExpr]:
     """`SET GAMMA`: the arguments of `:measure`."""
-    return _whole(lambda p: (_set_expr(p), _num_expr(p)), text, "expression", True)
+    return _whole(lambda p: (_set_expr(p), _num_expr(p)), text, "expression")
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +499,12 @@ def parse_comparands(text: str) -> tuple:
         return parse_surreal_operand(words[0]), parse_surreal_operand(words[1])
     p = _Line(text)
     if _CANTOR_OPS.isdisjoint(p.toks):
-        p.memo = {} if _repeats_group(text) else None
+        # Only a comparison gets a memo: its two operands often share
+        # subexpressions, while on a `:st` or `:measure` line the test for a
+        # repeat costs a few percent and seldom finds one.  Ordinal
+        # arithmetic costs less than the memo's lookups.
+        if _repeats_group(text):
+            p.memo = {}
         pair, what = (_num_expr(p), _num_expr(p)), "comparison"
     else:
         pair, what = (_ord_expr(p), _ord_expr(p)), "ordinal comparison"

@@ -396,15 +396,18 @@ DEEP_ORD = "(" * 60 + "w" + ")" * 60
 
 
 class TestLineMemo:
-    """A line evaluates each repeated group and operation once, and still
-    parses, fails and reports columns as the reference does."""
+    """A comparison evaluates each repeated group and operation once, and
+    still parses, fails and reports columns as the reference does."""
 
     def test_group_text_includes_its_whitespace(self):
         # `N+` is the positive naturals, `N +` an unfinished union: the groups
-        # tokenize alike but are different text.
-        got = outcome(new, ":st", "(num(N+)) + (num(N +))")
-        assert got[0] == "ParseError" and got[1].startswith("at column 20: expected ")
-        assert_same(":st (num(N+)) + (num(N +))")
+        # tokenize alike but are different text.  The repeated `(alpha-1)`
+        # gives the comparison its memo.
+        for verb, rest in ((":st", "(num(N+)) + (num(N +))"),
+                           (":cmp", "(num(N+)) + (num(N +)) (alpha-1)*(alpha-1)")):
+            got = outcome(new, verb, rest)
+            assert got[0] == "ParseError" and got[1].startswith("at column 20: expected ")
+            assert_same(f"{verb} {rest}")
 
     @pytest.mark.parametrize("rest", [
         f"{DEEP} + {'(' * 10}{DEEP}{')' * 10}",
@@ -414,10 +417,10 @@ class TestLineMemo:
         f"w^{DEEP_ORD} + {'(' * 10}w^{DEEP_ORD}{')' * 10}",
     ], ids=["chain", "group-holding-a-reused-group", "reused-group-in-a-reused-group", "ordinal"])
     def test_reused_group_keeps_the_nesting_limit(self, rest):
-        got = outcome(new, ":st", rest)
+        got = outcome(new, ":cmp", f"{rest} 1")
         assert got[0] == "ParseError" and f"at most {new.MAX_NESTING} levels" in got[1]
-        assert_same(f":st {rest}")
         assert_same(f":cmp {rest} 1")
+        assert_same(f":cmp 1 {rest}")
 
     @pytest.mark.parametrize("rest", [
         "(alpha +) * (alpha +)", "(1/0) + (1/0)", "(alpha - alpha)^(-1) + (alpha - alpha)^(-1)",
@@ -425,9 +428,9 @@ class TestLineMemo:
         "(alpha + num(N \\ )) + (alpha + num(N \\ ))", f"({DEEP}) + ({DEEP}" + " $",
     ], ids=range(8))
     def test_repeated_group_with_an_error(self, rest):
-        assert outcome(new, ":st", rest)[0] != "value"
-        for verb in (":st", ":cmp", ":measure N"):
-            assert_same(f"{verb} {rest}")
+        assert outcome(new, ":cmp", f"{rest} 1")[0] != "value"
+        for line in (f":cmp {rest} 1", f":cmp (alpha + 1) {rest}", f":cmp {rest} {rest}"):
+            assert_same(line)
 
     # Products of copies multiply a group's size, so these groups leave out
     # `w^(ORD)`, whose finite exponent part expands densely; the last case
@@ -437,28 +440,41 @@ class TestLineMemo:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(
         st.tuples(GROUP, NUM).map(lambda t: f":cmp ({t[0]}) + {t[1]} ({t[0]})"),
-        GROUP.map(lambda g: f":st ({g})*({g})/({g})"),
+        GROUP.map(lambda g: f":cmp ({g})*({g})/({g}) ({g})"),
         st.tuples(GROUP, NUM.filter(lambda g: "w^(" not in g)).map(
-            lambda t: f":st (({t[0]}) + {t[1]})*(({t[0]}) + {t[1]})"),
-        st.tuples(SET, GROUP).map(lambda t: f":measure {t[0]} ({t[1]}) - ({t[1]})"),
+            lambda t: f":cmp (({t[0]}) + {t[1]})*(({t[0]}) + {t[1]}) 0"),
+        GROUP.map(lambda g: f":st ({g})*({g})/({g})"),
         st.tuples(ORD, ORD).map(lambda t: f":cmp ({t[0]}) +. ({t[1]}) ({t[1]}) +. ({t[0]})"),
-        st.tuples(ORD, ORD).map(lambda t: f":st w^(w*({t[0]}))*w^(w*({t[1]})) - w^(w*({t[0]}))"),
+        st.tuples(ORD, ORD).map(lambda t: f":cmp w^(w*({t[0]}))*w^(w*({t[1]})) w^(w*({t[0]}))"),
     ))
     def test_repeated_groups_against_reference(self, line):
         assert_same(line)
+
+    @pytest.mark.parametrize("rest", [
+        "(alpha-1)*(beta+1) (alpha-1)*(beta+2)", "(alpha-1)*(beta+1) (beta+1)*(alpha-1) + 1",
+        "(alpha-1)-(beta+1) (beta+1)-(alpha-1)", "(alpha+1)+(alpha+2) (alpha+2)+(alpha+1)",
+        "(alpha+1)/(alpha+2) (alpha+1)/(alpha + 2)", "w^(w+1)*(alpha) w^(w+2)*(alpha)",
+        "(alpha)^(2)*(beta) (alpha)^(3)*(beta)",
+    ])
+    def test_near_repeats_against_reference(self, rest):
+        # Groups that share a first token, and operations on stored values
+        # whose other operand differs.
+        assert_same(f":cmp {rest}")
+
+    LINE = "(alpha-1)*(beta+1) + (alpha-1)*(beta+1) 0"
 
     def test_repeated_operation_calls_once(self, monkeypatch):
         calls = []
         real = field.nf_mul
         monkeypatch.setattr(field, "nf_mul", lambda a, b: calls.append((a, b)) or real(a, b))
-        got = new.parse_num("(alpha-1)*(beta+1) + (alpha-1)*(beta+1)")
+        got, zero = new.parse_comparands(self.LINE)
         assert len(calls) == 1
-        assert got == real(new.parse_num("2"), real(*calls[0]))
+        assert got == real(new.parse_num("2"), real(*calls[0])) and zero == new.parse_num("0")
 
     def test_memo_lives_with_its_line(self, monkeypatch):
         calls = []
         real = field.nf_mul
         monkeypatch.setattr(field, "nf_mul", lambda a, b: calls.append(1) or real(a, b))
         for _ in range(2):
-            new.parse_num("(alpha-1)*(beta+1) + (alpha-1)*(beta+1)")
+            new.parse_comparands(self.LINE)
         assert len(calls) == 2

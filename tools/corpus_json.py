@@ -33,7 +33,7 @@ search budget, the partial overlap of two rational intervals, dyadic
 literals as `:sur` operands: unreduced, non-dyadic before a later error, and
 at the caps, unions, intersections and differences counted through their
 meet, a denominator of undecided sign, shifts of intersections with one
-bounded side, repeated groups within a line) and parse errors from every
+bounded side, repeated groups within a comparison) and parse errors from every
 production, on literals over the digit budget and on zero denominators, so
 the diff covers each error text and column; then `:labelcheck` in both modes on every instance file: the corpus
 files plus `EXTRA_INSTANCES`, whose label-tree, table and directedness checks
@@ -157,18 +157,19 @@ EXTRA += [":num Q(0,1] | Q+", ":num Q+ \\ Q(0,1]", ":num (Q+ | Q(0,1]) \\ Q(0,1]
 EXTRA += [":cmp 1/(beth1 - X) 0"]
 # Shifts of intersections with one bounded side.
 EXTRA += [":num shift(1/2, Q(0,1] & Q+)", ":num shift(1/2, Q(0,1] & Q)"]
-# Repeated groups within one line: equal values, groups that tokenize alike
-# but parse differently, a repeated group past the nesting limit and a
-# repeated group holding an error.
+# Repeated groups within one comparison: equal values, groups that tokenize
+# alike but parse differently, repeated groups past the nesting limit and
+# repeated groups holding an error.
 _DEEP = "(" * 60 + "alpha" + ")" * 60
 EXTRA += [":cmp (alpha-1)*(beta+1) + (alpha-1)*(beta+1) 2*(alpha-1)*(beta+1)",
-          ":st (alpha+w^(w+1))/(alpha+w^(w+1)) + (alpha+w^(w+1))",
+          ":cmp (alpha+w^(w+1))/(alpha+w^(w+1)) + (alpha+w^(w+1)) alpha+w^(w+1)",
           ":ord (w^(w+1)+2) *. (w^(w+1)+2) + (w^(w+1)+2)",
-          ":st (num(N+)) + (num(N +))", ":st (num(N+)) + (num(N+))",
-          f":st {_DEEP} + {'(' * 10}{_DEEP}{')' * 10}", f":st {_DEEP} + {'(' * 4}{_DEEP}{')' * 4}",
-          f":st {_DEEP} + ({_DEEP}) + {'(' * 5}({_DEEP}){')' * 5}",
-          ":st (alpha + 1/0) + (alpha + 1/0)",
-          ":st (alpha + *) + (alpha + *)", ":st (alpha^(1/2)) + (alpha^(1/2)"]
+          ":cmp (num(N+)) + (num(N +)) (alpha-1)*(alpha-1)",
+          ":cmp (num(N+)) + (num(N+)) (alpha-1)*(alpha-1)",
+          f":cmp {_DEEP} + {'(' * 10}{_DEEP}{')' * 10} 1", f":cmp {_DEEP} + {'(' * 4}{_DEEP}{')' * 4} 1",
+          f":cmp {_DEEP} + ({_DEEP}) + {'(' * 5}({_DEEP}){')' * 5} 1",
+          ":cmp (alpha + 1/0) + (alpha + 1/0) 1",
+          ":cmp (alpha + *) + (alpha + *) 1", ":cmp (alpha^(1/2)) + (alpha^(1/2) (alpha^(1/2))"]
 EXTRA_INSTANCES = {
     # Pivotal, but the labels of 2 and 3 share 1 and neither holds the other,
     # so meet trichotomy fails.
