@@ -194,11 +194,8 @@ def _group(p: _Line, production: Callable):
 
 
 def _call(memo: dict, name: str, a, b=None):
-    """`field.name(a, b)`, or `(a)` when b is None, on operands the memo
-    holds: the result is stored in turn, and returned when the call repeats.
-    Only calls on stored values can repeat, so callers send no others; and
-    ordinal and set calls cost less than the lookup, so only `field` calls
-    come here."""
+    """`field.name(a, b)`, or `(a)` when b is None, on values the memo holds
+    (no other call can repeat): stored in turn, and reused when it repeats."""
     key = name, id(a), id(b)
     out = memo.get(key)
     if out is None:

@@ -383,8 +383,8 @@ class TestTokens:
 
     @settings(max_examples=500, deadline=None)
     @given(st.text(st.one_of(
-        st.sampled_from([*"+-*/^|&\\()[]{},<=.>~$", *"0123456789", " ", "\t", "\n", " ",
-                         "a", "w", "Z", "_", "é", "ß", "Ω", "٣", "²", "Ⅻ", "ǅ", "́"]),
+        st.sampled_from([*"+-*/^|&\\()[]{},<=.>~$", *"0123456789", " ", "\t", "\n", "\u00a0",
+                         "a", "w", "Z", "_", "é", "ß", "Ω", "٣", "²", "Ⅻ", "ǅ", "\u0301"]),
         st.characters()), max_size=40))
     def test_split_as_the_previous_pattern(self, text):
         assert new._TOKEN.split(text) == self._OLD_TOKEN.split(text)

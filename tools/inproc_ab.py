@@ -39,6 +39,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import corpus  # noqa: E402
+from run import percentile  # noqa: E402
 
 
 def load(checkout: str, name: str):
@@ -50,12 +51,6 @@ def load(checkout: str, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return importlib.import_module(f"{name}.cli")
-
-
-def percentile(values: list[float], q: int) -> float:
-    if len(values) < 2:
-        return values[0] if values else 0.0
-    return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
 
 
 def replay(cli, session, texts: list[str]) -> tuple[list[float], list]:
