@@ -19,12 +19,12 @@ on the module at call time, so a profiler or tracer that rebinds it sees
 every call.
 
 Evaluation is eager, left to right, and once per distinct subexpression of a
-comparison.  A `:cmp` line of numerosity operands whose innermost
-parenthesised groups repeat gets a memo that lives and dies with its `_Line`:
-a numerosity or ordinal group keyed by its production and its exact text,
-whitespace included, and a `field` call keyed by the function's name and its
-operands' identities.  A stored group is reused only where its nesting fits
-below MAX_NESTING; an error is never stored.
+comparison.  A `:cmp` line of numerosity operands gets a memo that lives and
+dies with its `_Line`: a numerosity or ordinal group keyed by its
+production and its exact text, whitespace included, and an operation on
+stored values keyed by the function and its operands' identities.  A
+stored group is reused only where its nesting fits below MAX_NESTING; an
+error is never stored.
 """
 
 from __future__ import annotations
@@ -62,13 +62,6 @@ MAX_NESTING = 64
 # with an ASCII identifier branch (a subset of the Unicode one after it).
 _TOKEN = re.compile(r"(\^<>|\+\.|\*\.|><|[-+*/^|&\\()\[\]{},<=.]|\d+|[a-zA-Z_]\w*|[^\W\d]\w*)|(\S)")
 
-# A parenthesised group whose inner groups, if any, are single words or
-# rational literals, like `(w)` and `(-1/2)`.  Every repeated group other than
-# such a word or literal holds such a group, found at the same place in each
-# copy, so a line whose matches are distinct repeats none (and a word or a
-# literal saves nothing worth a lookup).
-_INNERMOST = re.compile(r"\([^()]*+(?:\(-?[\w/]*+\)[^()]*+)*+\)")
-
 
 def tokenize(text: str) -> tuple[list[str], list[str]]:
     """The token texts of a line, ending with "" at its end, and the
@@ -98,11 +91,10 @@ class _Line:
     moves past the final "".  A natural-number token is one whose text
     `isdecimal()`, as the tokenizer's `\\d+` matches exactly those.  `peak` is
     the deepest level reached since a group last reset it.  `memo` is None,
-    or on a comparison of numerosities that repeats a group (see
-    `parse_comparands`) the line's memo: (production, token) to the groups
-    filed there (see `_group`), (name, id, id) to a `field` call's result
-    (see `_call`), and the id of every value stored to the value, which keeps
-    the ids of the line's stored values unique.
+    or on a comparison of numerosities the line's memo: (production, token)
+    to the groups filed there (see `_group`), (function, id, id) to an
+    operation's result (see `_call`), and the id of every value stored to
+    the value, which keeps the ids of the line's stored values unique.
     """
 
     __slots__ = ("text", "toks", "gaps", "i", "depth", "peak", "memo")
@@ -154,14 +146,6 @@ def _nested(p: _Line, production: Callable, close: Optional[str]):
     return out
 
 
-def _repeats_group(text: str) -> bool:
-    """Whether some innermost parenthesised group of `text` occurs twice."""
-    if text.count("(") < 2:
-        return False
-    inner = _INNERMOST.findall(text)
-    return len(set(inner)) < len(inner)
-
-
 def _group(p: _Line, production: Callable):
     """`( production )`: a numerosity or ordinal group on a line with a memo.
 
@@ -193,13 +177,17 @@ def _group(p: _Line, production: Callable):
     return out
 
 
-def _call(memo: dict, name: str, a, b=None):
-    """`field.name(a, b)`, or `(a)` when b is None, on values the memo holds
-    (no other call can repeat): stored in turn, and reused when it repeats."""
-    key = name, id(a), id(b)
+def _call(p: _Line, module, name: str, a, b=None):
+    """`module.name(a, b)`, or `(a)` when b is None.  When the line's memo
+    holds the operands (no other call can repeat), the result is stored in
+    turn, and reused when the call repeats."""
+    fn, memo = getattr(module, name), p.memo
+    if memo is None or id(a) not in memo or (b is not None and id(b) not in memo):
+        return fn(a) if b is None else fn(a, b)
+    key = fn, id(a), id(b)
     out = memo.get(key)
     if out is None:
-        out = memo[key] = getattr(field, name)(a) if b is None else getattr(field, name)(a, b)
+        out = memo[key] = fn(a) if b is None else fn(a, b)
         memo[id(out)] = out
     return out
 
@@ -272,11 +260,7 @@ def _fold(p: _Line, module, ops: dict, operand: Callable, left, min_bp: int = 0)
         entry = ops.get(toks[p.i])
         if entry is not None and entry[0] > bp:
             right = _fold(p, module, ops, operand, right, bp + 1)
-        memo = p.memo
-        if memo is not None and module is field and id(left) in memo and id(right) in memo:
-            left = _call(memo, name, left, right)
-        else:
-            left = getattr(module, name)(left, right)
+        left = _call(p, module, name, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +325,7 @@ def _nf_power(p: _Line) -> NumExpr:
     base = _nf_atom(p)
     if p.toks[p.i] == "^":
         p.i += 1
-        exp, memo = _nested(p, _nf_power, None), p.memo
-        if memo is not None and id(base) in memo and id(exp) in memo:
-            return _call(memo, "nf_pow", base, exp)
-        return field.nf_pow(base, exp)
+        return _call(p, field, "nf_pow", base, _nested(p, _nf_power, None))
     return base
 
 
@@ -359,10 +340,7 @@ def _nf_atom(p: _Line) -> NumExpr:
         p.i += 1
         if p.toks[p.i] == "^":
             p.i += 1
-            exp, memo = _ord_atom(p), p.memo
-            if memo is not None and id(exp) in memo:
-                return _call(memo, "omega_power", exp)
-            return field.omega_power(exp)
+            return _call(p, field, "omega_power", _ord_atom(p))
         return field.OMEGA_NF
     if tok == "num":
         p.i += 1
@@ -496,12 +474,10 @@ def parse_comparands(text: str) -> tuple:
         return parse_surreal_operand(words[0]), parse_surreal_operand(words[1])
     p = _Line(text)
     if _CANTOR_OPS.isdisjoint(p.toks):
-        # Only a comparison gets a memo: its two operands often share
-        # subexpressions, while on a `:st` or `:measure` line the test for a
-        # repeat costs a few percent and seldom finds one.  Ordinal
-        # arithmetic costs less than the memo's lookups.
-        if _repeats_group(text):
-            p.memo = {}
+        # The two operands of a comparison often share subexpressions.  A
+        # `:st` or `:measure` argument seldom repeats a group, and filing its
+        # groups would cost more than the memo saves.
+        p.memo = {}
         pair, what = (_num_expr(p), _num_expr(p)), "comparison"
     else:
         pair, what = (_ord_expr(p), _ord_expr(p)), "ordinal comparison"

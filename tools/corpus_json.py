@@ -163,7 +163,7 @@ EXTRA += [":num shift(1/2, Q(0,1] & Q+)", ":num shift(1/2, Q(0,1] & Q)"]
 _DEEP = "(" * 60 + "alpha" + ")" * 60
 EXTRA += [":cmp (alpha-1)*(beta+1) + (alpha-1)*(beta+1) 2*(alpha-1)*(beta+1)",
           ":cmp (alpha+w^(w+1))/(alpha+w^(w+1)) + (alpha+w^(w+1)) alpha+w^(w+1)",
-          ":ord (w^(w+1)+2) *. (w^(w+1)+2) + (w^(w+1)+2)",
+          ":cmp (w^(w+1)+alpha)*(w^(w+1)+alpha) (3*w^(w+1)+alpha)^2/9",
           ":cmp (num(N+)) + (num(N +)) (alpha-1)*(alpha-1)",
           ":cmp (num(N+)) + (num(N+)) (alpha-1)*(alpha-1)",
           f":cmp {_DEEP} + {'(' * 10}{_DEEP}{')' * 10} 1", f":cmp {_DEEP} + {'(' * 4}{_DEEP}{')' * 4} 1",
